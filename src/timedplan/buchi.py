@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .errors import AlphabetMismatch, BudgetExceeded
 from .rational import INF, canon_key
-from .search import bfs_order, nested_dfs, shortest_cycle, tree_path
+from .search import bfs_order, nested_dfs, on_cycle, shortest_cycle, tree_path
 from .tba import TBA, eval_guard
 from .wts import TimedRun
 
@@ -37,6 +37,7 @@ class BuchiWTS:
         self._memo: dict = {}
         self._delta: dict = {}
         self._seen: set = set()
+        self._anchors = None
         zeros = tuple(Fraction(0) for _ in tba.clocks)
         initial = []
         for s in sorted(wts.initial, key=canon_key):
@@ -56,6 +57,19 @@ class BuchiWTS:
 
     def accepting(self, node) -> bool:
         return node[1] in self.tba.accepting
+
+    def anchors(self):
+        """Accepting nodes that lie on a cycle, in breadth-first discovery
+        order, with the discovery tree's parent map.  Explores the whole
+        reachable product on the first call; the product is empty of
+        accepting lassos exactly when the list is empty.
+        """
+        if self._anchors is None:
+            order, parent = bfs_order(self.initial, self.succ)
+            cyclic = on_cycle(order, self.succ)
+            hits = [n for n in order if n in cyclic and self.accepting(n)]
+            self._anchors = (hits, parent)
+        return self._anchors
 
     def _note(self, node):
         if node not in self._seen:
@@ -141,22 +155,15 @@ def find_accepting(b: BuchiWTS) -> TimedRun | None:
 
 
 def enumerate_accepting(b: BuchiWTS, limit: int) -> list[TimedRun]:
-    """Up to ``limit`` accepting lassos, anchored at accepting nodes in
-    breadth-first discovery order: stem along the search tree, cycle the
-    shortest one through the anchor.  Deterministic for a fixed product.
+    """Up to ``limit`` accepting lassos, one per anchor of ``b.anchors()``:
+    stem along the search tree, cycle the shortest one through the anchor.
+    Deterministic for a fixed product.
     """
-    order, parent = bfs_order(b.initial, b.succ)
+    anchors, parent = b.anchors()
     out = []
-    for node in order:
-        if len(out) >= limit:
-            break
-        if not b.accepting(node):
-            continue
-        cyc = shortest_cycle(node, b.succ)
-        if cyc is None:
-            continue
+    for node in anchors[:limit]:
         path = tree_path(parent, node)
-        out.append(_to_run(b, path[:-1], cyc))
+        out.append(_to_run(b, path[:-1], shortest_cycle(node, b.succ)))
     return out
 
 

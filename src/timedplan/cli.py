@@ -31,7 +31,14 @@ from . import __version__
 from .dynamics import integrate_closed, lyapunov
 from .errors import BudgetExceeded, PlanMismatch, ScenarioError, TimedplanError
 from .rational import decimal_str, frac_str
-from .scenario import Built, build, load_scenario, plan_dumps, plan_loads
+from .scenario import (
+    Built,
+    build,
+    check_at_least_one,
+    load_scenario,
+    plan_dumps,
+    plan_loads,
+)
 from .synthesis import (
     Infeasible,
     Plan,
@@ -59,6 +66,7 @@ def _load_built(args) -> Built:
     if getattr(args, "seed", None) is not None:
         s = _replace(s, seed=args.seed)
     if getattr(args, "r_selec", None) is not None:
+        check_at_least_one("r_selec", args.r_selec)
         s = _replace(s, r_selec=args.r_selec)
     if getattr(args, "max_states", None) is not None:
         s = _replace(s, max_states=args.max_states)

@@ -47,6 +47,23 @@ def _fail(msg):
     raise ScenarioError(msg)
 
 
+def _count_at_least_one(section, key: str, default: str) -> int:
+    raw = section.get(key, default)
+    try:
+        n = int(raw)
+    except ValueError:
+        _fail(f"{key} must be an integer, got {raw!r}")
+    check_at_least_one(key, n)
+    return n
+
+
+def check_at_least_one(key: str, n: int):
+    """Reject a count below one: a zero lasso budget disables the
+    independent route, and zero samples certify nothing."""
+    if n < 1:
+        _fail(f"{key} must be >= 1, got {n}")
+
+
 def _point(text: str) -> tuple[float, ...]:
     try:
         return tuple(float(t) for t in text.split(","))
@@ -203,10 +220,10 @@ def parse_scenario(text: str) -> Scenario:
         _fail(f"need phi.1 .. phi.{n_agents} in [formulas]")
 
     syn = cp["synthesis"] if "synthesis" in cp else {}
-    r_selec = int(syn.get("r_selec", "100"))
+    r_selec = _count_at_least_one(syn, "r_selec", "100")
     max_states = syn.get("max_states")
     max_states = int(max_states) if max_states is not None else None
-    samples = int(syn.get("samples", "25"))
+    samples = _count_at_least_one(syn, "samples", "25")
     seed = int(syn.get("seed", "0"))
 
     return Scenario(

@@ -6,12 +6,18 @@ pass looks for a path back onto the outer stack, which closes a reachable
 accepting cycle.  The inner coloring persists across seeds, keeping the
 whole search linear in the explored graph.
 
+Lasso enumeration instead anchors at nodes that lie on a cycle, which one
+strongly-connected-component pass (``on_cycle``) finds for the whole
+explored graph at once.
+
 Callers must supply ``succ`` functions with a stable, deterministic
 iteration order (memoized tuples in practice); only the initial nodes are
 sorted here.
 """
 
 from __future__ import annotations
+
+import math
 
 from .rational import canon_key
 
@@ -110,6 +116,54 @@ def bfs_order(initials, succ):
                     nxt.append(child)
         frontier = nxt
     return order, parent
+
+
+def on_cycle(nodes, succ) -> set:
+    """The nodes reachable from ``nodes`` that lie on a cycle: members of a
+    strongly connected component with more than one node, or with a
+    self-loop.  One iterative Tarjan pass, linear in the graph it reaches.
+    """
+    # discovery number of each node, raised past every number once the
+    # node's component is closed, so edges into closed components never
+    # lower a low-link; one lookup per edge
+    num: dict = {}
+    closed = math.inf
+    stack = []
+    cyclic: set = set()
+    for root in nodes:
+        if root in num:
+            continue
+        num[root] = len(num)
+        stack.append(root)
+        work = [[root, iter(succ(root)), num[root]]]
+        while work:
+            frame = work[-1]
+            for child in frame[1]:
+                seen = num.get(child)
+                if seen is None:
+                    num[child] = seen = len(num)
+                    stack.append(child)
+                    work.append([child, iter(succ(child)), seen])
+                    break
+                if seen < frame[2]:
+                    frame[2] = seen
+            else:
+                work.pop()
+                node, _, low = frame
+                if work and low < work[-1][2]:
+                    work[-1][2] = low
+                if low < num[node]:
+                    continue
+                comp = []
+                while True:
+                    member = stack.pop()
+                    num[member] = closed
+                    comp.append(member)
+                    if member == node:
+                        break
+                if len(comp) > 1 or node in succ(node):
+                    cyclic.update(comp)
+    return cyclic
 
 
 def tree_path(parent, node):

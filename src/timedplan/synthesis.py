@@ -30,7 +30,7 @@ from .errors import (
 )
 from .mitl import props, sat
 from .rational import canon_key
-from .search import bfs_order, shortest_cycle, tree_path
+from .search import bfs_order, on_cycle, shortest_cycle, tree_path
 from .tba import intersect, mitl_to_tba
 from .wts import ProductWTS, TimedRun, check_consistent, product, timed_word
 
@@ -133,9 +133,10 @@ def synthesize(g, wts_list, formulas, r_selec: int = 100, max_states=None):
     for i, (c, a) in enumerate(zip(comps, tbas), start=1):
         b = BuchiWTS(c, a, max_states)
         found = enumerate_accepting(b, r_selec)
-        if not found:
+        if not b.anchors()[0]:
             # the pooled-moves view over-approximates the agent's behaviour
-            # in any joint run, so emptiness here is conclusive
+            # in any joint run, so emptiness here is conclusive; ``found`` is
+            # cut at r_selec and cannot show emptiness
             return Infeasible(
                 f"agent {i} has no run satisfying its task even in isolation",
                 agent=i,
@@ -205,13 +206,14 @@ def _generate_and_check(g, comps, formulas, r_selec, max_states):
     initial = sorted(p.initial, key=canon_key)
     seen.update(initial)
     order, parent = bfs_order(initial, succ)
+    cyclic = on_cycle(order, succ)
     examined = 0
     for node in order:
         if examined >= r_selec:
             break
-        cyc = shortest_cycle(node, succ)
-        if cyc is None:
+        if node not in cyclic:
             continue
+        cyc = shortest_cycle(node, succ)
         examined += 1
         path = tree_path(parent, node)
         states = tuple(path[:-1]) + tuple(cyc)
@@ -296,7 +298,7 @@ def reachable_layers(p: ProductWTS, steps: int, max_states=None) -> LayerStats:
     counts = [len(layer)]
     for _ in range(steps):
         nxt = set()
-        for s in sorted(layer, key=canon_key):
+        for s in layer:
             nxt.update(p.successors(s))
         layer = nxt
         counts.append(len(layer))

@@ -311,3 +311,31 @@ def rand_wts_lasso(rng, wts: WTS, max_len=8):
         path.append(nxt)
         durations.append(w)
     return None
+
+
+# -- whole-graph lasso probing -------------------------------------------------
+
+
+def probe_every_accepting(b, limit):
+    """Lasso enumeration by probing: ``shortest_cycle`` from every accepting
+    node in breadth-first order, skipping those it finds on no cycle.
+    Returns ``(states, durations, stem_len)`` triples.
+    """
+    from timedplan.search import bfs_order, shortest_cycle, tree_path
+
+    order, parent = bfs_order(b.initial, b.succ)
+    out = []
+    for node in order:
+        if len(out) >= limit:
+            break
+        if not b.accepting(node):
+            continue
+        cyc = shortest_cycle(node, b.succ)
+        if cyc is None:
+            continue
+        states = tuple(tree_path(parent, node)[:-1]) + tuple(cyc)
+        stem = len(states) - len(cyc)
+        nxt = states[1:] + (states[stem],)
+        durations = tuple(b.delta(u, v) for u, v in zip(states, nxt))
+        out.append((states, durations, stem))
+    return out

@@ -15,7 +15,12 @@ from timedplan.mitl import parse, sat
 from timedplan.tba import mitl_to_tba, universal_tba
 from timedplan.wts import WTS, timed_word
 
-from helpers import accepting_cycle_exists, rand_tba, rand_wts
+from helpers import (
+    accepting_cycle_exists,
+    probe_every_accepting,
+    rand_tba,
+    rand_wts,
+)
 
 
 LABELS = {"s0": {"green"}, "s1": set(), "s2": set()}
@@ -126,3 +131,52 @@ def test_emptiness_matches_scc_oracle_on_random_products():
         assert got == want
         agree += 1
     assert agree == 40
+
+
+def _rand_products(seed, n):
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        props = ("p",) if rng.random() < 0.5 else ("p", "q")
+        w = rand_wts(rng, props, n_states=int(rng.integers(2, 7)))
+        a = rand_tba(rng, props, n_locs=int(rng.integers(2, 5)))
+        yield w, a
+
+
+@pytest.mark.parametrize("limit", [1, 3, 100])
+def test_enumeration_matches_whole_graph_probing(limit):
+    several = 0
+    for w, a in _rand_products(41, 60):
+        got = [
+            (r.states, r.durations, r.stem_len)
+            for r in enumerate_accepting(BuchiWTS(w, a), limit)
+        ]
+        assert got == probe_every_accepting(BuchiWTS(w, a), limit)
+        several += len(got) > 1
+    if limit > 1:
+        assert several > 0
+
+
+def test_enumeration_probes_one_cycle_per_lasso(monkeypatch):
+    import timedplan.buchi as buchi
+
+    calls = []
+    real = buchi.shortest_cycle
+
+    def counted(node, succ):
+        calls.append(node)
+        return real(node, succ)
+
+    monkeypatch.setattr(buchi, "shortest_cycle", counted)
+    lassos = 0
+    for w, a in _rand_products(43, 60):
+        lassos += len(enumerate_accepting(BuchiWTS(w, a), 100))
+        assert len(calls) == lassos
+    assert lassos > 0
+
+
+def test_anchors_decide_emptiness_on_random_products():
+    for w, a in _rand_products(47, 40):
+        b = BuchiWTS(w, a)
+        anchors, _ = b.anchors()
+        assert bool(anchors) == accepting_cycle_exists(b.initial, b.succ, b.accepting)
+        assert all(b.accepting(n) for n in anchors)

@@ -78,6 +78,14 @@ def test_synthesize_budget_exits_3(tmp_path, capsys):
     assert "budget" in capsys.readouterr().out
 
 
+def test_zero_lasso_budget_override_rejected(tmp_path, capsys):
+    args = ["synthesize", SCENARIO, "--out", str(tmp_path / "r"), "--r-selec", "0"]
+    assert main(args) == 1
+    out = capsys.readouterr().out
+    assert "ScenarioError" in out and "r_selec" in out
+    assert not (tmp_path / "r").exists()
+
+
 def test_simulate_round_trip(tmp_path, capsys):
     run = tmp_path / "run"
     assert main(["synthesize", SCENARIO, "--out", str(run)]) == 0

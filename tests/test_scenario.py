@@ -91,6 +91,13 @@ def test_bad_scenarios_rejected(text, hint):
         build(s)  # some properties only fall over at build time
 
 
+@pytest.mark.parametrize("key", ["r_selec", "samples"])
+@pytest.mark.parametrize("value", ["0", "-2", "many"])
+def test_counts_must_be_positive_integers(key, value):
+    with pytest.raises(ScenarioError, match=key):
+        parse_scenario(GOOD + f"\n[synthesis]\n{key} = {value}\n")
+
+
 def test_build_products():
     b = build(parse_scenario(GOOD))
     assert b.graph.n_agents == 2

@@ -1,6 +1,12 @@
 import numpy as np
 
-from timedplan.search import bfs_order, nested_dfs, shortest_cycle, tree_path
+from timedplan.search import (
+    bfs_order,
+    nested_dfs,
+    on_cycle,
+    shortest_cycle,
+    tree_path,
+)
 
 from helpers import accepting_cycle_exists, crawl
 
@@ -96,3 +102,28 @@ def test_crawl_helper():
     nodes, got = crawl([0], graph_succ(adj))
     assert set(nodes) == {0, 1}
     assert got[0] == (1,)
+
+
+def test_on_cycle_matches_cycle_probes_on_random_graphs():
+    rng = np.random.default_rng(37)
+    for trial in range(300):
+        n = int(rng.integers(1, 14))
+        adj = {}
+        for v in range(n):
+            k = int(rng.integers(0, 4))
+            kids = [int(rng.integers(0, n)) for _ in range(k)]
+            if rng.random() < 0.2:
+                kids.append(v)
+            adj[v] = tuple(kids)
+        roots = [int(r) for r in rng.integers(0, n, size=int(rng.integers(1, 3)))]
+        succ = graph_succ(adj)
+        reach, _ = crawl(roots, succ)
+        want = {v for v in reach if shortest_cycle(v, succ) is not None}
+        assert on_cycle(roots, succ) == want, (trial, adj, roots)
+
+
+def test_on_cycle_is_not_recursive():
+    n = 6000
+    adj = {v: (v + 1,) for v in range(n - 1)}
+    adj[n - 1] = (n - 10,)
+    assert on_cycle([0], graph_succ(adj)) == set(range(n - 10, n))

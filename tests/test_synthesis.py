@@ -110,6 +110,22 @@ def test_synthesize_infeasible_window():
     assert verdict.agent == 1
 
 
+def test_zero_lasso_budget_never_reads_as_infeasible():
+    """Emptiness comes from the product's cycles, not from how many lassos
+    ``r_selec`` lets the per-agent route enumerate."""
+    from timedplan.scenario import build, load_scenario
+
+    b = build(load_scenario("scenarios/two_agent_services.cfg"))
+    plan = synthesize(b.graph, b.wts_list, b.formulas, r_selec=0)
+    assert isinstance(plan, Plan)
+    assert plan.route == "joint-product"
+    g, systems = free_agents()
+    verdict = synthesize(
+        g, systems, [parse("F[0,1/4] p1"), parse("F[0,2] p2")], r_selec=0
+    )
+    assert isinstance(verdict, Infeasible) and verdict.agent == 1
+
+
 def test_synthesize_budget():
     g, systems = free_agents(n_cells=3)
     formulas = [parse("F[0,2] p1"), parse("F[0,2] p2")]

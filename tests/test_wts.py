@@ -5,6 +5,8 @@ import pytest
 from timedplan.errors import IndexOutOfRange, LengthMismatch, UnknownState
 from timedplan.graphs import build_graph
 from timedplan.wts import (
+    SimulationReport,
+    StepReport,
     TableAgentWTS,
     TimedRun,
     TimedWord,
@@ -204,3 +206,10 @@ def test_check_consistent_validates_alignment():
         check_consistent([r1, bad], g, [a1, a2])
     with pytest.raises(LengthMismatch):
         check_consistent([r1], g, [a1, a2])
+
+
+def test_certificate_needs_a_sampled_landing():
+    assert SimulationReport((StepReport(0, 3, 0, 0.0),)).ok
+    assert not SimulationReport((StepReport(0, 3, 1, 0.1),)).ok
+    assert not SimulationReport((StepReport(0, 0, 0, 0.0),) * 7).ok
+    assert not SimulationReport(()).ok
