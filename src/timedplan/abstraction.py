@@ -7,14 +7,18 @@ step quanta are exactly the closed interval between those roots.
 
 A transition of agent i under an action (own cell, neighbor cells) leads to
 every cell meeting the closed ball of radius lam*v_max*dt around the
-nominal endpoint:  center(own) + dt * coupling(centers).
+nominal endpoint:  center(own) + dt * coupling(centers).  On a grid the
+candidate cells come from an index range over the cuts of each axis; the
+closed-ball test then decides each candidate exactly as a scan would.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .dynamics import ConditionConstants
 from .errors import (
@@ -30,6 +34,9 @@ from .rational import as_fraction
 from .workspace import EPS_GEO, CellDecomposition, ServiceLabeling, locate
 
 _FEAS_SLACK = 1e-12
+# relative widening of a successor ball's per-axis index window; it dwarfs
+# the rounding of the distance test, so no cell that passes it is missed
+_WINDOW_SLACK = 1e-9
 
 
 def _check_lambda(lam: float):
@@ -95,7 +102,7 @@ class Discretization:
         lo, hi = dt_range(self.dec.diameter, self.constants, self.lam, self.v_max)
         if not (lo - _FEAS_SLACK <= float(self.dt) <= hi + _FEAS_SLACK):
             raise TimeStepOutOfRange(
-                f"time step {float(self.dt)} outside the feasible range "
+                f"time step dt = {float(self.dt)} outside the feasible range "
                 f"[{lo}, {hi}] for cell diameter {self.dec.diameter}"
             )
 
@@ -103,18 +110,43 @@ class Discretization:
     def radius(self) -> float:
         return max(self.lam * self.v_max * float(self.dt) - self.radius_shrink, 0.0)
 
+    @cached_property
+    def table(self) -> StepTable:
+        """Per-cell constants the successor computation reads on every call."""
+        return StepTable(
+            centers=(None,) + tuple(c.center for c in self.dec.cells),
+            h=float(self.dt),
+            reach=self.radius + EPS_GEO,
+        )
+
+
+@dataclass(frozen=True)
+class StepTable:
+    """Cell centers (1-based, slot 0 unused), the float quantum, and the
+    closed-ball threshold ``radius + EPS_GEO`` of one discretization."""
+
+    centers: tuple
+    h: float
+    reach: float
+
 
 def nominal_endpoint(disc: Discretization, action: tuple[int, ...]) -> tuple[float, ...]:
     """Euler endpoint from the own-cell center under center-valued coupling."""
-    dec = disc.dec
-    own = dec.center(action[0])
-    drift = [0.0] * dec.dim
+    table = disc.table
+    centers = table.centers
+    n_cells = len(centers) - 1
+    for c in action:
+        if not 1 <= c <= n_cells:
+            raise OutOfBounds(f"cell index {c} not in 1..{n_cells}")
+    own = centers[action[0]]
+    dim = len(own)
+    drift = [0.0] * dim
     for nb in action[1:]:
-        nc = dec.center(nb)
-        for k in range(dec.dim):
+        nc = centers[nb]
+        for k in range(dim):
             drift[k] += nc[k] - own[k]
-    h = float(disc.dt)
-    return tuple(own[k] + h * drift[k] for k in range(dec.dim))
+    h = table.h
+    return tuple(own[k] + h * drift[k] for k in range(dim))
 
 
 def successors(disc: Discretization, g: CommGraph, action: tuple[int, ...]) -> frozenset[int]:
@@ -126,15 +158,25 @@ def successors(disc: Discretization, g: CommGraph, action: tuple[int, ...]) -> f
     """
     dec = disc.dec
     x_hat = nominal_endpoint(disc, action)
-    r = disc.radius
-    if dec.bounds.distance(x_hat) > r + EPS_GEO:
+    reach = disc.table.reach
+    if dec.bounds.distance(x_hat) > reach:
         raise BallOutsideWorkspace(
             f"successor ball around {x_hat} misses the workspace"
         )
-    hit = [
-        i + 1 for i, cell in enumerate(dec.cells) if cell.distance(x_hat) <= r + EPS_GEO
-    ]
-    return frozenset(hit)
+    cells = dec.cells
+    if dec.cuts is None:
+        candidates = range(len(cells))
+    else:
+        # a cell meeting the ball overlaps the ball's extent on every axis;
+        # flat indices grow in the lexicographic order ``locate`` uses
+        candidates = [0]
+        for x, cuts in zip(x_hat, dec.cuts):
+            side = len(cuts) - 1
+            pad = reach + _WINDOW_SLACK * (abs(x) + reach)
+            first = max(bisect_left(cuts, x - pad) - 1, 0)
+            stop = min(bisect_right(cuts, x + pad), side)
+            candidates = [i * side + j for i in candidates for j in range(first, stop)]
+    return frozenset(i + 1 for i in candidates if cells[i].distance(x_hat) <= reach)
 
 
 class AgentWTS:
@@ -168,6 +210,9 @@ class AgentWTS:
         }
         self._post: dict[tuple[int, ...], frozenset[int]] = {}
         self._post_any: dict[int, frozenset[int]] = {}
+        # one shared object per distinct successor set: the
+        # n_cells ** (1 + degree) actions have far fewer distinct sets
+        self._sets: dict[frozenset[int], frozenset[int]] = {}
 
     @property
     def states(self) -> range:
@@ -188,6 +233,7 @@ class AgentWTS:
                 got = successors(self.disc, self.graph, action)
             except BallOutsideWorkspace:
                 got = frozenset()  # exit attempts simply have no transition
+            got = self._sets.setdefault(got, got)
             self._post[action] = got
         return got
 

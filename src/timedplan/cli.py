@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -29,12 +29,12 @@ import numpy as np
 
 from . import __version__
 from .dynamics import integrate_closed, lyapunov
-from .errors import BudgetExceeded, PlanMismatch, ScenarioError, TimedplanError
+from .errors import BudgetExceeded, PlanMismatch, TimedplanError
 from .rational import decimal_str, frac_str
 from .scenario import (
     Built,
     build,
-    check_at_least_one,
+    check_minimum,
     load_scenario,
     plan_dumps,
     plan_loads,
@@ -50,33 +50,14 @@ from .workspace import locate
 from .wts import format_steps, product, simulation_check
 
 
-def _threads() -> int:
-    raw = os.environ.get("TIMEDPLAN_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ScenarioError(f"TIMEDPLAN_THREADS must be an integer, got {raw!r}")
-    if n < 1:
-        raise ScenarioError(f"TIMEDPLAN_THREADS must be >= 1, got {n}")
-    return n
-
-
 def _load_built(args) -> Built:
     s = load_scenario(args.scenario)
-    if getattr(args, "seed", None) is not None:
-        s = _replace(s, seed=args.seed)
-    if getattr(args, "r_selec", None) is not None:
-        check_at_least_one("r_selec", args.r_selec)
-        s = _replace(s, r_selec=args.r_selec)
-    if getattr(args, "max_states", None) is not None:
-        s = _replace(s, max_states=args.max_states)
+    for key in ("seed", "r_selec", "max_states"):
+        value = getattr(args, key, None)
+        if value is not None:
+            check_minimum(key, value)
+            s = dataclasses.replace(s, **{key: value})
     return build(s)
-
-
-def _replace(s, **kw):
-    import dataclasses
-
-    return dataclasses.replace(s, **kw)
 
 
 def cmd_validate(args) -> int:
@@ -172,7 +153,6 @@ def cmd_synthesize(args) -> int:
         "r_selec": s.r_selec,
         "max_states": s.max_states,
         "samples": s.samples,
-        "threads": _threads(),
         "route": plan.route,
         "combos_checked": plan.combos_checked,
         "elapsed_s": round(elapsed, 3),
@@ -354,11 +334,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        _threads()
-    except ScenarioError as e:
-        print(f"invalid: {e}", file=sys.stderr)
-        return 1
     return args.func(args)
 
 

@@ -13,13 +13,14 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .abstraction import Discretization, build_wts
 from .dynamics import condition_constants
-from .errors import ScenarioError, PlanMismatch
+from .errors import PlanMismatch, ScenarioError, TimedplanError
 from .graphs import build_graph, theorem1_constants
 from .mitl import parse
 from .rational import as_fraction, frac_str
@@ -41,34 +42,50 @@ _FIXED_KEYS = {
 _START_RE = re.compile(r"^start\.(\d+)$")
 _LABEL_RE = re.compile(r"^(\d+)\.([a-z][a-z0-9_]*)$")
 _PHI_RE = re.compile(r"^phi\.(\d+)$")
+# smallest accepted value of each integer knob: a zero lasso budget disables
+# the independent route, zero samples certify nothing, a zero state budget
+# stops every search before it starts, and random seeds are nonnegative
+MINIMUM = {"agents": 1, "r_selec": 1, "samples": 1, "max_states": 1, "seed": 0}
 
 
 def _fail(msg):
     raise ScenarioError(msg)
 
 
-def _count_at_least_one(section, key: str, default: str) -> int:
-    raw = section.get(key, default)
+def check_minimum(key: str, n: int):
+    """Reject an integer knob below its ``MINIMUM``."""
+    if n < MINIMUM[key]:
+        _fail(f"{key} must be >= {MINIMUM[key]}, got {n}")
+
+
+def _integer(key: str, raw: str) -> int:
     try:
         n = int(raw)
     except ValueError:
         _fail(f"{key} must be an integer, got {raw!r}")
-    check_at_least_one(key, n)
+    check_minimum(key, n)
     return n
 
 
-def check_at_least_one(key: str, n: int):
-    """Reject a count below one: a zero lasso budget disables the
-    independent route, and zero samples certify nothing."""
-    if n < 1:
-        _fail(f"{key} must be >= 1, got {n}")
-
-
-def _point(text: str) -> tuple[float, ...]:
+def _real(key: str, raw: str) -> float:
     try:
-        return tuple(float(t) for t in text.split(","))
+        x = float(raw)
     except ValueError:
-        _fail(f"bad point {text!r}")
+        _fail(f"{key} must be a number, got {raw!r}")
+    if not math.isfinite(x):
+        _fail(f"{key} must be finite, got {raw!r}")
+    return x
+
+
+def _positive(key: str, raw: str) -> float:
+    x = _real(key, raw)
+    if not x > 0:
+        _fail(f"{key} must be positive, got {raw!r}")
+    return x
+
+
+def _point(key: str, text: str) -> tuple[float, ...]:
+    return tuple(_real(key, t) for t in text.split(","))
 
 
 def _parse_edges(text: str):
@@ -156,10 +173,9 @@ def parse_scenario(text: str) -> Scenario:
         _fail("scenario version missing or unsupported (expected version = 1)")
     name = cp["scenario"].get("name", "unnamed")
 
-    try:
-        n_agents = int(cp["graph"]["agents"])
-    except (KeyError, ValueError):
+    if "agents" not in cp["graph"]:
         _fail("[graph] needs an integer 'agents'")
+    n_agents = _integer("agents", cp["graph"]["agents"])
     edges = _parse_edges(cp["graph"].get("edges", ""))
 
     dyn = cp["dynamics"]
@@ -167,20 +183,20 @@ def parse_scenario(text: str) -> Scenario:
     v_max = margin = None
     for key, val in dyn.items():
         if key == "v_max":
-            v_max = float(val)
+            v_max = _positive(key, val)
         elif key == "margin":
-            margin = float(val)
+            margin = _real(key, val)
         else:
             m = _START_RE.fullmatch(key)
             if not m:
                 _fail(f"unknown key {key!r} in [dynamics]")
-            starts[int(m.group(1))] = _point(val)
+            starts[int(m.group(1))] = _point(key, val)
     if v_max is None:
         _fail("[dynamics] needs v_max")
     if margin is None:
         margin = 1.05
     if sorted(starts) != list(range(1, n_agents + 1)):
-        _fail(f"need start.1 .. start.{n_agents} in [dynamics]")
+        _fail(f"agents = {n_agents} needs start.1 .. start.{n_agents} in [dynamics]")
 
     ws = cp["workspace"]
     if "bounds" not in ws or "cell_size" not in ws:
@@ -188,15 +204,22 @@ def parse_scenario(text: str) -> Scenario:
     halves = ws["bounds"].split(";")
     if len(halves) != 2:
         _fail("bounds must be 'lo_point ; hi_point'")
-    lo, hi = _point(halves[0]), _point(halves[1])
-    cell_size = float(ws["cell_size"])
+    lo, hi = _point("bounds", halves[0]), _point("bounds", halves[1])
+    cell_size = _positive("cell_size", ws["cell_size"])
 
     ab = cp["abstraction"]
     if "lambda" not in ab or "dt" not in ab:
         _fail("[abstraction] needs lambda and dt")
-    lam = float(ab["lambda"])
-    dt = as_fraction(ab["dt"])
-    radius_shrink = float(ab.get("radius_shrink", "0"))
+    lam = _real("lambda", ab["lambda"])
+    try:
+        dt = as_fraction(ab["dt"])
+    except (ValueError, ZeroDivisionError):
+        _fail(f"dt must be a decimal or a ratio like 1/20, got {ab['dt']!r}")
+    if not dt > 0:
+        _fail(f"dt must be positive, got {ab['dt']!r}")
+    radius_shrink = _real("radius_shrink", ab.get("radius_shrink", "0"))
+    if radius_shrink < 0:
+        _fail(f"radius_shrink must be nonnegative, got {ab['radius_shrink']!r}")
 
     labels: dict[int, dict[int, set]] = {i: {} for i in range(1, n_agents + 1)}
     if "labels" in cp:
@@ -217,14 +240,14 @@ def parse_scenario(text: str) -> Scenario:
             _fail(f"bad formula key {key!r} (want 'phi.<agent>')")
         phis[int(m.group(1))] = val.strip()
     if sorted(phis) != list(range(1, n_agents + 1)):
-        _fail(f"need phi.1 .. phi.{n_agents} in [formulas]")
+        _fail(f"agents = {n_agents} needs phi.1 .. phi.{n_agents} in [formulas]")
 
     syn = cp["synthesis"] if "synthesis" in cp else {}
-    r_selec = _count_at_least_one(syn, "r_selec", "100")
+    r_selec = _integer("r_selec", syn.get("r_selec", "100"))
     max_states = syn.get("max_states")
-    max_states = int(max_states) if max_states is not None else None
-    samples = _count_at_least_one(syn, "samples", "25")
-    seed = int(syn.get("seed", "0"))
+    max_states = _integer("max_states", max_states) if max_states is not None else None
+    samples = _integer("samples", syn.get("samples", "25"))
+    seed = _integer("seed", syn.get("seed", "0"))
 
     return Scenario(
         name=name,
@@ -288,13 +311,15 @@ def build(s: Scenario) -> Built:
         build_wts(disc, g, i, s.starts[i - 1], labeling)
         for i in range(1, s.n_agents + 1)
     )
-    formulas = tuple(
-        parse(txt, alphabet=labeling.alphabet(i))
-        for i, txt in enumerate(s.formula_text, start=1)
-    )
+    formulas = []
+    for i, txt in enumerate(s.formula_text, start=1):
+        try:
+            formulas.append(parse(txt, alphabet=labeling.alphabet(i)))
+        except TimedplanError as e:
+            raise type(e)(f"phi.{i}: {e}") from None
     return Built(
         scenario=s, graph=g, bound_params=params, constants=consts, dec=dec,
-        labeling=labeling, disc=disc, wts_list=wts_list, formulas=formulas,
+        labeling=labeling, disc=disc, wts_list=wts_list, formulas=tuple(formulas),
     )
 
 

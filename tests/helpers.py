@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from timedplan.errors import BallOutsideWorkspace
 from timedplan.graphs import CommGraph, build_graph
 from timedplan.mitl import (
     Always,
@@ -23,6 +24,7 @@ from timedplan.mitl import (
 )
 from timedplan.rational import INF
 from timedplan.tba import TBA, Atom, Edge, GAnd, GNot, TOP, gand
+from timedplan.workspace import EPS_GEO
 from timedplan.wts import WTS, TimedWord
 
 
@@ -339,3 +341,26 @@ def probe_every_accepting(b, limit):
         durations = tuple(b.delta(u, v) for u, v in zip(states, nxt))
         out.append((states, durations, stem))
     return out
+
+
+# -- successor balls by full scan ------------------------------------------------
+
+
+def scan_successors(disc, action):
+    """Cells meeting the closed successor ball, by testing every cell box
+    against the nominal endpoint recomputed from ``Box.center``; raises
+    BallOutsideWorkspace when the ball misses the workspace.
+    """
+    dec = disc.dec
+    own = dec.center(action[0])
+    h = float(disc.dt)
+    x_hat = tuple(
+        own[k] + h * sum(dec.center(nb)[k] - own[k] for nb in action[1:])
+        for k in range(dec.dim)
+    )
+    reach = disc.radius + EPS_GEO
+    if dec.bounds.distance(x_hat) > reach:
+        raise BallOutsideWorkspace(f"successor ball around {x_hat} misses the workspace")
+    return frozenset(
+        i + 1 for i, cell in enumerate(dec.cells) if cell.distance(x_hat) <= reach
+    )

@@ -15,6 +15,7 @@ from timedplan.abstraction import (
 )
 from timedplan.dynamics import ConditionConstants, condition_constants
 from timedplan.errors import (
+    BallOutsideWorkspace,
     C1Violated,
     InfeasibleDiameter,
     LambdaOutOfRange,
@@ -22,7 +23,17 @@ from timedplan.errors import (
     TimeStepOutOfRange,
 )
 from timedplan.graphs import build_graph, theorem1_constants
-from timedplan.workspace import Box, ServiceLabeling, grid, locate
+from timedplan.scenario import build, load_scenario
+from timedplan.workspace import (
+    Box,
+    ServiceLabeling,
+    from_cuts,
+    grid,
+    intersect_decompositions,
+    locate,
+)
+
+from helpers import scan_successors
 
 
 def consts(m=1.0, l_comb=14.0):
@@ -175,3 +186,122 @@ def test_build_wts_rejects_outside_start():
     lab = ServiceLabeling({1: {}, 2: {}})
     with pytest.raises(OutOfBounds):
         build_wts(disc, g, 1, (-1.0, 0.0), lab)
+
+
+# -- successor balls from the cut index, against a full scan -------------------
+
+
+def loose_disc(dec, dt):
+    """Discretization under small coupling constants, whose feasible quanta
+    reach far enough (up to about 4.7 for 0.012 cells) that an extrapolated
+    endpoint can leave the workspace."""
+    c = ConditionConstants(m_bound=2.0, l1=1.0, l2=1.0, l_combined=0.1)
+    return Discretization(dec, dt, 0.05, c, 1.0)
+
+
+def shipped_disc():
+    return build(load_scenario("scenarios/two_agent_services.cfg")).disc
+
+
+def scanless_dec():
+    """A cuts=None decomposition: a grid refined by irregular cuts."""
+    bounds = Box((0.0, 0.0), (0.072, 0.072))
+    other = from_cuts(bounds, [(0.005, 0.031, 0.05), (0.02, 0.0615)])
+    dec = intersect_decompositions(grid(bounds, 0.012), other)
+    assert dec.cuts is None
+    return dec
+
+
+DECOMPOSITIONS = {
+    "uniform": lambda: grid(Box((0.0, 0.0), (0.072, 0.072)), 0.012),
+    "ragged-wide": lambda: grid(Box((0.0, 0.0), (0.077, 0.0655)), 0.012),
+    "ragged-tall": lambda: grid(Box((0.0, 0.0), (0.0605, 0.09)), 0.012),
+    "ragged-offset": lambda: grid(Box((-0.031, 0.0125), (0.0305, 0.0707)), 0.012),
+    "scanless": scanless_dec,
+}
+
+
+def agree(disc, action):
+    try:
+        expect = scan_successors(disc, action)
+    except BallOutsideWorkspace:
+        with pytest.raises(BallOutsideWorkspace):
+            successors(disc, None, action)
+        return "outside"
+    got = successors(disc, None, action)
+    assert got == expect, (action, sorted(got), sorted(expect))
+    return "inside"
+
+
+@pytest.mark.parametrize("name", sorted(DECOMPOSITIONS))
+def test_successors_match_full_scan(name):
+    dec = DECOMPOSITIONS[name]()
+    rng = np.random.default_rng(11)
+    seen = set()
+    for dt in (Fraction(1, 20), Fraction(1, 2), Fraction(2)):
+        disc = loose_disc(dec, dt)
+        for _ in range(600):
+            arity = int(rng.integers(1, 4))
+            action = tuple(int(c) for c in rng.integers(1, dec.n_cells + 1, arity))
+            seen.add(agree(disc, action))
+    assert seen == {"inside", "outside"}
+
+
+def test_successors_match_full_scan_on_shipped_grid():
+    disc = shipped_disc()
+    n = disc.dec.n_cells
+    for own in range(1, n + 1):
+        agree(disc, (own,))
+        for nb in range(1, n + 1):
+            agree(disc, (own, nb))
+    rng = np.random.default_rng(5)
+    for _ in range(500):
+        agree(disc, tuple(int(c) for c in rng.integers(1, n + 1, 3)))
+
+
+def test_nominal_endpoint_rejects_unknown_cells():
+    disc = shipped_disc()
+    for action in ((0,), (1, 37), (-1, 2)):
+        with pytest.raises(OutOfBounds):
+            nominal_endpoint(disc, action)
+
+
+@pytest.mark.parametrize("name", ["uniform", "ragged-wide", "scanless"])
+def test_post_any_is_union_of_scans(name):
+    dec = DECOMPOSITIONS[name]()
+    disc = loose_disc(dec, Fraction(1, 2))
+    g = build_graph(3, [(1, 2), (2, 3)])
+    lab = ServiceLabeling({1: {}, 2: {}, 3: {}})
+    pair = AgentWTS(1, disc, g, lab, 1)  # one neighbor
+    middle = AgentWTS(2, disc, g, lab, 1)  # two neighbors
+    n = dec.n_cells
+
+    def union(cell, degree):
+        configs = [(cell,)]
+        for _ in range(degree):
+            configs = [c + (nb,) for c in configs for nb in range(1, n + 1)]
+        out = set()
+        for action in configs:
+            try:
+                out |= scan_successors(disc, action)
+            except BallOutsideWorkspace:
+                pass
+        return frozenset(out)
+
+    for cell in range(1, n + 1):
+        assert pair.post_any(cell) == union(cell, 1)
+    assert middle.post_any(n // 2) == union(n // 2, 2)
+
+
+def test_post_shares_equal_successor_sets():
+    disc = shipped_disc()
+    g = build_graph(2, [(1, 2)])
+    w = AgentWTS(1, disc, g, ServiceLabeling({1: {}, 2: {}}), 1)
+    n = disc.dec.n_cells
+    by_set = {}
+    for own in range(1, n + 1):
+        for nb in range(1, n + 1):
+            by_set.setdefault(scan_successors(disc, (own, nb)), []).append((own, nb))
+    a, b = next(acts for acts in by_set.values() if len(acts) > 1)[:2]
+    assert w.post(a) is w.post(b)
+    assert len({id(w.post(acts[0])) for acts in by_set.values()}) == len(by_set)

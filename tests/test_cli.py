@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import timedplan
 from timedplan.cli import main
 
 
@@ -86,6 +88,24 @@ def test_zero_lasso_budget_override_rejected(tmp_path, capsys):
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize(
+    "flag,value,key", [("--seed", "-1", "seed"), ("--max-states", "0", "max_states")]
+)
+def test_out_of_range_overrides_rejected(tmp_path, capsys, flag, value, key):
+    args = ["synthesize", SCENARIO, "--out", str(tmp_path / "r"), flag, value]
+    assert main(args) == 1
+    out = capsys.readouterr().out
+    assert "ScenarioError" in out and key in out
+    assert not (tmp_path / "r").exists()
+
+
+def test_manifest_records_overrides(tmp_path):
+    out = tmp_path / "run"
+    assert main(["synthesize", SCENARIO, "--out", str(out), "--seed", "3"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["seed"] == 3 and "threads" not in manifest
+
+
 def test_simulate_round_trip(tmp_path, capsys):
     run = tmp_path / "run"
     assert main(["synthesize", SCENARIO, "--out", str(run)]) == 0
@@ -142,18 +162,15 @@ def test_stats_prints_layers(tmp_path, capsys):
     assert (out / "stats.txt").exists()
 
 
-def test_threads_env_validated(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("TIMEDPLAN_THREADS", "zero")
-    code = main(["synthesize", SCENARIO, "--out", str(tmp_path / "r")])
-    assert code == 1
-    assert "TIMEDPLAN_THREADS" in capsys.readouterr().err
-
-
 def test_console_script_version():
+    # the child finds the package where this process found it, installed or not
+    src = str(Path(timedplan.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     got = subprocess.run(
         [sys.executable, "-m", "timedplan.cli", "--version"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert got.returncode == 0
     assert "timedplan" in got.stdout

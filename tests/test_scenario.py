@@ -82,20 +82,66 @@ def mangle(old, new):
         (mangle("1.p1 = 14", "1.p1 = 99"), "cell"),
         (GOOD + "\n[extra]\nk = v\n", "section"),
         (mangle("cell_size = 0.012", "cell_size = 0.012\nmystery = 3"), "key"),
-        (mangle("phi.1 = F[1/20, 1/4] p1", "phi.1 = F[1/20, 1/4] p2"), ""),
+        (mangle("phi.1 = F[1/20, 1/4] p1", "phi.1 = F[1/20, 1/4] p2"), "phi.1"),
     ],
 )
 def test_bad_scenarios_rejected(text, hint):
-    with pytest.raises(TimedplanError):
+    with pytest.raises(TimedplanError, match=hint):
         s = parse_scenario(text)
         build(s)  # some properties only fall over at build time
 
 
-@pytest.mark.parametrize("key", ["r_selec", "samples"])
-@pytest.mark.parametrize("value", ["0", "-2", "many"])
+@pytest.mark.parametrize("key", ["r_selec", "samples", "max_states"])
+@pytest.mark.parametrize("value", ["0", "-2", "many", "1.5"])
 def test_counts_must_be_positive_integers(key, value):
     with pytest.raises(ScenarioError, match=key):
         parse_scenario(GOOD + f"\n[synthesis]\n{key} = {value}\n")
+
+
+@pytest.mark.parametrize("value", ["-1", "abc", "nan"])
+def test_seed_must_be_a_nonnegative_integer(value):
+    with pytest.raises(ScenarioError, match="seed"):
+        parse_scenario(GOOD + f"\n[synthesis]\nseed = {value}\n")
+
+
+def test_synthesis_numbers_read_back():
+    s = parse_scenario(GOOD + "\n[synthesis]\nseed = 0\nmax_states = 1\n")
+    assert s.seed == 0 and s.max_states == 1
+
+
+# (text to replace, its bad replacement, key the error must name)
+BAD_NUMBERS = [
+    ("agents = 2", "agents = two", "agents"),
+    ("agents = 2", "agents = 0", "agents"),
+    ("v_max = 1.0", "v_max = fast", "v_max"),
+    ("v_max = 1.0", "v_max = inf", "v_max"),
+    ("v_max = 1.0", "v_max = 0", "v_max"),
+    ("v_max = 1.0", "v_max = 1.0\nmargin = wide", "margin"),
+    ("v_max = 1.0", "v_max = 1.0\nmargin = nan", "margin"),
+    ("start.1 = 0.030, 0.030", "start.1 = 0.030, x", "start.1"),
+    ("start.1 = 0.030, 0.030", "start.1 = 0.030, -inf", "start.1"),
+    ("0.072, 0.072", "0.072, nan", "bounds"),
+    ("cell_size = 0.012", "cell_size = nan", "cell_size"),
+    ("cell_size = 0.012", "cell_size = small", "cell_size"),
+    ("cell_size = 0.012", "cell_size = 0", "cell_size"),
+    ("lambda = 0.14", "lambda = x", "lambda"),
+    ("lambda = 0.14", "lambda = nan", "lambda"),
+    ("dt = 1/20", "dt = 1/0", "dt"),
+    ("dt = 1/20", "dt = soon", "dt"),
+    ("dt = 1/20", "dt = inf", "dt"),
+    ("dt = 1/20", "dt = -1/20", "dt"),
+    ("dt = 1/20", "dt = 1/20\nradius_shrink = x", "radius_shrink"),
+    ("dt = 1/20", "dt = 1/20\nradius_shrink = inf", "radius_shrink"),
+    ("dt = 1/20", "dt = 1/20\nradius_shrink = -0.001", "radius_shrink"),
+]
+
+
+@pytest.mark.parametrize(
+    "old,new,key", BAD_NUMBERS, ids=[b[1].split("\n")[-1] for b in BAD_NUMBERS]
+)
+def test_bad_numbers_name_their_key(old, new, key):
+    with pytest.raises(ScenarioError, match=key):
+        parse_scenario(mangle(old, new))
 
 
 def test_build_products():
