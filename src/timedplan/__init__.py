@@ -65,7 +65,6 @@ from .tba import (
     eval_guard,
     intersect,
     mitl_to_tba,
-    scale_to_integers,
     universal_tba,
 )
 from .workspace import (

@@ -3,27 +3,38 @@ automaton.
 
 Product nodes are (system state, automaton location, clock tuple) where a
 move dwells in the source for one transition weight, so the clocks advance
-by exactly that weight before the guard is read.  Clock values above the
-automaton's largest constant collapse to an infinity sentinel, which keeps
-the node set finite without changing any guard verdict.  Acceptance is
-inherited from the automaton, so an accepting lasso of this product projects
-to a system run whose observation word the automaton accepts, and the
-durations along the lasso are genuine transition weights.
+by exactly that weight before the guard is read.  Clocks count integer
+ticks of ``unit``, the largest rational that divides the system's quantum
+and every guard and invariant constant, so every reachable value is a whole
+number of ticks.  Values above the automaton's largest constant collapse to
+the sentinel ``cap``, one tick above it, which keeps the node set finite
+without changing any guard verdict.  Acceptance is inherited from the
+automaton, so an accepting lasso of this product projects to a system run
+whose observation word the automaton accepts, and the durations along the
+lasso are genuine transition weights.
+
+Guards are read by ``eval_guard`` on the exact valuation, once per distinct
+(location, clocks, delay, letter) step; a node's successors are the system
+moves of its state crossed with those memoized steps.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import AlphabetMismatch, BudgetExceeded
-from .rational import INF, canon_key
+from .errors import AlphabetMismatch, BudgetExceeded, MismatchedTimeStep
+from .rational import INF, canon_key, frac_gcd
 from .search import bfs_order, nested_dfs, on_cycle, shortest_cycle, tree_path
 from .tba import TBA, eval_guard
 from .wts import TimedRun
 
 
 class BuchiWTS:
-    """Explored on demand; keeps every discovered node for budget control."""
+    """Explored on demand; keeps every discovered node for budget control.
+
+    The system must expose ``dt``, a quantum every transition weight is a
+    whole multiple of.
+    """
 
     def __init__(self, wts, tba: TBA, max_states: int | None = None):
         if wts.alphabet != tba.ap:
@@ -34,17 +45,21 @@ class BuchiWTS:
         self.wts = wts
         self.tba = tba
         self.max_states = max_states
+        self.unit: Fraction = frac_gcd([wts.dt, *tba.constants])
+        self.cap: int = int(tba.c_max / self.unit) + 1
         self._memo: dict = {}
-        self._delta: dict = {}
+        self._moves: dict = {}
+        self._ticks: dict = {}
+        self._steps: dict = {}
         self._seen: set = set()
         self._anchors = None
-        zeros = tuple(Fraction(0) for _ in tba.clocks)
+        zeros = (0,) * len(tba.clocks)
         initial = []
         for s in sorted(wts.initial, key=canon_key):
             for q in tba.initial:
                 if wts.label(s) != tba.labels[q]:
                     continue
-                if not eval_guard(tba.valuation(zeros), tba.invariants[q]):
+                if not eval_guard(self.valuation(zeros), tba.invariants[q]):
                     continue
                 node = (s, q, zeros)
                 initial.append(node)
@@ -57,6 +72,11 @@ class BuchiWTS:
 
     def accepting(self, node) -> bool:
         return node[1] in self.tba.accepting
+
+    def valuation(self, ticks) -> dict:
+        """Exact clock valuation of a tick tuple (``cap`` reads as infinity)."""
+        unit, cap = self.unit, self.cap
+        return self.tba.valuation(INF if v == cap else v * unit for v in ticks)
 
     def anchors(self):
         """Accepting nodes that lie on a cycle, in breadth-first discovery
@@ -80,45 +100,72 @@ class BuchiWTS:
                     count=len(self._seen),
                 )
 
-    def _advance(self, v, w):
-        if v == INF:
-            return INF
-        v = v + w
-        return INF if v > self.tba.c_max else v
+    def _moves_from(self, s):
+        """``(successor, weight in ticks, weight, successor's label)`` per
+        system move of ``s``: lightest first, then staying put, then by state.
+        """
+        got = self._moves.get(s)
+        if got is None:
+            keyed = []
+            for s2, w in self.wts.succ_weighted(s):
+                ticks = self._ticks.get(w)
+                if ticks is None:
+                    ticks = w / self.unit
+                    if ticks.denominator != 1:
+                        raise MismatchedTimeStep(
+                            f"weight {w} of {s!r} -> {s2!r} is not a multiple "
+                            f"of the system quantum {self.wts.dt}"
+                        )
+                    ticks = self._ticks[w] = int(ticks)
+                keyed.append((ticks, s2 != s, canon_key(s2), s2, w))
+            # staying put first keeps enumerated lassos compact, which makes
+            # the per-agent route's combination step far more likely to succeed
+            keyed.sort(key=lambda m: m[:3])
+            got = tuple(
+                (s2, ticks, w, self.wts.label(s2)) for ticks, _, _, s2, w in keyed
+            )
+            self._moves[s] = got
+        return got
+
+    def _step(self, q, nu, ticks, letter):
+        """Automaton moves after dwelling ``ticks`` at (q, nu) and then
+        reading ``letter``: distinct (target, clocks) pairs in edge order.
+        """
+        key = (q, nu, ticks, letter)
+        got = self._steps.get(key)
+        if got is None:
+            tba = self.tba
+            cap = self.cap
+            moved = tuple(min(v + ticks, cap) for v in nu)
+            moved_map = self.valuation(moved)
+            out = {}
+            if eval_guard(moved_map, tba.invariants[q]):
+                for e in tba.edges_reading(q, letter):
+                    if not eval_guard(moved_map, e.guard):
+                        continue
+                    after = tuple(
+                        0 if c in e.resets else v for c, v in zip(tba.clocks, moved)
+                    )
+                    if eval_guard(self.valuation(after), tba.invariants[e.dst]):
+                        out[(e.dst, after)] = None
+            got = tuple(out)
+            self._steps[key] = got
+        return got
 
     def succ(self, node):
         got = self._memo.get(node)
         if got is not None:
             return got
         s, q, nu = node
-        tba = self.tba
+        step = self._step
         out = []
         emitted = set()
-        # staying put first keeps enumerated lassos compact, which makes the
-        # per-agent route's combination step far more likely to succeed
-        moves = sorted(
-            self.wts.succ_weighted(s),
-            key=lambda tw: (tw[1], tw[0] != s, canon_key(tw[0])),
-        )
-        for s2, w in moves:
-            moved = tuple(self._advance(v, w) for v in nu)
-            moved_map = tba.valuation(moved)
-            if not eval_guard(moved_map, tba.invariants[q]):
-                continue
-            for e in tba.edges_reading(q, self.wts.label(s2)):
-                if not eval_guard(moved_map, e.guard):
-                    continue
-                after = tuple(
-                    Fraction(0) if c in e.resets else v
-                    for c, v in zip(tba.clocks, moved)
-                )
-                if not eval_guard(tba.valuation(after), tba.invariants[e.dst]):
-                    continue
-                nxt = (s2, e.dst, after)
+        for s2, ticks, _, letter in self._moves_from(s):
+            for dst, after in step(q, nu, ticks, letter):
+                nxt = (s2, dst, after)
                 if nxt in emitted:
                     continue
                 emitted.add(nxt)
-                self._delta.setdefault((node, nxt), w)
                 out.append(nxt)
                 self._note(nxt)
         got = tuple(out)
@@ -126,11 +173,15 @@ class BuchiWTS:
         return got
 
     def delta(self, src, dst) -> Fraction:
-        """Sojourn recorded for a discovered product move (smallest weight)."""
-        try:
-            return self._delta[(src, dst)]
-        except KeyError:
-            raise RuntimeError(f"no recorded sojourn for {src} -> {dst}") from None
+        """Sojourn of an explored product move: the smallest weight that
+        makes it.
+        """
+        if dst in self._memo.get(src, ()):
+            s, q, nu = src
+            for s2, ticks, w, letter in self._moves_from(s):
+                if s2 == dst[0] and dst[1:] in self._step(q, nu, ticks, letter):
+                    return w
+        raise RuntimeError(f"no explored product move {src} -> {dst}")
 
 
 def _to_run(b: BuchiWTS, prefix, cycle) -> TimedRun:

@@ -1,8 +1,10 @@
 """Exact rational time values and deterministic ordering helpers.
 
 All time quantities that enter interval membership tests (word stamps,
-clock values, operator bounds, the step quantum) are kept as
-``fractions.Fraction``; floats only appear in geometry and integration.
+operator bounds, guard constants, the step quantum) are kept as
+``fractions.Fraction``; the acceptance product counts its clocks in integer
+ticks of an exact rational unit (``frac_gcd``).  Floats only appear in
+geometry and integration.
 """
 
 from __future__ import annotations
@@ -31,6 +33,14 @@ def as_fraction(x) -> Fraction:
             raise ValueError(f"cannot represent {x!r} as a rational")
         return Fraction(str(x))
     raise TypeError(f"cannot interpret {type(x).__name__} as a rational")
+
+
+def frac_gcd(values) -> Fraction:
+    """Largest rational of which every value is a whole multiple (0 for none)."""
+    values = [as_fraction(v) for v in values]
+    den = math.lcm(*(v.denominator for v in values))
+    nums = (v.numerator * (den // v.denominator) for v in values)
+    return Fraction(math.gcd(*nums), den)
 
 
 def frac_str(q: Fraction) -> str:
@@ -62,12 +72,8 @@ def decimal_str(q: Fraction) -> str:
 
 def canon_key(x):
     """Total order over the heterogeneous hashables used as search states."""
-    if isinstance(x, bool):
-        return (0, Fraction(int(x)))
-    if isinstance(x, (int, Fraction)):
-        return (0, Fraction(x))
-    if isinstance(x, float):
-        return (0, x)  # only inf/finite floats meet Fractions here
+    if isinstance(x, (int, Fraction, float)):
+        return (0, x)  # ints, Fractions and floats compare exactly
     if isinstance(x, str):
         return (1, x)
     if isinstance(x, tuple):

@@ -205,6 +205,14 @@ def parse_scenario(text: str) -> Scenario:
     if len(halves) != 2:
         _fail("bounds must be 'lo_point ; hi_point'")
     lo, hi = _point("bounds", halves[0]), _point("bounds", halves[1])
+    if len(lo) != len(hi):
+        _fail(f"bounds corners have {len(lo)} and {len(hi)} coordinates")
+    for i in range(1, n_agents + 1):
+        if len(starts[i]) != len(lo):
+            _fail(
+                f"start.{i} has {len(starts[i])} coordinates, "
+                f"the workspace has {len(lo)}"
+            )
     cell_size = _positive("cell_size", ws["cell_size"])
 
     ab = cp["abstraction"]
@@ -217,6 +225,10 @@ def parse_scenario(text: str) -> Scenario:
         _fail(f"dt must be a decimal or a ratio like 1/20, got {ab['dt']!r}")
     if not dt > 0:
         _fail(f"dt must be positive, got {ab['dt']!r}")
+    try:
+        float(dt)
+    except OverflowError:
+        _fail(f"dt must be finite as a float, got {ab['dt']!r}")
     radius_shrink = _real("radius_shrink", ab.get("radius_shrink", "0"))
     if radius_shrink < 0:
         _fail(f"radius_shrink must be nonnegative, got {ab['radius_shrink']!r}")

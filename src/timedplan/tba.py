@@ -14,7 +14,6 @@ sound because every comparison constant lies at or below the cap.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -145,16 +144,6 @@ def _rename_clocks(g, mapping):
     return GAnd(_rename_clocks(g.left, mapping), _rename_clocks(g.right, mapping))
 
 
-def _scale_guard(g, factor: Fraction):
-    if isinstance(g, Top):
-        return g
-    if isinstance(g, Atom):
-        return Atom(g.clock, g.op, g.const * factor)
-    if isinstance(g, GNot):
-        return GNot(_scale_guard(g.sub, factor))
-    return GAnd(_scale_guard(g.left, factor), _scale_guard(g.right, factor))
-
-
 # -- the automaton ------------------------------------------------------------
 
 
@@ -210,6 +199,7 @@ class TBA:
         self._reading: dict = {}
         consts = [c for e in self.edges for c in _constants(e.guard)]
         consts += [c for g in self.invariants.values() for c in _constants(g)]
+        self.constants = frozenset(consts)
         self.c_max: Fraction = max(consts, default=Fraction(0))
 
     def out_edges(self, q: str):
@@ -465,7 +455,7 @@ def mitl_to_tba(f, alphabet=None) -> TBA:
     raise UnsupportedFragment(f"cannot compile {f} (operator nesting unsupported)")
 
 
-# -- products and rescaling ----------------------------------------------------
+# -- products ---------------------------------------------------------------
 
 
 def universal_tba(ap) -> TBA:
@@ -557,25 +547,6 @@ def intersect(a: TBA, b: TBA) -> TBA:
         if qa in a.accepting and (qa, qb, 1) in name
     ]
     return TBA(locations, initial, clocks, edges, accepting, labels, ap, invariants)
-
-
-def scale_to_integers(a: TBA):
-    """Multiply every timing constant by the least common denominator.
-
-    Returns (automaton, scale); words scaled by the same factor keep their
-    verdicts.
-    """
-    dens = [c.denominator for e in a.edges for c in _constants(e.guard)]
-    dens += [c.denominator for g in a.invariants.values() for c in _constants(g)]
-    scale = Fraction(math.lcm(*dens)) if dens else Fraction(1)
-    edges = [
-        Edge(e.src, _scale_guard(e.guard, scale), e.resets, e.dst) for e in a.edges
-    ]
-    invariants = {q: _scale_guard(g, scale) for q, g in a.invariants.items()}
-    out = TBA(
-        a.locations, a.initial, a.clocks, edges, a.accepting, a.labels, a.ap, invariants
-    )
-    return out, scale
 
 
 def dump(a: TBA) -> str:

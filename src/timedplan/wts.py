@@ -21,7 +21,7 @@ from .errors import (
     MismatchedTimeStep,
     UnknownState,
 )
-from .rational import as_fraction, frac_str
+from .rational import as_fraction, frac_gcd, frac_str
 
 
 def _prefix_times(durations):
@@ -183,7 +183,9 @@ class WTS:
     """Explicit finite weighted transition system (used directly in tests
     and as the target shape for hand-built examples).
 
-    transitions: mapping state -> iterable of (successor, weight).
+    transitions: mapping state -> iterable of (successor, weight).  ``dt``
+    is the largest quantum every weight is a whole multiple of (1 when there
+    are no transitions).
     """
 
     def __init__(self, states, initial, transitions, labels, alphabet=None):
@@ -193,6 +195,8 @@ class WTS:
             s: tuple((t, as_fraction(w)) for t, w in transitions.get(s, ()))
             for s in self.state_list
         }
+        weights = (w for outs in self._trans.values() for _, w in outs)
+        self.dt = frac_gcd(weights) or Fraction(1)
         self._labels = {s: frozenset(labels.get(s, ())) for s in self.state_list}
         if alphabet is None:
             alphabet = set()

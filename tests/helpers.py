@@ -22,8 +22,8 @@ from timedplan.mitl import (
     Prop,
     Until,
 )
-from timedplan.rational import INF
-from timedplan.tba import TBA, Atom, Edge, GAnd, GNot, TOP, gand
+from timedplan.rational import INF, canon_key
+from timedplan.tba import TBA, Atom, Edge, GAnd, GNot, TOP, eval_guard, gand
 from timedplan.workspace import EPS_GEO
 from timedplan.wts import WTS, TimedWord
 
@@ -341,6 +341,75 @@ def probe_every_accepting(b, limit):
         durations = tuple(b.delta(u, v) for u, v in zip(states, nxt))
         out.append((states, durations, stem))
     return out
+
+
+# -- acceptance product with rational clocks -------------------------------------
+
+
+class RationalProduct:
+    """The acceptance product read with exact rational clocks: values above
+    the automaton's largest constant become ``INF``, every guard is walked on
+    every move, and each move's weight is recorded as it is discovered.
+    Same nodes, successor order and sojourns as ``BuchiWTS``, with clocks as
+    Fractions instead of ticks.
+    """
+
+    def __init__(self, wts, tba):
+        self.wts = wts
+        self.tba = tba
+        self._memo = {}
+        self._delta = {}
+        zeros = tuple(Fraction(0) for _ in tba.clocks)
+        self.initial = tuple(
+            (s, q, zeros)
+            for s in sorted(wts.initial, key=canon_key)
+            for q in tba.initial
+            if wts.label(s) == tba.labels[q]
+            and eval_guard(tba.valuation(zeros), tba.invariants[q])
+        )
+
+    def _advance(self, v, w):
+        if v == INF:
+            return INF
+        v = v + w
+        return INF if v > self.tba.c_max else v
+
+    def succ(self, node):
+        got = self._memo.get(node)
+        if got is not None:
+            return got
+        s, q, nu = node
+        tba = self.tba
+        out = []
+        moves = sorted(
+            self.wts.succ_weighted(s),
+            key=lambda tw: (tw[1], tw[0] != s, canon_key(tw[0])),
+        )
+        for s2, w in moves:
+            moved = tuple(self._advance(v, w) for v in nu)
+            moved_map = tba.valuation(moved)
+            if not eval_guard(moved_map, tba.invariants[q]):
+                continue
+            for e in tba.edges_reading(q, self.wts.label(s2)):
+                if not eval_guard(moved_map, e.guard):
+                    continue
+                after = tuple(
+                    Fraction(0) if c in e.resets else v
+                    for c, v in zip(tba.clocks, moved)
+                )
+                if not eval_guard(tba.valuation(after), tba.invariants[e.dst]):
+                    continue
+                nxt = (s2, e.dst, after)
+                if nxt in out:
+                    continue
+                self._delta.setdefault((node, nxt), w)
+                out.append(nxt)
+        got = tuple(out)
+        self._memo[node] = got
+        return got
+
+    def delta(self, src, dst):
+        return self._delta[(src, dst)]
 
 
 # -- successor balls by full scan ------------------------------------------------

@@ -10,13 +10,17 @@ from timedplan.buchi import (
     locations,
     project_run,
 )
-from timedplan.errors import AlphabetMismatch, BudgetExceeded
+from timedplan.errors import AlphabetMismatch, BudgetExceeded, MismatchedTimeStep
 from timedplan.mitl import parse, sat
-from timedplan.tba import mitl_to_tba, universal_tba
+from timedplan.rational import INF
+from timedplan.scenario import build, load_scenario
+from timedplan.tba import intersect, mitl_to_tba, universal_tba
 from timedplan.wts import WTS, timed_word
 
 from helpers import (
+    RationalProduct,
     accepting_cycle_exists,
+    crawl,
     probe_every_accepting,
     rand_tba,
     rand_wts,
@@ -180,3 +184,92 @@ def test_anchors_decide_emptiness_on_random_products():
         anchors, _ = b.anchors()
         assert bool(anchors) == accepting_cycle_exists(b.initial, b.succ, b.accepting)
         assert all(b.accepting(n) for n in anchors)
+
+
+# -- tick clocks against rational clocks ------------------------------------------
+
+
+def _rational(b, node):
+    s, q, ticks = node
+    return (s, q, tuple(INF if v == b.cap else v * b.unit for v in ticks))
+
+
+def assert_same_as_rational(w, a):
+    """Crawl the tick product and the rational one; the same nodes in the
+    same discovery order, the same successor lists and the same sojourns.
+    Returns the node count.
+    """
+    b = BuchiWTS(w, a)
+    ref = RationalProduct(w, a)
+    nodes, adj = crawl(b.initial, b.succ)
+    ref_nodes, ref_adj = crawl(ref.initial, ref.succ)
+    assert [_rational(b, n) for n in nodes] == ref_nodes
+    for n in nodes:
+        src = _rational(b, n)
+        assert [_rational(b, k) for k in adj[n]] == list(ref_adj[src])
+        for k in adj[n]:
+            assert b.delta(n, k) == ref.delta(src, _rational(b, k))
+    return len(nodes)
+
+
+def test_ticks_match_rational_clocks_on_random_products():
+    rng = np.random.default_rng(53)
+    finer = 0
+    for _ in range(60):
+        props = ("p",) if rng.random() < 0.5 else ("p", "q")
+        w = rand_wts(rng, props, n_states=int(rng.integers(2, 7)))
+        a = rand_tba(rng, props, n_locs=int(rng.integers(2, 5)))
+        assert_same_as_rational(w, a)
+        b = BuchiWTS(w, a)
+        weights = {x for s in w.state_list for _, x in w.succ_weighted(s)}
+        assert all((x / b.unit).denominator == 1 for x in weights)
+        assert all((c / b.unit).denominator == 1 for c in a.constants)
+        finer += len(weights) > 1 and b.unit < w.dt
+    # unequal weights, and constants finer than the weights' own gcd
+    assert finer >= 10
+
+
+@pytest.mark.parametrize(
+    "left,right",
+    [
+        ("F[1/30, 1/7] p1", "!p1 U[0, 3/10] p1"),
+        ("G[1/20, 1/5] !p1", "F[1/3, 1/2] p1"),
+        ("F[1/20, 1/4] p1", "G[0, 3/20] !p1"),
+    ],
+)
+def test_ticks_match_rational_clocks_on_the_grid(left, right):
+    w = build(load_scenario("scenarios/two_agent_services.cfg")).wts_list[0]
+    a = intersect(
+        mitl_to_tba(parse(left), alphabet=w.alphabet),
+        mitl_to_tba(parse(right), alphabet=w.alphabet),
+    )
+    assert assert_same_as_rational(w, a) > 100
+
+
+def test_constants_off_the_quantum_get_their_own_ticks():
+    # F[1/30, 1/7] at dt = 1/20: neither bound is a multiple of the quantum
+    w = build(load_scenario("scenarios/two_agent_services.cfg")).wts_list[0]
+    a = mitl_to_tba(parse("F[1/30, 1/7] p1"), alphabet=w.alphabet)
+    b = BuchiWTS(w, a)
+    assert b.unit == Fraction(1, 420)
+    assert b.cap == 61  # one tick above 1/7
+    assert b.valuation((60,)) == {"c": Fraction(1, 7)}
+    assert b.valuation((61,)) == {"c": INF}
+    assert assert_same_as_rational(w, a) > 0
+
+
+def test_weights_off_the_quantum_are_rejected():
+    class Skewed:
+        alphabet = frozenset({"green"})
+        initial = frozenset({"s0"})
+        dt = Fraction(1, 2)
+
+        def label(self, s):
+            return frozenset({"green"}) if s == "s0" else frozenset()
+
+        def succ_weighted(self, s):
+            return [("s0", Fraction(1, 3))]
+
+    b = BuchiWTS(Skewed(), universal_tba(Skewed.alphabet))
+    with pytest.raises(MismatchedTimeStep):
+        b.succ(b.initial[0])

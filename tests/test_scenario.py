@@ -1,6 +1,9 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from timedplan.errors import PlanMismatch, ScenarioError, TimedplanError
 from timedplan.scenario import (
@@ -121,6 +124,10 @@ BAD_NUMBERS = [
     ("start.1 = 0.030, 0.030", "start.1 = 0.030, x", "start.1"),
     ("start.1 = 0.030, 0.030", "start.1 = 0.030, -inf", "start.1"),
     ("0.072, 0.072", "0.072, nan", "bounds"),
+    ("0.072, 0.072", "0.072", "bounds"),
+    ("bounds = 0.0, 0.0", "bounds = 0.0", "bounds"),
+    ("start.1 = 0.030, 0.030", "start.1 = 0.030", "start.1"),
+    ("start.2 = 0.042, 0.030", "start.2 = 0.042, 0.030, 0.0", "start.2"),
     ("cell_size = 0.012", "cell_size = nan", "cell_size"),
     ("cell_size = 0.012", "cell_size = small", "cell_size"),
     ("cell_size = 0.012", "cell_size = 0", "cell_size"),
@@ -130,6 +137,7 @@ BAD_NUMBERS = [
     ("dt = 1/20", "dt = soon", "dt"),
     ("dt = 1/20", "dt = inf", "dt"),
     ("dt = 1/20", "dt = -1/20", "dt"),
+    ("dt = 1/20", "dt = 1e400", "dt"),
     ("dt = 1/20", "dt = 1/20\nradius_shrink = x", "radius_shrink"),
     ("dt = 1/20", "dt = 1/20\nradius_shrink = inf", "radius_shrink"),
     ("dt = 1/20", "dt = 1/20\nradius_shrink = -0.001", "radius_shrink"),
@@ -184,3 +192,72 @@ def test_plan_round_trip():
         plan_loads(blob, "0" * 64)
     with pytest.raises(PlanMismatch):
         plan_loads("not json", b.scenario.fingerprint)
+
+
+# -- fuzzing: every input ends in a Scenario or a TimedplanError ---------------
+
+SHIPPED = Path(__file__).parent.parent / "scenarios" / "two_agent_services.cfg"
+SHIPPED_LINES = SHIPPED.read_text(encoding="utf-8").splitlines()
+
+# values a mutated line may take; numbers stay small so that no mutant asks
+# for millions of agents, cells or label ranges
+VALUE_LIST = [
+    "", "0", "1", "2", "3", "-1", "-0", "0.5", "1.5", "1/20", "1/0", "-1/20",
+    "1e400", "-1e400", "1e-400", "nan", "inf", "-inf", "abc", "0.030",
+    "0.030, 0.030", "0.030, 0.030, 0.030", "0.0, 0.0 ; 0.072", "0.072 ; 0.0",
+    "0.0, 0.0 ; 0.072, 0.072 ; 1", "1-2", "1-1", "2-1", "1-3", "14", "3-1",
+    "F[1/20, 1/4] p1", "F[0, 1e400] p1", "G[1/4, 1/20] p2", "p1 U[0,1] p2",
+    "X[1/20, 1/10] !p1", "F[1/20, 1/4] (p1", "F[a, b] p1", "p9", "[x]",
+]
+VALUES = st.sampled_from(VALUE_LIST)
+# free text without decimal digits, so that it cannot spell a large count
+NOISE = st.text(
+    alphabet=st.characters(blacklist_categories=("Nd", "Cs")), max_size=16
+)
+
+
+@st.composite
+def mutated_scenarios(draw):
+    """The shipped scenario with one to three of its lines dropped, doubled,
+    given another value or replaced by noise."""
+    lines = list(SHIPPED_LINES)
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(["value", "value", "drop", "noise", "twice"]))
+        if edit == "value" and "=" in lines[i]:
+            lines[i] = f"{lines[i].split('=', 1)[0].strip()} = {draw(VALUES)}"
+        elif edit == "drop":
+            del lines[i]
+        elif edit == "noise":
+            lines[i] = draw(NOISE) if draw(st.booleans()) else lines[i] + draw(NOISE)
+        elif edit == "twice":
+            lines.insert(i, lines[i])
+        if not lines:
+            break
+    return "\n".join(lines) + "\n"
+
+
+def _parses_and_builds_or_raises_a_typed_error(text):
+    try:
+        build(parse_scenario(text))
+    except TimedplanError:
+        pass
+
+
+def test_every_value_of_the_shipped_scenario_swapped():
+    for i, line in enumerate(SHIPPED_LINES):
+        if "=" not in line or line.startswith("#"):
+            continue
+        key = line.split("=", 1)[0].strip()
+        for value in VALUE_LIST:
+            lines = list(SHIPPED_LINES)
+            lines[i] = f"{key} = {value}"
+            _parses_and_builds_or_raises_a_typed_error("\n".join(lines))
+
+
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(st.one_of(mutated_scenarios(), st.text(max_size=200)))
+def test_any_text_parses_and_builds_or_raises_a_typed_error(text):
+    _parses_and_builds_or_raises_a_typed_error(text)

@@ -24,7 +24,6 @@ from timedplan.tba import (
     gor,
     intersect,
     mitl_to_tba,
-    scale_to_integers,
     step,
     universal_tba,
     window,
@@ -289,19 +288,6 @@ def test_intersect_against_separate_checks():
         assert accepts(both, w) == want, (str(fa), str(fb), w)
         hits += 1
     assert hits > 60
-
-
-def test_scale_to_integers():
-    a = visit_window_tba(Fraction(1, 5), Fraction(1))
-    scaled, factor = scale_to_integers(a)
-    assert factor == 5
-    consts = set()
-    from timedplan.tba import _constants
-
-    for e in scaled.edges:
-        consts.update(_constants(e.guard))
-    assert all(c.denominator == 1 for c in consts)
-    assert {c for c in consts} == {Fraction(1), Fraction(5)}
 
 
 def test_dump_is_deterministic():
