@@ -21,12 +21,10 @@ from .abstraction import (
 )
 from .buchi import BuchiWTS, enumerate_accepting, find_accepting, project_run
 from .dynamics import (
-    AgentState,
     ConditionConstants,
     Trajectory,
     condition_constants,
     coupling,
-    integrate,
     integrate_closed,
     lyapunov,
     relative_norm,
@@ -46,7 +44,6 @@ from .mitl import (
     parse,
     props,
     sat,
-    service_compliance,
 )
 from .scenario import Scenario, build, load_scenario, parse_scenario
 from .synthesis import (
@@ -61,30 +58,23 @@ from .tba import (
     TBA,
     Edge,
     accepts,
-    dump,
     eval_guard,
     intersect,
     mitl_to_tba,
-    universal_tba,
 )
 from .workspace import (
     Box,
     CellDecomposition,
     ServiceLabeling,
-    from_cuts,
     grid,
-    intersect_decompositions,
     locate,
 )
 from .wts import (
     ProductWTS,
-    TableAgentWTS,
     TimedRun,
     TimedWord,
-    WTS,
     check_consistent,
     product,
-    project,
     simulation_check,
     timed_word,
 )

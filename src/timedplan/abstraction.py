@@ -7,8 +7,8 @@ step quanta are exactly the closed interval between those roots.
 
 A transition of agent i under an action (own cell, neighbor cells) leads to
 every cell meeting the closed ball of radius lam*v_max*dt around the
-nominal endpoint:  center(own) + dt * coupling(centers).  On a grid the
-candidate cells come from an index range over the cuts of each axis; the
+nominal endpoint:  center(own) + dt * coupling(centers).  The candidate
+cells come from an index range over the grid's cuts on each axis; the
 closed-ball test then decides each candidate exactly as a scan would.
 """
 
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -164,18 +164,15 @@ def successors(disc: Discretization, g: CommGraph, action: tuple[int, ...]) -> f
             f"successor ball around {x_hat} misses the workspace"
         )
     cells = dec.cells
-    if dec.cuts is None:
-        candidates = range(len(cells))
-    else:
-        # a cell meeting the ball overlaps the ball's extent on every axis;
-        # flat indices grow in the lexicographic order ``locate`` uses
-        candidates = [0]
-        for x, cuts in zip(x_hat, dec.cuts):
-            side = len(cuts) - 1
-            pad = reach + _WINDOW_SLACK * (abs(x) + reach)
-            first = max(bisect_left(cuts, x - pad) - 1, 0)
-            stop = min(bisect_right(cuts, x + pad), side)
-            candidates = [i * side + j for i in candidates for j in range(first, stop)]
+    # a cell meeting the ball overlaps the ball's extent on every axis;
+    # flat indices grow in the lexicographic order ``locate`` uses
+    candidates = [0]
+    for x, cuts in zip(x_hat, dec.cuts):
+        side = len(cuts) - 1
+        pad = reach + _WINDOW_SLACK * (abs(x) + reach)
+        first = max(bisect_left(cuts, x - pad) - 1, 0)
+        stop = min(bisect_right(cuts, x + pad), side)
+        candidates = [i * side + j for i in candidates for j in range(first, stop)]
     return frozenset(i + 1 for i in candidates if cells[i].distance(x_hat) <= reach)
 
 
@@ -264,8 +261,4 @@ def build_wts(
     labeling: ServiceLabeling,
 ) -> AgentWTS:
     """Agent abstraction anchored at the cell owning ``initial_position``."""
-    try:
-        cell = locate(disc.dec, initial_position)
-    except OutOfBounds:
-        raise
-    return AgentWTS(agent, disc, g, labeling, cell)
+    return AgentWTS(agent, disc, g, labeling, locate(disc.dec, initial_position))

@@ -8,10 +8,10 @@ Subcommands:
               trajectories plus cell-membership verdicts
   stats       forward-reachability layer sizes of the joint abstraction
 
-Exit codes: 0 success; 1 invalid input (scenario, plan file, or property
-violation, with the failed property named); 2 negative verdict (infeasible
-task set, or a simulation that left its planned cells); 3 search budget
-exhausted before any verdict.
+Exit codes: 0 success; 1 invalid input (command line, scenario, plan file,
+or property violation, with the failed property named); 2 negative verdict
+(infeasible task set, or a simulation that left its planned cells); 3 search
+budget exhausted before any verdict.
 """
 
 from __future__ import annotations
@@ -22,14 +22,13 @@ import dataclasses
 import json
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .dynamics import integrate_closed, lyapunov
-from .errors import BudgetExceeded, PlanMismatch, TimedplanError
+from .errors import BudgetExceeded, TimedplanError
 from .rational import decimal_str, frac_str
 from .scenario import (
     Built,
@@ -291,6 +290,18 @@ def cmd_stats(args) -> int:
     return 0
 
 
+def _at_least(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+
+    def integer(text: str) -> int:
+        n = int(text)
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {n}")
+        return n
+
+    return integer
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="timedplan",
@@ -299,19 +310,18 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"timedplan {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, overrides=True):
+    def common(p, *overrides):
+        """The scenario argument plus the [synthesis] keys the command reads."""
         p.add_argument("scenario", help="scenario file (.cfg)")
-        if overrides:
-            p.add_argument("--seed", type=int, default=None)
-            p.add_argument("--r-selec", dest="r_selec", type=int, default=None)
-            p.add_argument("--max-states", dest="max_states", type=int, default=None)
+        for key in overrides:
+            p.add_argument("--" + key.replace("_", "-"), dest=key, type=int, default=None)
 
     p = sub.add_parser("validate", help="check a scenario file end to end")
-    common(p, overrides=False)
+    common(p)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("synthesize", help="plan, timetable, and certificate")
-    common(p)
+    common(p, "seed", "r_selec", "max_states")
     p.add_argument("--out", default=None, help="run directory (default runs/<name>)")
     p.set_defaults(func=cmd_synthesize)
 
@@ -319,13 +329,15 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--plan", required=True, help="plan.json from a synthesize run")
     p.add_argument("--out", default=None)
-    p.add_argument("--quanta", type=int, default=None, help="steps to replay")
-    p.add_argument("--substeps", type=int, default=20, help="integrator substeps per quantum")
+    p.add_argument("--quanta", type=_at_least(1), default=None, help="steps to replay")
+    p.add_argument(
+        "--substeps", type=_at_least(1), default=20, help="integrator substeps per quantum"
+    )
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("stats", help="forward-reachability layer sizes")
-    common(p)
-    p.add_argument("--steps", type=int, default=10)
+    common(p, "max_states")
+    p.add_argument("--steps", type=_at_least(0), default=10)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_stats)
 
@@ -333,7 +345,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as e:  # argparse exits 2 on a usage error, a verdict code here
+        return 1 if e.code == 2 else e.code
     return args.func(args)
 
 

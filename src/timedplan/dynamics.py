@@ -22,22 +22,6 @@ _BOUND_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
-class AgentState:
-    """Joint configuration: row i-1 is agent i's position."""
-
-    positions: np.ndarray
-    time: Fraction = Fraction(0)
-
-    def __post_init__(self):
-        arr = np.asarray(self.positions, dtype=float)
-        if arr.ndim != 2:
-            raise DimensionMismatch("positions must be an (N, n) array")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "positions", arr)
-
-
-@dataclass(frozen=True)
 class ConditionConstants:
     """Geometry-independent constants for sizing the abstraction.
 
@@ -53,10 +37,7 @@ class ConditionConstants:
 
 
 def _positions(g: CommGraph, x) -> np.ndarray:
-    if isinstance(x, AgentState):
-        pts = x.positions
-    else:
-        pts = np.asarray(x, dtype=float)
+    pts = np.asarray(x, dtype=float)
     if pts.ndim != 2 or pts.shape[0] != g.n_agents:
         raise DimensionMismatch(
             f"expected an ({g.n_agents}, n) position array, got shape {pts.shape}"
@@ -139,23 +120,6 @@ def _step_count(horizon: Fraction, dt_sim: Fraction) -> int:
     return int(ratio)
 
 
-def integrate(g, x0, inputs, dt_sim, horizon, v_max) -> Trajectory:
-    """Fixed-step RK4 under open-loop inputs.
-
-    ``inputs`` is one callable per agent, t (float seconds) -> R^n; each is
-    sampled at the start of every step, norm-checked against v_max, and held
-    constant across the step's stages.
-    """
-    pts = _positions(g, x0).copy()
-    if len(inputs) != g.n_agents:
-        raise DimensionMismatch(f"expected {g.n_agents} input functions")
-
-    def control(t, _x):
-        return np.array([np.asarray(f(t), dtype=float) for f in inputs])
-
-    return integrate_closed(g, pts, control, dt_sim, horizon, v_max)
-
-
 def integrate_closed(g, x0, control, dt_sim, horizon, v_max) -> Trajectory:
     """Fixed-step RK4 under a joint feedback law ``control(t, x) -> (N, n)``.
 
@@ -184,8 +148,3 @@ def integrate_closed(g, x0, control, dt_sim, horizon, v_max) -> Trajectory:
         times.append(t + dt_sim)
     states.setflags(write=False)
     return Trajectory(tuple(times), states)
-
-
-def zero_inputs(g: CommGraph, dim: int):
-    zero = np.zeros(dim)
-    return [lambda t, z=zero: z for _ in range(g.n_agents)]

@@ -107,14 +107,6 @@ class UndeclaredClock(TimedplanError):
     pass
 
 
-class GuardFailed(TimedplanError):
-    pass
-
-
-class InvariantViolated(TimedplanError):
-    pass
-
-
 class AlphabetMismatch(TimedplanError):
     pass
 

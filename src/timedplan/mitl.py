@@ -351,46 +351,6 @@ def _scan_exists_neg(w, j, interval, sub, memo) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class ServiceWordSpec:
-    """A chosen service word over a crossing word.
-
-    ``entries`` are (position z_j, services beta_j, instant t_j) with the
-    positions strictly increasing from 0.  The word complies when every
-    chosen service set is offered at its position and every instant falls
-    inside that position's sojourn [tau(z_j), tau(z_j + 1)).
-    """
-
-    entries: tuple[tuple[int, frozenset[str], Fraction], ...]
-
-    def __post_init__(self):
-        norm = []
-        prev = None
-        for z, beta, t in self.entries:
-            z = int(z)
-            if prev is None:
-                if z != 0:
-                    raise ValueError("the first chosen position must be 0")
-            elif z <= prev:
-                raise ValueError("chosen positions must strictly increase")
-            prev = z
-            norm.append((z, frozenset(beta), as_fraction(t)))
-        object.__setattr__(self, "entries", tuple(norm))
-
-
-def service_compliance(traj_word: TimedWord, spec: ServiceWordSpec) -> bool:
-    """Whether the chosen service word is offered by the crossing word.
-
-    Vacuously true when nothing was chosen.
-    """
-    for z, beta, t in spec.entries:
-        if not beta <= traj_word.label(z):
-            return False
-        if not traj_word.time(z) <= t < traj_word.time(z + 1):
-            return False
-    return True
-
-
 def _scan_until(w, j, interval, left, right, memo) -> bool:
     base = w.time(j)
     k = j

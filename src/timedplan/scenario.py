@@ -25,7 +25,7 @@ from .graphs import build_graph, theorem1_constants
 from .mitl import parse
 from .rational import as_fraction, frac_str
 from .synthesis import Plan
-from .workspace import Box, ServiceLabeling, grid
+from .workspace import Box, ServiceLabeling, grid, grid_shape
 from .wts import TimedRun
 
 _KNOWN_SECTIONS = (
@@ -103,7 +103,7 @@ def _parse_edges(text: str):
     return out
 
 
-def _parse_cells(text: str):
+def _parse_cells(key: str, text: str, n_cells: int):
     out = []
     for part in text.split(","):
         part = part.strip()
@@ -116,6 +116,9 @@ def _parse_cells(text: str):
         b = int(m.group(2)) if m.group(2) else a
         if b < a:
             _fail(f"reversed cell range {part!r}")
+        # checked before the range is expanded, so its size is bounded
+        if not 1 <= a <= b <= n_cells:
+            _fail(f"{key} labels cell {a if a < 1 else b}, grid has {n_cells}")
         out.extend(range(a, b + 1))
     return out
 
@@ -195,7 +198,8 @@ def parse_scenario(text: str) -> Scenario:
         _fail("[dynamics] needs v_max")
     if margin is None:
         margin = 1.05
-    if sorted(starts) != list(range(1, n_agents + 1)):
+    # the count first, so that a huge ``agents`` builds no list
+    if len(starts) != n_agents or sorted(starts) != list(range(1, n_agents + 1)):
         _fail(f"agents = {n_agents} needs start.1 .. start.{n_agents} in [dynamics]")
 
     ws = cp["workspace"]
@@ -214,6 +218,10 @@ def parse_scenario(text: str) -> Scenario:
                 f"the workspace has {len(lo)}"
             )
     cell_size = _positive("cell_size", ws["cell_size"])
+    try:
+        n_cells = math.prod(grid_shape(lo, hi, cell_size))
+    except OverflowError:
+        _fail(f"bounds span too many cells of cell_size {cell_size} to count")
 
     ab = cp["abstraction"]
     if "lambda" not in ab or "dt" not in ab:
@@ -242,7 +250,7 @@ def parse_scenario(text: str) -> Scenario:
             agent, service = int(m.group(1)), m.group(2)
             if not 1 <= agent <= n_agents:
                 _fail(f"label key {key!r} names agent {agent} of {n_agents}")
-            for cell in _parse_cells(val):
+            for cell in _parse_cells(key, val, n_cells):
                 labels[agent].setdefault(cell, set()).add(service)
 
     phis: dict[int, str] = {}
@@ -311,12 +319,6 @@ def build(s: Scenario) -> Built:
     consts = condition_constants(g, params)
     box = Box(s.bounds_lo, s.bounds_hi)
     dec = grid(box, s.cell_size)
-    for agent, per in s.labels.items():
-        for cell in per:
-            if not 1 <= cell <= dec.n_cells:
-                _fail(
-                    f"agent {agent} labels cell {cell}, grid has {dec.n_cells}"
-                )
     labeling = ServiceLabeling(s.labels)
     disc = Discretization(dec, s.dt, s.lam, consts, s.v_max, s.radius_shrink)
     wts_list = tuple(

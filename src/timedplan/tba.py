@@ -17,13 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    AlphabetMismatch,
-    GuardFailed,
-    InvariantViolated,
-    UndeclaredClock,
-    UnsupportedFragment,
-)
+from .errors import AlphabetMismatch, UndeclaredClock, UnsupportedFragment
 from .mitl import And, Eventually, Interval, Next, Not, Prop, Until, Always, props
 from .rational import INF, as_fraction
 from .search import nested_dfs
@@ -213,9 +207,7 @@ class TBA:
             self._reading[(q, letter)] = got
         return got
 
-    def valuation(self, values=None) -> dict:
-        if values is None:
-            return {c: Fraction(0) for c in self.clocks}
+    def valuation(self, values) -> dict:
         return dict(zip(self.clocks, values))
 
 
@@ -227,30 +219,6 @@ def _guard_clocks(g):
     elif isinstance(g, GAnd):
         yield from _guard_clocks(g.left)
         yield from _guard_clocks(g.right)
-
-
-def step(a: TBA, state, delta, edge: Edge):
-    """One delay + one discrete transition; returns the new (location, nu).
-
-    The delay endpoint must satisfy the source invariant, the guard is read
-    at the post-delay valuation, resets apply after, and the target
-    invariant must hold.
-    """
-    q, nu = state
-    if edge.src != q:
-        raise ValueError(f"edge leaves {edge.src!r}, state is at {q!r}")
-    delta = as_fraction(delta)
-    if delta < 0:
-        raise ValueError("delays are nonnegative")
-    moved = {c: (v if v == INF else v + delta) for c, v in nu.items()}
-    if not eval_guard(moved, a.invariants[q]):
-        raise InvariantViolated(f"delay {delta} leaves the invariant of {q!r}")
-    if not eval_guard(moved, edge.guard):
-        raise GuardFailed(f"guard {edge.guard} fails at {moved}")
-    after = {c: (Fraction(0) if c in edge.resets else v) for c, v in moved.items()}
-    if not eval_guard(after, a.invariants[edge.dst]):
-        raise InvariantViolated(f"entering {edge.dst!r} violates its invariant")
-    return edge.dst, after
 
 
 def _cap(v, c_max):
@@ -458,23 +426,6 @@ def mitl_to_tba(f, alphabet=None) -> TBA:
 # -- products ---------------------------------------------------------------
 
 
-def universal_tba(ap) -> TBA:
-    """Accepts every word over the alphabet."""
-    letters = _letters(frozenset(ap))
-    labels = {_loc("any", l): l for l in letters}
-    locations = list(labels)
-    edges = [
-        Edge(src, TOP, frozenset(), dst) for src in locations for dst in locations
-    ]
-    return TBA(locations, locations, (), edges, locations, labels, frozenset(ap))
-
-
-def empty_tba(ap) -> TBA:
-    """Accepts nothing (no accepting locations)."""
-    u = universal_tba(ap)
-    return TBA(u.locations, u.initial, u.clocks, u.edges, (), u.labels, u.ap)
-
-
 def intersect(a: TBA, b: TBA) -> TBA:
     """Language intersection via the two-phase counter construction.
 
@@ -547,22 +498,3 @@ def intersect(a: TBA, b: TBA) -> TBA:
         if qa in a.accepting and (qa, qb, 1) in name
     ]
     return TBA(locations, initial, clocks, edges, accepting, labels, ap, invariants)
-
-
-def dump(a: TBA) -> str:
-    """Deterministic human-readable listing."""
-    lines = [f"clocks: {', '.join(a.clocks) if a.clocks else '(none)'}"]
-    for q in a.locations:
-        marks = []
-        if q in a.initial:
-            marks.append("init")
-        if q in a.accepting:
-            marks.append("accepting")
-        label = "{" + ",".join(sorted(a.labels[q])) + "}"
-        inv = a.invariants[q]
-        inv_s = "" if isinstance(inv, Top) else f" inv: {inv}"
-        lines.append(f"{q} {label}{' [' + ' '.join(marks) + ']' if marks else ''}{inv_s}")
-    for e in sorted(a.edges, key=lambda e: (e.src, e.dst, str(e.guard))):
-        resets = ",".join(sorted(e.resets)) if e.resets else "-"
-        lines.append(f"{e.src} --{e.guard}/{resets}--> {e.dst}")
-    return "\n".join(lines)

@@ -1,5 +1,5 @@
-"""Workspace geometry: box cells, grid decompositions, point location,
-decomposition refinement, and per-agent service labelings.
+"""Workspace geometry: box cells, grid decompositions, point location, and
+per-agent service labelings.
 
 Cells are axis-aligned boxes partitioning a bounding box.  Membership uses
 half-open faces [lo, hi) with the global upper face closed, so every point
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import BoundsMismatch, CellSizeTooLarge, OutOfBounds
 
@@ -60,26 +60,14 @@ class Box:
         return tuple(a + rng.random() * (b - a) for a, b in zip(self.lo, self.hi))
 
 
-def _half_open_owns(cell: Box, bounds: Box, p) -> bool:
-    for x, a, b, top in zip(p, cell.lo, cell.hi, bounds.hi):
-        if x < a:
-            return False
-        if x >= b and not (x == b == top):
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class CellDecomposition:
-    """A finite box partition of a bounding box.
-
-    ``cuts`` is present for uniform grids and enables O(log) location;
-    generic decompositions fall back to a scan with the same ownership rule.
-    """
+    """A grid partition of a bounding box; ``cuts`` holds each axis's cut
+    points, lower face first, and gives O(log) location."""
 
     bounds: Box
     cells: tuple[Box, ...]
-    cuts: tuple[tuple[float, ...], ...] | None = field(default=None)
+    cuts: tuple[tuple[float, ...], ...]
 
     @property
     def n_cells(self) -> int:
@@ -102,6 +90,11 @@ class CellDecomposition:
         return self.cell(index).center
 
 
+def grid_shape(lo, hi, cell_size: float) -> tuple[int, ...]:
+    """Cells per axis of ``grid`` over the box [lo, hi]."""
+    return tuple(max(1, math.ceil((b - a) / cell_size - EPS_GEO)) for a, b in zip(lo, hi))
+
+
 def grid(bounds: Box, cell_size: float) -> CellDecomposition:
     """Uniform grid with ragged clipping at the upper faces.
 
@@ -115,35 +108,11 @@ def grid(bounds: Box, cell_size: float) -> CellDecomposition:
             raise CellSizeTooLarge(
                 f"cell size {cell_size} exceeds workspace side {b - a}"
             )
-    axes = []
-    for a, b in zip(bounds.lo, bounds.hi):
-        count = max(1, math.ceil((b - a) / cell_size - EPS_GEO))
-        pts = [a + k * cell_size for k in range(count)] + [b]
-        axes.append(tuple(pts))
-    cells = []
-    idx = [0] * bounds.dim
-    while True:
-        lo = tuple(axes[k][idx[k]] for k in range(bounds.dim))
-        hi = tuple(axes[k][idx[k] + 1] for k in range(bounds.dim))
-        cells.append(Box(lo, hi))
-        for k in range(bounds.dim - 1, -1, -1):
-            idx[k] += 1
-            if idx[k] < len(axes[k]) - 1:
-                break
-            idx[k] = 0
-        else:
-            break
-    return CellDecomposition(bounds=bounds, cells=tuple(cells), cuts=tuple(axes))
-
-
-def from_cuts(bounds: Box, cuts_per_axis) -> CellDecomposition:
-    """Non-uniform rectilinear decomposition from explicit cut points."""
-    axes = []
-    for k, cuts in enumerate(cuts_per_axis):
-        pts = sorted(set(float(c) for c in cuts) | {bounds.lo[k], bounds.hi[k]})
-        if pts[0] != bounds.lo[k] or pts[-1] != bounds.hi[k]:
-            raise BoundsMismatch("cuts must stay inside the bounding box")
-        axes.append(tuple(pts))
+    shape = grid_shape(bounds.lo, bounds.hi, cell_size)
+    axes = [
+        tuple([a + k * cell_size for k in range(count)] + [b])
+        for a, b, count in zip(bounds.lo, bounds.hi, shape)
+    ]
     cells = []
     idx = [0] * bounds.dim
     while True:
@@ -167,42 +136,13 @@ def locate(dec: CellDecomposition, p) -> int:
         raise BoundsMismatch(f"point dimension {len(p)} != workspace dimension {dec.dim}")
     if not dec.bounds.contains(p):
         raise OutOfBounds(f"point {p} outside workspace bounds")
-    if dec.cuts is not None:
-        coord = []
-        for x, cuts in zip(p, dec.cuts):
-            j = bisect_right(cuts, x) - 1
-            if j >= len(cuts) - 1:  # closed top face
-                j = len(cuts) - 2
-            coord.append(j)
-        index = 0
-        for k in range(dec.dim):
-            index = index * (len(dec.cuts[k]) - 1) + coord[k]
-        return index + 1
-    for i, cell in enumerate(dec.cells):
-        if _half_open_owns(cell, dec.bounds, p):
-            return i + 1
-    raise OutOfBounds(f"point {p} not owned by any cell")  # pragma: no cover
-
-
-def intersect_decompositions(
-    abs_dec: CellDecomposition, spec_dec: CellDecomposition
-) -> CellDecomposition:
-    """Common refinement: every nonempty pairwise overlap becomes a cell.
-
-    Output cells are ordered by (first-input index, second-input index) and
-    each lies inside exactly one cell of each input.  Slivers with no
-    interior are dropped.
-    """
-    if abs_dec.bounds != spec_dec.bounds:
-        raise BoundsMismatch("decompositions cover different bounding boxes")
-    cells = []
-    for a in abs_dec.cells:
-        for b in spec_dec.cells:
-            lo = tuple(max(x, y) for x, y in zip(a.lo, b.lo))
-            hi = tuple(min(x, y) for x, y in zip(a.hi, b.hi))
-            if all(h - l > EPS_GEO for l, h in zip(lo, hi)):
-                cells.append(Box(lo, hi))
-    return CellDecomposition(bounds=abs_dec.bounds, cells=tuple(cells), cuts=None)
+    index = 0
+    for x, cuts in zip(p, dec.cuts):
+        j = bisect_right(cuts, x) - 1
+        if j >= len(cuts) - 1:  # closed top face
+            j = len(cuts) - 2
+        index = index * (len(cuts) - 1) + j
+    return index + 1
 
 
 class ServiceLabeling:
@@ -235,6 +175,3 @@ class ServiceLabeling:
         for services in self._by_agent.get(agent, {}).values():
             out |= services
         return frozenset(out)
-
-    def agents(self) -> tuple[int, ...]:
-        return tuple(sorted(self._by_agent))

@@ -1,5 +1,5 @@
-"""Weighted transition systems, timed runs and words in lasso form, the
-synchronized product of agent systems, and the sampled landing certificate.
+"""Timed runs and words in lasso form, the synchronized product of agent
+systems, and the sampled landing certificate.
 
 Infinite runs are finite lassos: ``states[0:stem_len]`` is the transient,
 ``states[stem_len:]`` the cycle, and ``durations[j]`` the sojourn of the
@@ -9,19 +9,13 @@ at 0 and are exact rationals throughout.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import (
-    IndexOutOfRange,
-    LengthMismatch,
-    MismatchedTimeStep,
-    UnknownState,
-)
-from .rational import as_fraction, frac_gcd, frac_str
+from .errors import LengthMismatch, MismatchedTimeStep, UnknownState
+from .rational import as_fraction, frac_str
 
 
 def _prefix_times(durations):
@@ -179,100 +173,6 @@ def timed_word(run: TimedRun, labels) -> TimedWord:
     return TimedWord(tuple(out), run.durations, run.stem_len)
 
 
-class WTS:
-    """Explicit finite weighted transition system (used directly in tests
-    and as the target shape for hand-built examples).
-
-    transitions: mapping state -> iterable of (successor, weight).  ``dt``
-    is the largest quantum every weight is a whole multiple of (1 when there
-    are no transitions).
-    """
-
-    def __init__(self, states, initial, transitions, labels, alphabet=None):
-        self.state_list = tuple(states)
-        self.initial = frozenset(initial)
-        self._trans = {
-            s: tuple((t, as_fraction(w)) for t, w in transitions.get(s, ()))
-            for s in self.state_list
-        }
-        weights = (w for outs in self._trans.values() for _, w in outs)
-        self.dt = frac_gcd(weights) or Fraction(1)
-        self._labels = {s: frozenset(labels.get(s, ())) for s in self.state_list}
-        if alphabet is None:
-            alphabet = set()
-            for l in self._labels.values():
-                alphabet |= l
-        self.alphabet = frozenset(alphabet)
-        for s in self.initial:
-            if s not in self._trans:
-                raise UnknownState(f"initial state {s!r} not declared")
-
-    def label(self, s) -> frozenset[str]:
-        try:
-            return self._labels[s]
-        except KeyError:
-            raise UnknownState(f"state {s!r} not declared") from None
-
-    def succ_weighted(self, s):
-        try:
-            return self._trans[s]
-        except KeyError:
-            raise UnknownState(f"state {s!r} not declared") from None
-
-
-class TableAgentWTS:
-    """Agent-shaped system with an explicit action table.
-
-    Mirrors the geometric abstraction's protocol (agent, neighbors, dt,
-    post, post_any, label) so products and consistency checks can run on
-    hand-specified transition data.
-    """
-
-    def __init__(self, agent, neighbors, dt, table, labels=None, initial=(), alphabet=None):
-        self.agent = agent
-        self.neighbors = tuple(neighbors)
-        self.dt = as_fraction(dt)
-        self._table = {}
-        states = set()
-        for (src, action), targets in table.items():
-            action = tuple(action)
-            if action[0] != src:
-                raise ValueError("action tuples start with the source cell")
-            self._table[action] = frozenset(targets)
-            states.add(src)
-            states.update(targets)
-            states.update(action[1:])
-        self.state_set = frozenset(states)
-        self._labels = {s: frozenset(l) for s, l in (labels or {}).items()}
-        self.initial = frozenset(initial)
-        if alphabet is None:
-            alphabet = set()
-            for l in self._labels.values():
-                alphabet |= l
-        self.alphabet = frozenset(alphabet)
-
-    @property
-    def states(self):
-        return sorted(self.state_set)
-
-    def label(self, cell) -> frozenset[str]:
-        return self._labels.get(cell, frozenset())
-
-    def post(self, action) -> frozenset:
-        return self._table.get(tuple(action), frozenset())
-
-    def post_any(self, cell) -> frozenset:
-        acc = set()
-        for action, targets in self._table.items():
-            if action[0] == cell:
-                acc |= targets
-        return frozenset(acc)
-
-    def succ_weighted(self, cell):
-        for nxt in sorted(self.post_any(cell)):
-            yield nxt, self.dt
-
-
 class ProductWTS:
     """Synchronized product: joint moves where every agent's step is enabled
     under the action formed by its own and its neighbors' current cells.
@@ -351,16 +251,6 @@ def _cartesian(pools):
 
 def product(wts_list) -> ProductWTS:
     return ProductWTS(wts_list)
-
-
-def project(p_run: TimedRun, i: int, n_agents: int | None = None) -> TimedRun:
-    """Component run of agent i out of a product run."""
-    width = n_agents if n_agents is not None else len(p_run.states[0])
-    if not 1 <= i <= width:
-        raise IndexOutOfRange(f"agent {i} not in 1..{width}")
-    return TimedRun(
-        tuple(s[i - 1] for s in p_run.states), p_run.durations, p_run.stem_len
-    )
 
 
 def check_consistent(runs, g, wts_list) -> bool:

@@ -1,4 +1,5 @@
-"""Shared generators and independent oracles for the test suite.
+"""Shared generators, explicit fixtures and independent oracles for the
+test suite.
 
 The oracles here deliberately re-derive verdicts by brute force (explicit
 unrolling, exhaustive cycle enumeration) so the package's cleverer
@@ -10,7 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from timedplan.errors import BallOutsideWorkspace
+from timedplan.errors import BallOutsideWorkspace, UnknownState
 from timedplan.graphs import CommGraph, build_graph
 from timedplan.mitl import (
     Always,
@@ -22,10 +23,10 @@ from timedplan.mitl import (
     Prop,
     Until,
 )
-from timedplan.rational import INF, canon_key
+from timedplan.rational import INF, as_fraction, canon_key, frac_gcd
 from timedplan.tba import TBA, Atom, Edge, GAnd, GNot, TOP, eval_guard, gand
 from timedplan.workspace import EPS_GEO
-from timedplan.wts import WTS, TimedWord
+from timedplan.wts import TimedWord
 
 
 def rand_fraction(rng, max_den=4, max_num=8):
@@ -153,6 +154,115 @@ def _brute(w, f, j, horizon) -> bool:
                 return False
         return False
     raise TypeError(f"unsupported node {f!r}")
+
+
+# -- explicit systems and automata ---------------------------------------------
+
+
+class WTS:
+    """Explicit finite weighted transition system for hand-built examples.
+
+    transitions: mapping state -> iterable of (successor, weight).  ``dt``
+    is the largest quantum every weight is a whole multiple of (1 when there
+    are no transitions).
+    """
+
+    def __init__(self, states, initial, transitions, labels, alphabet=None):
+        self.state_list = tuple(states)
+        self.initial = frozenset(initial)
+        self._trans = {
+            s: tuple((t, as_fraction(w)) for t, w in transitions.get(s, ()))
+            for s in self.state_list
+        }
+        weights = (w for outs in self._trans.values() for _, w in outs)
+        self.dt = frac_gcd(weights) or Fraction(1)
+        self._labels = {s: frozenset(labels.get(s, ())) for s in self.state_list}
+        if alphabet is None:
+            alphabet = set()
+            for l in self._labels.values():
+                alphabet |= l
+        self.alphabet = frozenset(alphabet)
+        for s in self.initial:
+            if s not in self._trans:
+                raise UnknownState(f"initial state {s!r} not declared")
+
+    def label(self, s) -> frozenset[str]:
+        try:
+            return self._labels[s]
+        except KeyError:
+            raise UnknownState(f"state {s!r} not declared") from None
+
+    def succ_weighted(self, s):
+        try:
+            return self._trans[s]
+        except KeyError:
+            raise UnknownState(f"state {s!r} not declared") from None
+
+
+class TableAgentWTS:
+    """Agent-shaped system with an explicit action table.
+
+    Mirrors the geometric abstraction's protocol (agent, neighbors, dt,
+    post, post_any, label) so products and consistency checks can run on
+    hand-specified transition data.
+    """
+
+    def __init__(self, agent, neighbors, dt, table, labels=None, initial=(), alphabet=None):
+        self.agent = agent
+        self.neighbors = tuple(neighbors)
+        self.dt = as_fraction(dt)
+        self._table = {}
+        states = set()
+        for (src, action), targets in table.items():
+            action = tuple(action)
+            if action[0] != src:
+                raise ValueError("action tuples start with the source cell")
+            self._table[action] = frozenset(targets)
+            states.add(src)
+            states.update(targets)
+            states.update(action[1:])
+        self.state_set = frozenset(states)
+        self._labels = {s: frozenset(l) for s, l in (labels or {}).items()}
+        self.initial = frozenset(initial)
+        if alphabet is None:
+            alphabet = set()
+            for l in self._labels.values():
+                alphabet |= l
+        self.alphabet = frozenset(alphabet)
+
+    @property
+    def states(self):
+        return sorted(self.state_set)
+
+    def label(self, cell) -> frozenset[str]:
+        return self._labels.get(cell, frozenset())
+
+    def post(self, action) -> frozenset:
+        return self._table.get(tuple(action), frozenset())
+
+    def post_any(self, cell) -> frozenset:
+        acc = set()
+        for action, targets in self._table.items():
+            if action[0] == cell:
+                acc |= targets
+        return frozenset(acc)
+
+    def succ_weighted(self, cell):
+        for nxt in sorted(self.post_any(cell)):
+            yield nxt, self.dt
+
+
+def universal_tba(ap) -> TBA:
+    """Accepts every word over the alphabet: one location per letter."""
+    ap = sorted(ap)
+    letters = [
+        frozenset(ap[i] for i in range(len(ap)) if mask >> i & 1)
+        for mask in range(1 << len(ap))
+    ]
+    labels = {"any:{" + ",".join(sorted(l)) + "}": l for l in letters}
+    locations = list(labels)
+    edges = [Edge(src, TOP, frozenset(), dst) for src in locations for dst in locations]
+    return TBA(locations, locations, (), edges, locations, labels, frozenset(ap))
 
 
 # -- random systems and automata -----------------------------------------------

@@ -27,9 +27,7 @@ from timedplan.scenario import build, load_scenario
 from timedplan.workspace import (
     Box,
     ServiceLabeling,
-    from_cuts,
     grid,
-    intersect_decompositions,
     locate,
 )
 
@@ -203,21 +201,11 @@ def shipped_disc():
     return build(load_scenario("scenarios/two_agent_services.cfg")).disc
 
 
-def scanless_dec():
-    """A cuts=None decomposition: a grid refined by irregular cuts."""
-    bounds = Box((0.0, 0.0), (0.072, 0.072))
-    other = from_cuts(bounds, [(0.005, 0.031, 0.05), (0.02, 0.0615)])
-    dec = intersect_decompositions(grid(bounds, 0.012), other)
-    assert dec.cuts is None
-    return dec
-
-
 DECOMPOSITIONS = {
     "uniform": lambda: grid(Box((0.0, 0.0), (0.072, 0.072)), 0.012),
     "ragged-wide": lambda: grid(Box((0.0, 0.0), (0.077, 0.0655)), 0.012),
     "ragged-tall": lambda: grid(Box((0.0, 0.0), (0.0605, 0.09)), 0.012),
     "ragged-offset": lambda: grid(Box((-0.031, 0.0125), (0.0305, 0.0707)), 0.012),
-    "scanless": scanless_dec,
 }
 
 
@@ -266,7 +254,7 @@ def test_nominal_endpoint_rejects_unknown_cells():
             nominal_endpoint(disc, action)
 
 
-@pytest.mark.parametrize("name", ["uniform", "ragged-wide", "scanless"])
+@pytest.mark.parametrize("name", ["uniform", "ragged-wide"])
 def test_post_any_is_union_of_scans(name):
     dec = DECOMPOSITIONS[name]()
     disc = loose_disc(dec, Fraction(1, 2))

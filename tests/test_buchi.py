@@ -14,16 +14,18 @@ from timedplan.errors import AlphabetMismatch, BudgetExceeded, MismatchedTimeSte
 from timedplan.mitl import parse, sat
 from timedplan.rational import INF
 from timedplan.scenario import build, load_scenario
-from timedplan.tba import intersect, mitl_to_tba, universal_tba
-from timedplan.wts import WTS, timed_word
+from timedplan.tba import intersect, mitl_to_tba
+from timedplan.wts import timed_word
 
 from helpers import (
     RationalProduct,
+    WTS,
     accepting_cycle_exists,
     crawl,
     probe_every_accepting,
     rand_tba,
     rand_wts,
+    universal_tba,
 )
 
 

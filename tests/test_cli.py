@@ -106,6 +106,46 @@ def test_manifest_records_overrides(tmp_path):
     assert manifest["seed"] == 3 and "threads" not in manifest
 
 
+@pytest.mark.parametrize(
+    "command,flag",
+    [
+        ("simulate", "--seed"),
+        ("simulate", "--r-selec"),
+        ("simulate", "--max-states"),
+        ("stats", "--seed"),
+        ("stats", "--r-selec"),
+    ],
+)
+def test_overrides_only_where_read(capsys, command, flag):
+    args = [command, SCENARIO, flag, "3"]
+    if command == "simulate":
+        args += ["--plan", "plan.json"]
+    assert main(args) == 1
+    assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args,flag",
+    [
+        (["simulate", SCENARIO, "--plan", "plan.json", "--substeps", "0"], "--substeps"),
+        (["simulate", SCENARIO, "--plan", "plan.json", "--quanta", "-4"], "--quanta"),
+        (["stats", SCENARIO, "--steps", "-3"], "--steps"),
+    ],
+)
+def test_integer_arguments_below_their_minimum_rejected(capsys, args, flag):
+    assert main(args) == 1
+    assert f"argument {flag}: must be >=" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args", [["synthesize", SCENARIO, "--seed", "x"], ["stats", SCENARIO, "--bogus"]]
+)
+def test_usage_errors_exit_1(capsys, args):
+    # exit 2 is reserved for a negative verdict
+    assert main(args) == 1
+    assert "usage:" in capsys.readouterr().err
+
+
 def test_simulate_round_trip(tmp_path, capsys):
     run = tmp_path / "run"
     assert main(["synthesize", SCENARIO, "--out", str(run)]) == 0

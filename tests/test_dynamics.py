@@ -7,11 +7,9 @@ import pytest
 from timedplan.dynamics import (
     condition_constants,
     coupling,
-    integrate,
     integrate_closed,
     lyapunov,
     relative_norm,
-    zero_inputs,
 )
 from timedplan.errors import C1Violated, DimensionMismatch, InputBoundViolated
 from timedplan.graphs import build_graph, theorem1_constants
@@ -27,6 +25,10 @@ def expm_consensus(g, x0, t):
     evals, evecs = np.linalg.eigh(lap)
     coef = evecs.T @ x0
     return evecs @ (np.exp(-evals * t)[:, None] * coef)
+
+
+def zero_law(t, x):
+    return np.zeros_like(x)
 
 
 def test_coupling_is_neighbor_sum():
@@ -53,7 +55,7 @@ def test_relative_norm_hand_value():
 def test_zero_input_matches_matrix_exponential():
     g = path3()
     x0 = np.array([[-4.0, 4.0], [0.0, 6.0], [7.0, 0.0]])
-    traj = integrate(g, x0, zero_inputs(g, 2), Fraction(1, 100), 2, v_max=1.0)
+    traj = integrate_closed(g, x0, zero_law, Fraction(1, 100), 2, v_max=1.0)
     want = expm_consensus(g, x0, 2.0)
     assert np.allclose(traj.final(), want, atol=1e-8)
     assert traj.times[0] == 0 and traj.times[-1] == 2
@@ -67,7 +69,7 @@ def test_rk4_order():
     want = expm_consensus(g, x0, 1.0)
     errs = []
     for dt in (Fraction(1, 10), Fraction(1, 20)):
-        traj = integrate(g, x0, zero_inputs(g, 1), dt, 1, v_max=1.0)
+        traj = integrate_closed(g, x0, zero_law, dt, 1, v_max=1.0)
         errs.append(np.linalg.norm(traj.final() - want))
     assert errs[1] < errs[0] / 12.0
 
@@ -75,9 +77,12 @@ def test_rk4_order():
 def test_input_bound_enforced():
     g = path3()
     x0 = np.zeros((3, 2))
-    bad = [lambda t: np.array([2.0, 0.0]) for _ in range(3)]
+
+    def bad(t, x):
+        return np.tile([2.0, 0.0], (3, 1))
+
     with pytest.raises(InputBoundViolated):
-        integrate(g, x0, bad, Fraction(1, 10), 1, v_max=1.0)
+        integrate_closed(g, x0, bad, Fraction(1, 10), 1, v_max=1.0)
 
 
 def test_control_shape_checked():
@@ -91,7 +96,7 @@ def test_control_shape_checked():
 def test_bad_horizon_rejected():
     g = path3()
     with pytest.raises(ValueError):
-        integrate(g, np.zeros((3, 1)), zero_inputs(g, 1), Fraction(2, 7), 1, 1.0)
+        integrate_closed(g, np.zeros((3, 1)), zero_law, Fraction(2, 7), 1, 1.0)
 
 
 def test_condition_constants_path3():
@@ -125,6 +130,6 @@ def test_disagreement_decays_without_input():
     g = path3()
     rng = np.random.default_rng(11)
     x0 = rng.normal(size=(3, 2)) * 4.0
-    traj = integrate(g, x0, zero_inputs(g, 2), Fraction(1, 50), 3, v_max=1.0)
+    traj = integrate_closed(g, x0, zero_law, Fraction(1, 50), 3, v_max=1.0)
     vals = [lyapunov(g, traj.states[k]) for k in range(0, len(traj.times), 25)]
     assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))

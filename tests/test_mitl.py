@@ -11,12 +11,10 @@ from timedplan.mitl import (
     Interval,
     Not,
     Prop,
-    ServiceWordSpec,
     Until,
     parse,
     props,
     sat,
-    service_compliance,
 )
 from timedplan.rational import INF
 from timedplan.wts import TimedRun, TimedWord, timed_word
@@ -169,32 +167,3 @@ def test_general_nesting_agrees_with_bruteforce():
         assert sat(w, 0, f) == naive_sat(w, f)
         g = Until(Interval(0, 3), Eventually(Interval(0, 1), Prop("q")), Prop("p"))
         assert sat(w, 0, g) == naive_sat(w, g)
-
-
-def test_service_compliance():
-    w = word_short()  # green on [0,1), empty on [1,3), green on [3,4)...
-    ok = ServiceWordSpec(((0, frozenset({"green"}), Fraction(1, 2)),))
-    assert service_compliance(w, ok)
-    ok2 = ServiceWordSpec(
-        ((0, frozenset(), Fraction(0)), (2, frozenset({"green"}), Fraction(7, 2)))
-    )
-    assert service_compliance(w, ok2)
-    # instant outside the sojourn of its position
-    late = ServiceWordSpec(((0, frozenset({"green"}), Fraction(2)),))
-    assert not service_compliance(w, late)
-    # service not offered at the chosen position
-    off = ServiceWordSpec(
-        ((0, frozenset(), Fraction(0)), (1, frozenset({"green"}), Fraction(2)))
-    )
-    assert not service_compliance(w, off)
-
-
-def test_service_spec_validation():
-    with pytest.raises(ValueError):
-        ServiceWordSpec(((1, frozenset(), Fraction(0)),))
-    with pytest.raises(ValueError):
-        ServiceWordSpec(
-            ((0, frozenset(), Fraction(0)), (0, frozenset(), Fraction(1)))
-        )
-    missing = ServiceWordSpec(((0, frozenset({"blue"}), Fraction(0)),))
-    assert not service_compliance(word_short(), missing)

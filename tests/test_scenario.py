@@ -141,6 +141,11 @@ BAD_NUMBERS = [
     ("dt = 1/20", "dt = 1/20\nradius_shrink = x", "radius_shrink"),
     ("dt = 1/20", "dt = 1/20\nradius_shrink = inf", "radius_shrink"),
     ("dt = 1/20", "dt = 1/20\nradius_shrink = -0.001", "radius_shrink"),
+    # counts are compared with their limits before anything is expanded
+    ("agents = 2", "agents = 2000000", "agents"),
+    ("1.p1 = 14", "1.p1 = 1-3000000", "1.p1"),
+    ("2.p2 = 22", "2.p2 = 22, 0", "2.p2"),
+    ("bounds = 0.0, 0.0 ; 0.072", "bounds = -1e308, 0.0 ; 1e308", "bounds"),
 ]
 
 
@@ -199,9 +204,9 @@ def test_plan_round_trip():
 SHIPPED = Path(__file__).parent.parent / "scenarios" / "two_agent_services.cfg"
 SHIPPED_LINES = SHIPPED.read_text(encoding="utf-8").splitlines()
 
-# values a mutated line may take; numbers stay small so that no mutant asks
-# for millions of agents, cells or label ranges
+# values a mutated line may take, large counts included
 VALUE_LIST = [
+    "2000000", "1-3000000", "3000000-3000001", "99999999999999999999",
     "", "0", "1", "2", "3", "-1", "-0", "0.5", "1.5", "1/20", "1/0", "-1/20",
     "1e400", "-1e400", "1e-400", "nan", "inf", "-inf", "abc", "0.030",
     "0.030, 0.030", "0.030, 0.030, 0.030", "0.0, 0.0 ; 0.072", "0.072 ; 0.0",
@@ -210,7 +215,8 @@ VALUE_LIST = [
     "X[1/20, 1/10] !p1", "F[1/20, 1/4] (p1", "F[a, b] p1", "p9", "[x]",
 ]
 VALUES = st.sampled_from(VALUE_LIST)
-# free text without decimal digits, so that it cannot spell a large count
+# free text without decimal digits, so that it cannot spell a tiny cell size,
+# whose grid is valid and would be built in full
 NOISE = st.text(
     alphabet=st.characters(blacklist_categories=("Nd", "Cs")), max_size=16
 )

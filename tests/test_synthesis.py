@@ -17,12 +17,13 @@ from timedplan.synthesis import (
     zip_runs,
 )
 from timedplan.wts import (
-    TableAgentWTS,
     TimedRun,
     check_consistent,
     product,
     timed_word,
 )
+
+from helpers import TableAgentWTS
 
 
 def free_agents(dt=Fraction(1, 4), n_cells=3):

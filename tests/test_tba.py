@@ -5,8 +5,6 @@ import pytest
 
 from timedplan.errors import (
     AlphabetMismatch,
-    GuardFailed,
-    InvariantViolated,
     UndeclaredClock,
     UnsupportedFragment,
 )
@@ -18,14 +16,11 @@ from timedplan.tba import (
     Edge,
     TOP,
     accepts,
-    dump,
     eval_guard,
     gand,
     gor,
     intersect,
     mitl_to_tba,
-    step,
-    universal_tba,
     window,
 )
 from timedplan.wts import TimedWord
@@ -84,35 +79,20 @@ def test_window_guard():
     assert eval_guard({"c": INF}, g_inf)
 
 
-def test_step_hit_and_miss():
-    a = visit_window_tba()
-    hit = next(e for e in a.edges if e.dst == "q1")
-    state = ("q0", a.valuation())
-    q, nu = step(a, state, Fraction(3), hit)
-    assert q == "q1" and nu["c"] == 0
-    # zero delay over a trivial self-loop leaves the valuation alone
-    stay = next(e for e in a.edges if e.src == "q1")
-    q2, nu2 = step(a, ("q1", {"c": Fraction(0)}), Fraction(0), stay)
-    assert q2 == "q1" and nu2["c"] == 0
-    with pytest.raises(GuardFailed):
-        step(a, state, Fraction(1), hit)  # too early for the window
-    with pytest.raises(ValueError):
-        step(a, ("q1", a.valuation()), Fraction(1), hit)  # edge leaves q0
-
-
-def test_step_respects_invariants():
+def test_accepts_respects_invariants():
     a = TBA(
         locations=("u",),
         initial=("u",),
         clocks=("c",),
-        edges=(Edge("u", TOP, frozenset(), "u"),),
+        edges=(Edge("u", TOP, frozenset({"c"}), "u"),),
         accepting=("u",),
         labels={"u": frozenset()},
         ap=frozenset(),
         invariants={"u": Atom("c", "<=", 2)},
     )
-    with pytest.raises(InvariantViolated):
-        step(a, ("u", a.valuation()), Fraction(3), a.edges[0])
+    assert accepts(a, TimedWord((frozenset(),), (Fraction(2),), 0))
+    # a delay of 3 leaves the invariant before the reset can fire
+    assert not accepts(a, TimedWord((frozenset(),), (Fraction(3),), 0))
 
 
 def test_accepts_window_words():
@@ -247,15 +227,6 @@ def test_degenerate_low_bound_window():
     assert not accepts(a, lasso([set()], [1], 0))
 
 
-def test_universal_and_empty():
-    from timedplan.tba import empty_tba
-
-    ap = frozenset({"p"})
-    w = lasso([{"p"}, set()], [1, 1], 0)
-    assert accepts(universal_tba(ap), w)
-    assert not accepts(empty_tba(ap), w)
-
-
 def test_intersect_language():
     ap = frozenset({"p"})
     a = mitl_to_tba(parse("F[0,2] p"), alphabet=ap)
@@ -288,9 +259,3 @@ def test_intersect_against_separate_checks():
         assert accepts(both, w) == want, (str(fa), str(fb), w)
         hits += 1
     assert hits > 60
-
-
-def test_dump_is_deterministic():
-    a = visit_window_tba()
-    assert dump(a) == dump(visit_window_tba())
-    assert "q0" in dump(a)

@@ -10,11 +10,8 @@ from timedplan.errors import (
 )
 from timedplan.workspace import (
     Box,
-    CellDecomposition,
     ServiceLabeling,
-    from_cuts,
     grid,
-    intersect_decompositions,
     locate,
 )
 
@@ -87,49 +84,10 @@ def test_cell_index_is_one_based():
     assert d.center(d.n_cells) == (0.75, 0.75)
 
 
-def test_from_cuts_fifteen_cell_layout():
-    bounds = Box((-10.0, -5.0), (0.0, 0.0))
-    dec = from_cuts(bounds, [(-7.5, -6.5, -3.5, -2.5), (-3.5, -2.5)])
-    assert dec.n_cells == 15
-    # cut points become cell faces
-    assert any(abs(c.lo[0] + 6.5) < 1e-12 for c in dec.cells)
-
-
-def test_from_cuts_rejects_outside_cut():
-    with pytest.raises(BoundsMismatch):
-        from_cuts(unit_square(), [(1.5,), ()])
-
-
-def test_intersection_refines_both():
-    bounds = unit_square()
-    a = grid(bounds, 0.5)
-    b = from_cuts(bounds, [(0.3,), (0.7,)])
-    r = intersect_decompositions(a, b)
-    # cut unions: x segments {0,.3,.5,1}, y segments {0,.5,.7,1} -> 3x3
-    assert r.n_cells == 9
-    for i in range(1, r.n_cells + 1):
-        c = r.cell(i)
-        inside_a = sum(
-            1 for j in range(1, a.n_cells + 1)
-            if a.cell(j).contains(c.center, eps=1e-12)
-        )
-        assert inside_a >= 1
-    with pytest.raises(BoundsMismatch):
-        intersect_decompositions(a, grid(Box((0.0, 0.0), (2.0, 2.0)), 0.5))
-
-
-def test_intersection_drops_slivers():
-    bounds = unit_square()
-    a = grid(bounds, 0.5)
-    r = intersect_decompositions(a, a)
-    assert r.n_cells == a.n_cells
-
-
 def test_service_labeling_disjointness():
     lab = ServiceLabeling({1: {3: frozenset({"a"})}, 2: {5: frozenset({"b"})}})
     assert lab.label(1, 3) == {"a"}
     assert lab.label(1, 4) == frozenset()
     assert lab.alphabet(2) == {"b"}
-    assert lab.agents() == (1, 2)
     with pytest.raises(BoundsMismatch):
         ServiceLabeling({1: {3: frozenset({"a"})}, 2: {5: frozenset({"a"})}})

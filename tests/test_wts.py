@@ -2,21 +2,20 @@ from fractions import Fraction
 
 import pytest
 
-from timedplan.errors import IndexOutOfRange, LengthMismatch, UnknownState
+from timedplan.errors import LengthMismatch, UnknownState
 from timedplan.graphs import build_graph
 from timedplan.wts import (
     SimulationReport,
     StepReport,
-    TableAgentWTS,
     TimedRun,
     TimedWord,
-    WTS,
     check_consistent,
     format_steps,
     product,
-    project,
     timed_word,
 )
+
+from helpers import WTS, TableAgentWTS
 
 
 def reference_wts():
@@ -164,20 +163,6 @@ def test_product_requires_matching_quanta():
     _, b2 = two_table_agents(dt=Fraction(1, 5))
     with pytest.raises(Exception):
         product([a1, b2])
-
-
-def test_project_and_zip_round_trip():
-    joint = TimedRun(
-        ((1, 1), (2, 1), (2, 2)),
-        (Fraction(1, 4), Fraction(1, 4), Fraction(1, 4)),
-        1,
-    )
-    r1 = project(joint, 1)
-    r2 = project(joint, 2)
-    assert r1.states == (1, 2, 2)
-    assert r2.states == (1, 1, 2)
-    with pytest.raises(IndexOutOfRange):
-        project(joint, 3)
 
 
 def test_check_consistent_accepts_product_run():
