@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import AlphabetMismatch, BudgetExceeded, MismatchedTimeStep
-from .rational import INF, canon_key, frac_gcd
+from .rational import INF, frac_gcd
 from .search import bfs_order, nested_dfs, on_cycle, shortest_cycle, tree_path
 from .tba import TBA, eval_guard
 from .wts import TimedRun
@@ -55,7 +55,7 @@ class BuchiWTS:
         self._anchors = None
         zeros = (0,) * len(tba.clocks)
         initial = []
-        for s in sorted(wts.initial, key=canon_key):
+        for s in sorted(wts.initial):
             for q in tba.initial:
                 if wts.label(s) != tba.labels[q]:
                     continue
@@ -117,12 +117,12 @@ class BuchiWTS:
                             f"of the system quantum {self.wts.dt}"
                         )
                     ticks = self._ticks[w] = int(ticks)
-                keyed.append((ticks, s2 != s, canon_key(s2), s2, w))
+                keyed.append((ticks, s2 != s, s2, w))
             # staying put first keeps enumerated lassos compact, which makes
             # the per-agent route's combination step far more likely to succeed
             keyed.sort(key=lambda m: m[:3])
             got = tuple(
-                (s2, ticks, w, self.wts.label(s2)) for ticks, _, _, s2, w in keyed
+                (s2, ticks, w, self.wts.label(s2)) for ticks, _, s2, w in keyed
             )
             self._moves[s] = got
         return got

@@ -20,6 +20,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -349,7 +350,14 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as e:  # argparse exits 2 on a usage error, a verdict code here
         return 1 if e.code == 2 else e.code
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()  # a closed reader surfaces here, not at exit
+        return code
+    except BrokenPipeError:
+        # the interpreter flushes stdout again on exit; send that to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

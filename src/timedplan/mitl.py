@@ -295,10 +295,10 @@ def _eval(w: TimedWord, j: int, f, memo) -> bool:
     elif isinstance(f, Next):
         gap = w.time(j + 1) - w.time(j)
         out = f.interval.contains(gap) and _eval(w, j + 1, f.sub, memo)
-    elif isinstance(f, Eventually):
-        out = _scan_exists(w, j, f.interval, f.sub, memo)
-    elif isinstance(f, Always):
-        out = not _scan_exists_neg(w, j, f.interval, f.sub, memo)
+    elif isinstance(f, Eventually):  # F[I] f == true U[I] f
+        out = _scan_until(w, j, f.interval, None, f.sub, memo)
+    elif isinstance(f, Always):  # G[I] f == !F[I] !f
+        out = not _scan_until(w, j, f.interval, None, f.sub, memo, want=False)
     elif isinstance(f, Until):
         out = _scan_until(w, j, f.interval, f.left, f.right, memo)
     else:
@@ -312,65 +312,27 @@ def _coverage_end(w: TimedWord, j0: int) -> int:
     return max(j0, w.stem_len) + w.cycle_len
 
 
-def _scan_exists(w, j, interval, sub, memo) -> bool:
+def _scan_until(w, j, interval, left, right, memo, want=True) -> bool:
+    """Whether some position in the window has ``right`` evaluate to
+    ``want`` with ``left`` holding at every position before it; a ``left``
+    of None holds everywhere.
+    """
     base = w.time(j)
     k = j
-    if interval.hi == INF:
-        while w.time(k) - base < interval.lo:
-            k += 1
-        end = _coverage_end(w, k)
-        while k < end:
-            if _eval(w, k, sub, memo):
-                return True
-            k += 1
-        return False
-    while w.time(k) - base <= interval.hi:
-        if w.time(k) - base >= interval.lo and _eval(w, k, sub, memo):
-            return True
-        k += 1
-    return False
-
-
-def _scan_exists_neg(w, j, interval, sub, memo) -> bool:
-    """Exists a position in the window where ``sub`` fails."""
-    base = w.time(j)
-    k = j
-    if interval.hi == INF:
-        while w.time(k) - base < interval.lo:
-            k += 1
-        end = _coverage_end(w, k)
-        while k < end:
-            if not _eval(w, k, sub, memo):
-                return True
-            k += 1
-        return False
-    while w.time(k) - base <= interval.hi:
-        if w.time(k) - base >= interval.lo and not _eval(w, k, sub, memo):
-            return True
-        k += 1
-    return False
-
-
-def _scan_until(w, j, interval, left, right, memo) -> bool:
-    base = w.time(j)
-    k = j
-    window_open_at = None
     end = None
     while True:
         t = w.time(k) - base
         if interval.hi != INF and t > interval.hi:
             return False
         if t >= interval.lo:
-            if window_open_at is None:
-                window_open_at = k
-                if interval.hi == INF:
-                    end = _coverage_end(w, k)
-            if _eval(w, k, right, memo):
+            if end is None and interval.hi == INF:
+                end = _coverage_end(w, k)
+            if _eval(w, k, right, memo) == want:
                 return True
         if end is not None and k >= end - 1:
             # one full cycle past the opening with the obligation intact and
             # no witness: the same residues repeat forever
             return False
-        if not _eval(w, k, left, memo):
+        if left is not None and not _eval(w, k, left, memo):
             return False
         k += 1

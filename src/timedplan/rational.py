@@ -1,4 +1,4 @@
-"""Exact rational time values and deterministic ordering helpers.
+"""Exact rational time values and their renderings.
 
 All time quantities that enter interval membership tests (word stamps,
 operator bounds, guard constants, the step quantum) are kept as
@@ -69,15 +69,3 @@ def decimal_str(q: Fraction) -> str:
         return sign + digits
     return f"{sign}{digits[:-shift]}.{digits[-shift:]}"
 
-
-def canon_key(x):
-    """Total order over the heterogeneous hashables used as search states."""
-    if isinstance(x, (int, Fraction, float)):
-        return (0, x)  # ints, Fractions and floats compare exactly
-    if isinstance(x, str):
-        return (1, x)
-    if isinstance(x, tuple):
-        return (2, tuple(canon_key(v) for v in x))
-    if isinstance(x, frozenset):
-        return (3, tuple(sorted(x)))
-    return (9, repr(x))

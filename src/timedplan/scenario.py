@@ -24,7 +24,7 @@ from .errors import PlanMismatch, ScenarioError, TimedplanError
 from .graphs import build_graph, theorem1_constants
 from .mitl import parse
 from .rational import as_fraction, frac_str
-from .synthesis import Plan
+from .synthesis import Plan, split_joint
 from .workspace import Box, ServiceLabeling, grid, grid_shape
 from .wts import TimedRun
 
@@ -372,9 +372,5 @@ def plan_loads(text: str, fingerprint: str | None = None) -> Plan:
             f"(expected {fingerprint[:12]}..., got {sha[:12]}...)"
         )
     joint = TimedRun(joint_states, (dt,) * len(joint_states), stem)
-    n = len(joint_states[0])
-    runs = tuple(
-        TimedRun(tuple(s[i] for s in joint_states), joint.durations, stem)
-        for i in range(n)
-    )
+    runs = split_joint(joint, len(joint_states[0]))
     return Plan(runs=runs, joint=joint, dt=dt, route=route, combos_checked=combos)

@@ -12,14 +12,12 @@ explored graph at once.
 
 Callers must supply ``succ`` functions with a stable, deterministic
 iteration order (memoized tuples in practice); only the initial nodes are
-sorted here.
+sorted here, in their natural order, so they must be mutually comparable.
 """
 
 from __future__ import annotations
 
 import math
-
-from .rational import canon_key
 
 
 def nested_dfs(initials, succ, accepting):
@@ -30,7 +28,7 @@ def nested_dfs(initials, succ, accepting):
     """
     blue: set = set()
     red: set = set()
-    for root in sorted(initials, key=canon_key):
+    for root in sorted(initials):
         if root in blue:
             continue
         found = _blue_dfs(root, succ, accepting, blue, red)
@@ -101,7 +99,7 @@ def bfs_order(initials, succ):
     """Deterministic breadth-first discovery: (order list, parent map)."""
     order = []
     parent = {}
-    frontier = sorted(initials, key=canon_key)
+    frontier = sorted(initials)
     seen = set(frontier)
     for node in frontier:
         parent[node] = None

@@ -29,7 +29,6 @@ from .errors import (
     UnsupportedFragment,
 )
 from .mitl import props, sat
-from .rational import canon_key
 from .search import bfs_order, on_cycle, shortest_cycle, tree_path
 from .tba import intersect, mitl_to_tba
 from .wts import ProductWTS, TimedRun, check_consistent, product, timed_word
@@ -167,14 +166,15 @@ def synthesize(g, wts_list, formulas, r_selec: int = 100, max_states=None):
     if run is None:
         return Infeasible("no joint run satisfies every task together")
     joint = project_run(run)
-    runs = _split_joint(joint, g.n_agents)
+    runs = split_joint(joint, g.n_agents)
     return Plan(
         runs=runs, joint=joint, dt=comps[0].dt, route="joint-product",
         combos_checked=combos,
     )
 
 
-def _split_joint(joint: TimedRun, n_agents: int) -> tuple[TimedRun, ...]:
+def split_joint(joint: TimedRun, n_agents: int) -> tuple[TimedRun, ...]:
+    """Each agent's run: its coordinate of every joint state."""
     return tuple(
         TimedRun(
             tuple(s[i] for s in joint.states), joint.durations, joint.stem_len
@@ -203,7 +203,7 @@ def _generate_and_check(g, comps, formulas, r_selec, max_states):
                     )
         return out
 
-    initial = sorted(p.initial, key=canon_key)
+    initial = sorted(p.initial)
     seen.update(initial)
     order, parent = bfs_order(initial, succ)
     cyclic = on_cycle(order, succ)
@@ -218,7 +218,7 @@ def _generate_and_check(g, comps, formulas, r_selec, max_states):
         path = tree_path(parent, node)
         states = tuple(path[:-1]) + tuple(cyc)
         joint = TimedRun(states, (p.dt,) * len(states), len(path) - 1)
-        runs = _split_joint(joint, g.n_agents)
+        runs = split_joint(joint, g.n_agents)
         if all(
             sat(timed_word(r, c.label), 0, f)
             for r, c, f in zip(runs, comps, formulas)

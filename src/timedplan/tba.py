@@ -281,6 +281,9 @@ def accepts(a: TBA, word: TimedWord, witness: bool = False):
 
 
 def _prop_eval(f, letter: frozenset[str]) -> bool:
+    """Truth of a propositional combination on a letter; None is true."""
+    if f is None:
+        return True
     if isinstance(f, Prop):
         return f.name in letter
     if isinstance(f, Not):
@@ -291,7 +294,7 @@ def _prop_eval(f, letter: frozenset[str]) -> bool:
 
 
 def _is_prop_combo(f) -> bool:
-    if isinstance(f, Prop):
+    if f is None or isinstance(f, Prop):
         return True
     if isinstance(f, Not):
         return _is_prop_combo(f.sub)
@@ -332,9 +335,7 @@ def mitl_to_tba(f, alphabet=None) -> TBA:
     c = "c"
 
     def locs(phase, pred=None):
-        return [
-            _loc(phase, l) for l in letters if pred is None or _prop_eval(pred, l)
-        ]
+        return [_loc(phase, l) for l in letters if _prop_eval(pred, l)]
 
     labels = {}
     for phase in ("wait", "done", "hold", "init", "next", "tail"):
@@ -342,21 +343,7 @@ def mitl_to_tba(f, alphabet=None) -> TBA:
             labels[_loc(phase, l)] = l
 
     if isinstance(f, Eventually) and _is_prop_combo(f.sub):
-        interval = f.interval
-        locations = locs("wait") + locs("done")
-        initial = locs("wait")
-        if interval.lo == 0:
-            initial += locs("done", f.sub)
-        edges = []
-        for l in letters:
-            for l2 in letters:
-                edges.append(Edge(_loc("wait", l), TOP, frozenset(), _loc("wait", l2)))
-                edges.append(Edge(_loc("done", l), TOP, frozenset(), _loc("done", l2)))
-                if _prop_eval(f.sub, l2):
-                    edges.append(
-                        Edge(_loc("wait", l), window(c, interval), frozenset(), _loc("done", l2))
-                    )
-        return TBA(locations, initial, (c,), edges, locs("done"), labels, ap)
+        f = Until(f.interval, None, f.sub)  # F[a,b] l is true U[a,b] l
 
     if isinstance(f, Always) and _is_prop_combo(f.sub):
         interval = f.interval

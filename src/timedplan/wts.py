@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import LengthMismatch, MismatchedTimeStep, UnknownState
 from .rational import as_fraction, frac_str
+from .workspace import EPS_GEO
 
 
 def _prefix_times(durations):
@@ -23,54 +24,6 @@ def _prefix_times(durations):
     for d in durations[:-1]:
         out.append(out[-1] + d)
     return tuple(out)
-
-
-class _Lasso:
-    """Shared unrolling arithmetic for runs and words."""
-
-    def __init__(self, items, durations, stem_len):
-        items = tuple(items)
-        durations = tuple(as_fraction(d) for d in durations)
-        stem_len = int(stem_len)
-        if len(items) != len(durations):
-            raise LengthMismatch(
-                f"{len(items)} positions but {len(durations)} durations"
-            )
-        if not items:
-            raise LengthMismatch("a lasso needs at least one position")
-        if not 0 <= stem_len < len(items):
-            raise LengthMismatch(
-                f"stem length {stem_len} incompatible with {len(items)} positions"
-            )
-        for d in durations:
-            if d <= 0:
-                raise ValueError(f"durations must be positive, got {d}")
-        self.items = items
-        self.durations = durations
-        self.stem_len = stem_len
-        self._times = _prefix_times(durations)
-        self.cycle_len = len(items) - stem_len
-        self.cycle_duration = sum(durations[stem_len:], Fraction(0))
-
-    def __len__(self):
-        return len(self.items)
-
-    def canon(self, j: int) -> int:
-        if j < len(self.items):
-            return j
-        return self.stem_len + (j - self.stem_len) % self.cycle_len
-
-    def at(self, j: int):
-        return self.items[self.canon(j)]
-
-    def time(self, j: int) -> Fraction:
-        if j < len(self.items):
-            return self._times[j]
-        laps, off = divmod(j - self.stem_len, self.cycle_len)
-        return self._times[self.stem_len + off] + laps * self.cycle_duration
-
-    def gap(self, j: int) -> Fraction:
-        return self.durations[self.canon(j)]
 
 
 @dataclass(frozen=True)
@@ -82,68 +35,66 @@ class TimedRun:
     stem_len: int = 0
 
     def __post_init__(self):
-        core = _Lasso(self.states, self.durations, self.stem_len)
-        object.__setattr__(self, "states", core.items)
-        object.__setattr__(self, "durations", core.durations)
-        object.__setattr__(self, "_core", core)
-
-    def state(self, j: int):
-        return self._core.at(j)
-
-    def time(self, j: int) -> Fraction:
-        return self._core.time(j)
-
-    def canon(self, j: int) -> int:
-        return self._core.canon(j)
-
-    @property
-    def cycle_len(self) -> int:
-        return self._core.cycle_len
+        states = tuple(self.states)
+        durations = tuple(as_fraction(d) for d in self.durations)
+        stem_len = int(self.stem_len)
+        if len(states) != len(durations):
+            raise LengthMismatch(
+                f"{len(states)} positions but {len(durations)} durations"
+            )
+        if not states:
+            raise LengthMismatch("a lasso needs at least one position")
+        if not 0 <= stem_len < len(states):
+            raise LengthMismatch(
+                f"stem length {stem_len} incompatible with {len(states)} positions"
+            )
+        for d in durations:
+            if d <= 0:
+                raise ValueError(f"durations must be positive, got {d}")
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "durations", durations)
+        object.__setattr__(self, "stem_len", stem_len)
+        object.__setattr__(self, "cycle_len", len(states) - stem_len)
+        object.__setattr__(self, "_times", _prefix_times(durations))
+        object.__setattr__(self, "_cycle_duration", sum(durations[stem_len:], Fraction(0)))
 
     def __len__(self):
         return len(self.states)
 
+    def canon(self, j: int) -> int:
+        """Index in ``states`` of unrolled position j."""
+        if j < len(self.states):
+            return j
+        return self.stem_len + (j - self.stem_len) % self.cycle_len
 
-@dataclass(frozen=True)
-class TimedWord:
-    """Lasso word: label sets with strictly increasing rational stamps."""
-
-    labels: tuple[frozenset[str], ...]
-    durations: tuple[Fraction, ...]
-    stem_len: int = 0
-
-    def __post_init__(self):
-        core = _Lasso(
-            tuple(frozenset(l) for l in self.labels), self.durations, self.stem_len
-        )
-        object.__setattr__(self, "labels", core.items)
-        object.__setattr__(self, "durations", core.durations)
-        object.__setattr__(self, "_core", core)
-
-    def label(self, j: int) -> frozenset[str]:
-        return self._core.at(j)
+    def state(self, j: int):
+        return self.states[self.canon(j)]
 
     def time(self, j: int) -> Fraction:
-        return self._core.time(j)
+        if j < len(self.states):
+            return self._times[j]
+        laps, off = divmod(j - self.stem_len, self.cycle_len)
+        return self._times[self.stem_len + off] + laps * self._cycle_duration
 
     def gap(self, j: int) -> Fraction:
-        return self._core.gap(j)
+        """Sojourn at unrolled position j."""
+        return self.durations[self.canon(j)]
 
-    def canon(self, j: int) -> int:
-        return self._core.canon(j)
+
+class TimedWord(TimedRun):
+    """Lasso word: a run whose positions are label sets."""
+
+    def __init__(self, labels, durations, stem_len=0):
+        super().__init__(tuple(frozenset(l) for l in labels), durations, stem_len)
 
     @property
-    def cycle_len(self) -> int:
-        return self._core.cycle_len
+    def labels(self) -> tuple[frozenset[str], ...]:
+        return self.states
 
-    def __len__(self):
-        return len(self.labels)
+    label = TimedRun.state
 
     def alphabet(self) -> frozenset[str]:
-        out = set()
-        for l in self.labels:
-            out |= l
-        return frozenset(out)
+        return frozenset().union(*self.states)
 
 
 def format_steps(items, durations, stem_len) -> str:
@@ -235,7 +186,12 @@ class ProductWTS:
         return got
 
     def has_transition(self, src: tuple, dst: tuple) -> bool:
-        return tuple(dst) in self.successors(src)
+        """Whether each agent's step to ``dst`` is enabled under the action
+        ``src`` induces for it."""
+        return len(dst) == self.n_agents and all(
+            dst[idx] in comp.post(self.pr(idx, src))
+            for idx, comp in enumerate(self.components)
+        )
 
     def succ_weighted(self, joint):
         for nxt in self.successors(joint):
@@ -279,14 +235,12 @@ def check_consistent(runs, g, wts_list) -> bool:
             raise LengthMismatch(
                 f"system {idx + 1} neighbor list disagrees with the graph"
             )
-    m = len(first)
-    for j in range(m):
-        joint = tuple(r.state(j) for r in runs)
-        nxt = tuple(r.state(j + 1) for r in runs)
-        for idx, comp in enumerate(comps):
-            action = (joint[idx],) + tuple(joint[k - 1] for k in comp.neighbors)
-            if nxt[idx] not in comp.post(action):
-                return False
+    p = ProductWTS(comps)
+    for j in range(len(first)):
+        src = tuple(r.state(j) for r in runs)
+        dst = tuple(r.state(j + 1) for r in runs)
+        if not p.has_transition(src, dst):
+            return False
     return True
 
 
@@ -320,24 +274,21 @@ def simulation_check(
     controller,
     n_samples: int = 25,
     seed: int = 0,
-    dt_sim=None,
-    eps: float = 1e-9,
 ) -> SimulationReport:
     """Sampled landing certificate for realized joint steps.
 
     For each (source, target) product transition, draw ``n_samples`` joint
     starts uniformly from the source cells, integrate the realized law for
-    one quantum, and count agents that miss their target cell (membership
-    inflated by ``eps``).  ``controller(source, target)`` returns the joint
-    feedback law for that step.
+    one quantum in RK4 steps of a twentieth of it, and count agents that miss
+    their target cell (membership inflated by ``EPS_GEO``).
+    ``controller(source, target)`` returns the joint feedback law for that
+    step.
     """
     from .dynamics import integrate_closed  # local to avoid import cycles at load
 
     rng = np.random.default_rng(seed)
     dec = disc.dec
-    if dt_sim is None:
-        dt_sim = disc.dt / 20
-    dt_sim = as_fraction(dt_sim)
+    dt_sim = disc.dt / 20
     reports = []
     for j, (src, dst) in enumerate(steps):
         src, dst = tuple(src), tuple(dst)
@@ -354,7 +305,7 @@ def simulation_check(
                 box = dec.cell(c)
                 dist = box.distance(landed[idx])
                 worst = max(worst, dist)
-                if not box.contains(landed[idx], eps=eps):
+                if not box.contains(landed[idx], eps=EPS_GEO):
                     misses += 1
         reports.append(StepReport(j, n_samples, misses, worst))
     return SimulationReport(tuple(reports))

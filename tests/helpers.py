@@ -23,7 +23,7 @@ from timedplan.mitl import (
     Prop,
     Until,
 )
-from timedplan.rational import INF, as_fraction, canon_key, frac_gcd
+from timedplan.rational import INF, as_fraction, frac_gcd
 from timedplan.tba import TBA, Atom, Edge, GAnd, GNot, TOP, eval_guard, gand
 from timedplan.workspace import EPS_GEO
 from timedplan.wts import TimedWord
@@ -472,7 +472,7 @@ class RationalProduct:
         zeros = tuple(Fraction(0) for _ in tba.clocks)
         self.initial = tuple(
             (s, q, zeros)
-            for s in sorted(wts.initial, key=canon_key)
+            for s in sorted(wts.initial)
             for q in tba.initial
             if wts.label(s) == tba.labels[q]
             and eval_guard(tba.valuation(zeros), tba.invariants[q])
@@ -493,7 +493,7 @@ class RationalProduct:
         out = []
         moves = sorted(
             self.wts.succ_weighted(s),
-            key=lambda tw: (tw[1], tw[0] != s, canon_key(tw[0])),
+            key=lambda tw: (tw[1], tw[0] != s, tw[0]),
         )
         for s2, w in moves:
             moved = tuple(self._advance(v, w) for v in nu)

@@ -202,15 +202,38 @@ def test_stats_prints_layers(tmp_path, capsys):
     assert (out / "stats.txt").exists()
 
 
-def test_console_script_version():
-    # the child finds the package where this process found it, installed or not
+def _child_env():
+    """The child finds the package where this process found it, installed
+    or not."""
     src = str(Path(timedplan.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    # the reader is gone before the first line is written, so the child's
+    # output meets a broken pipe however the writes are timed
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        got = subprocess.run(
+            [sys.executable, "-m", "timedplan.cli", "stats", SCENARIO, "--steps", "4"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=_child_env(),
+        )
+    finally:
+        os.close(write_end)
+    assert (got.returncode, got.stderr) == (1, "")
+
+
+def test_console_script_version():
     got = subprocess.run(
         [sys.executable, "-m", "timedplan.cli", "--version"],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=_child_env(),
     )
     assert got.returncode == 0
     assert "timedplan" in got.stdout

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from timedplan.rational import INF, as_fraction, canon_key, decimal_str, frac_str
+from timedplan.rational import as_fraction, decimal_str, frac_str
 
 
 def test_as_fraction_reads_decimal_literals_exactly():
@@ -29,11 +29,3 @@ def test_decimal_str():
     assert decimal_str(Fraction(-3, 8)) == "-0.375"
     assert decimal_str(Fraction(1, 3)) == "1/3"  # non-terminating
 
-
-def test_canon_key_orders_mixed_tuples():
-    vals = [Fraction(1, 2), Fraction(2), INF, Fraction(0)]
-    assert sorted(vals, key=canon_key) == [Fraction(0), Fraction(1, 2), Fraction(2), INF]
-    nodes = [("s2", "q0"), ("s1", "q1"), ("s1", "q0")]
-    assert sorted(nodes, key=canon_key)[0] == ("s1", "q0")
-    # frozensets order by their sorted contents
-    assert canon_key(frozenset({"b", "a"})) == (3, ("a", "b"))

@@ -169,6 +169,38 @@ def test_compile_eventually_matches_sat():
     assert accepts(a, hit_word(Fraction(2)))
 
 
+def _shape(a):
+    """Locations, initial set, accepting set, and every location's
+    out-edges as (target, guard) in order."""
+    return (
+        a.locations,
+        a.initial,
+        a.accepting,
+        {q: [(e.dst, e.guard) for e in a.out_edges(q)] for q in a.locations},
+    )
+
+
+@pytest.mark.parametrize(
+    "text, p, lo, hi, done_initial",
+    [("F[1/20, 1/4] p1", "p1", Fraction(1, 20), Fraction(1, 4), ()),
+     ("F[0, 1/10] a", "a", Fraction(0), Fraction(1, 10), ("done:{a}",))],
+)
+def test_compile_eventually_golden(text, p, lo, hi, done_initial):
+    # out-edge order fixes the acceptance product's successor order, and
+    # with it which lassos the planner finds first
+    a = mitl_to_tba(parse(text), alphabet={p})
+    wait_, wait_p, done_, done_p = "wait:{}", f"wait:{{{p}}}", "done:{}", f"done:{{{p}}}"
+    inside = gand(Atom("c", ">=", lo), Atom("c", "<=", hi))
+    waiting = [(wait_, TOP), (wait_p, TOP), (done_p, inside)]
+    done = [(done_, TOP), (done_p, TOP)]
+    assert _shape(a) == (
+        (wait_, wait_p, done_, done_p),
+        (wait_, wait_p) + done_initial,
+        frozenset({done_, done_p}),
+        {wait_: waiting, wait_p: waiting, done_: done, done_p: done},
+    )
+
+
 def test_compile_always_hand_case():
     f = parse("G[0,5] g")
     a = mitl_to_tba(f)
