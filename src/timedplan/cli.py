@@ -30,6 +30,7 @@ import numpy as np
 from . import __version__
 from .dynamics import integrate_closed, lyapunov
 from .errors import BudgetExceeded, TimedplanError
+from .mitl import sat
 from .rational import decimal_str, frac_str
 from .scenario import (
     Built,
@@ -47,7 +48,7 @@ from .synthesis import (
     synthesize,
 )
 from .workspace import locate
-from .wts import format_steps, product, simulation_check
+from .wts import check_consistent, format_steps, product, simulation_check, timed_word
 
 
 def _load_built(args) -> Built:
@@ -107,6 +108,20 @@ def _plan_text(b: Built, plan: Plan) -> str:
     return "\n".join(lines)
 
 
+def _self_check(b: Built, plan: Plan) -> tuple[list[bool], bool]:
+    """Re-verify a plan by paths independent of the search that found it:
+    the semantics evaluator on each agent's word, then joint consistency."""
+    tasks_sat = [
+        sat(timed_word(run, comp.label), 0, f)
+        for run, comp, f in zip(plan.runs, b.wts_list, b.formulas)
+    ]
+    try:
+        consistent = check_consistent(plan.runs, b.graph, b.wts_list)
+    except TimedplanError:
+        consistent = False
+    return tasks_sat, consistent
+
+
 def _certificate(b: Built, plan: Plan):
     p = product(b.wts_list)
     controller = make_controller(b.disc, b.graph)
@@ -142,6 +157,16 @@ def cmd_synthesize(args) -> int:
         print(f"infeasible: {result.reason}")
         return 2
     plan = result
+    tasks_sat, consistent = _self_check(b, plan)
+    failed = [i for i, ok in enumerate(tasks_sat, start=1) if not ok]
+    if failed or not consistent:
+        what = (
+            f"agent {failed[0]}'s run does not satisfy its task (mitl.sat)"
+            if failed
+            else "the agents' runs do not zip into one joint run (check_consistent)"
+        )
+        print(f"internal error: plan failed its self-check: {what}; nothing written")
+        return 1
     report = _certificate(b, plan)
     manifest = {
         "tool": "timedplan",
@@ -158,6 +183,8 @@ def cmd_synthesize(args) -> int:
         "elapsed_s": round(elapsed, 3),
     }
     cert = {
+        "consistent": consistent,
+        "tasks_sat": tasks_sat,
         "ok": report.ok,
         "total_misses": report.total_misses,
         "steps": [
@@ -214,10 +241,8 @@ def cmd_simulate(args) -> int:
     cell_rows = []
     misses = 0
     for j in range(quanta):
-        src = plan.joint.state(j)
         dst = plan.joint.state(j + 1)
-        law = controller(src, dst)
-        traj = integrate_closed(g, x, law, dt_sim, disc.dt, s.v_max)
+        traj = integrate_closed(g, x, controller(dst), dt_sim, disc.dt, s.v_max)
         offset = j * disc.dt
         first = 1 if j > 0 else 0
         for k in range(first, len(traj.times)):

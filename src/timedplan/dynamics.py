@@ -4,6 +4,10 @@ Each agent obeys  xdot_i = -sum_{j in N(i)} (x_i - x_j) + v_i  with
 ||v_i|| <= v_max.  Integration is classical fixed-step RK4 with inputs
 sampled and held at the step resolution, so the step quantum stays an
 exact rational and trajectory stamps never drift.
+
+Positions are ``(N, n)`` arrays, one row per agent.  ``coupling`` and
+``integrate_closed`` also take a batch ``(..., N, n)`` of independent
+agent sets and treat each one exactly as they would alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -36,29 +40,33 @@ class ConditionConstants:
     l_combined: float
 
 
-def _positions(g: CommGraph, x) -> np.ndarray:
+def _positions(g: CommGraph, x, batched: bool = True) -> np.ndarray:
+    """``x`` as a float array of agent rows, ``(..., N, n)`` when batched."""
     pts = np.asarray(x, dtype=float)
-    if pts.ndim != 2 or pts.shape[0] != g.n_agents:
+    ok = pts.ndim >= 2 if batched else pts.ndim == 2
+    if not ok or pts.shape[-2] != g.n_agents:
+        lead = "..., " if batched else ""
         raise DimensionMismatch(
-            f"expected an ({g.n_agents}, n) position array, got shape {pts.shape}"
+            f"expected an ({lead}{g.n_agents}, n) position array, got shape {pts.shape}"
         )
     return pts
 
 
 def coupling(g: CommGraph, x, i: int) -> np.ndarray:
-    """Drift term of agent i: -sum over neighbors of (x_i - x_j)."""
+    """Drift term of agent i: -sum over neighbors of (x_i - x_j), one per
+    agent set of the batch, summed in neighbor order."""
     pts = _positions(g, x)
     if not 1 <= i <= g.n_agents:
         raise IndexOutOfRange(f"agent {i} not in 1..{g.n_agents}")
-    out = np.zeros(pts.shape[1])
+    out = np.zeros(pts.shape[:-2] + pts.shape[-1:])
     for j in g.neighbors(i):
-        out += pts[j - 1] - pts[i - 1]
+        out += pts[..., j - 1, :] - pts[..., i - 1, :]
     return out
 
 
 def relative_norm(g: CommGraph, x) -> float:
     """Norm of the stacked edge differences (x_i - x_j over the edge order)."""
-    pts = _positions(g, x)
+    pts = _positions(g, x, batched=False)
     acc = 0.0
     for a, b in g.edges:
         diff = pts[a - 1] - pts[b - 1]
@@ -87,18 +95,18 @@ def condition_constants(g: CommGraph, bounds: BoundParams) -> ConditionConstants
 @dataclass(frozen=True)
 class Trajectory:
     times: tuple[Fraction, ...]
-    states: np.ndarray  # (T+1, N, n)
+    states: np.ndarray  # (T+1, ..., N, n)
 
     def final(self) -> np.ndarray:
         return self.states[-1]
 
 
 def _check_inputs(v: np.ndarray, v_max: float, t: float):
-    norms = np.linalg.norm(v, axis=1)
-    worst = int(np.argmax(norms))
+    norms = np.linalg.norm(v, axis=-1)
+    worst = np.unravel_index(np.argmax(norms), norms.shape)
     if norms[worst] > v_max + _BOUND_SLACK:
         raise InputBoundViolated(
-            f"agent {worst + 1} input norm {norms[worst]:.6g} exceeds {v_max} at t={t:.6g}"
+            f"agent {worst[-1] + 1} input norm {norms[worst]:.6g} exceeds {v_max} at t={t:.6g}"
         )
 
 
@@ -121,10 +129,12 @@ def _step_count(horizon: Fraction, dt_sim: Fraction) -> int:
 
 
 def integrate_closed(g, x0, control, dt_sim, horizon, v_max) -> Trajectory:
-    """Fixed-step RK4 under a joint feedback law ``control(t, x) -> (N, n)``.
+    """Fixed-step RK4 under a joint feedback law ``control(t, x)``.
 
-    The law is sampled and held per step, matching how a digital controller
-    would run against the continuous plant.
+    ``x0`` is one agent set ``(N, n)`` or a batch ``(..., N, n)``; the law
+    returns inputs of the same shape, and the trajectory's states are
+    ``(T+1,) + x0.shape``.  The law is sampled and held per step, matching
+    how a digital controller would run against the continuous plant.
     """
     pts = _positions(g, x0).copy()
     dt_sim = as_fraction(dt_sim)

@@ -371,6 +371,12 @@ def plan_loads(text: str, fingerprint: str | None = None) -> Plan:
             "plan was synthesized for a different scenario file "
             f"(expected {fingerprint[:12]}..., got {sha[:12]}...)"
         )
+    widths = sorted({len(s) for s in joint_states})
+    if len(widths) != 1 or widths[0] == 0:
+        raise PlanMismatch(
+            "plan key 'joint' must list at least one state, each with one cell "
+            f"per agent; got state lengths {widths}"
+        )
     joint = TimedRun(joint_states, (dt,) * len(joint_states), stem)
-    runs = split_joint(joint, len(joint_states[0]))
+    runs = split_joint(joint, widths[0])
     return Plan(runs=runs, joint=joint, dt=dt, route=route, combos_checked=combos)

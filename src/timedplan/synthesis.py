@@ -238,35 +238,43 @@ def _generate_and_check(g, comps, formulas, r_selec, max_states):
 
 
 def saturate(v: np.ndarray, v_max: float) -> np.ndarray:
-    nrm = float(np.linalg.norm(v))
-    if nrm > v_max and nrm > 0:
-        return v * (v_max / nrm)
-    return v
+    """Scale each vector of ``v`` (last axis) down to norm ``v_max``.
+
+    The norm is ``sqrt(v . v)`` by ``matmul``, which rounds as
+    ``np.linalg.norm`` does on a single vector.
+    """
+    nrm = np.sqrt(v[..., None, :] @ v[..., :, None])[..., 0]
+    over = (nrm > v_max) & (nrm > 0)
+    return v * np.divide(v_max, nrm, out=np.ones_like(nrm), where=over)
 
 
 def make_controller(disc, g):
-    """Feedback law factory for executing one joint step.
+    """Feedback law factory for executing joint steps.
 
-    ``controller(src, dst)`` returns ``law(t, x)``: steer straight at the
-    target cell center at the speed that lands on time, cancel the coupling
-    drift, and saturate at the speed cap.  Works under sample-and-hold, so
-    the remaining time in the denominator never reaches zero.
+    ``controller(dst)`` returns ``law(t, x)``: steer straight at the target
+    cell centers at the speed that lands on time, cancel the coupling drift,
+    and saturate at the speed cap.  ``dst`` is one joint target state for
+    positions ``x`` of shape ``(N, n)``, or a sequence of J of them for a
+    batch ``x`` of shape ``(J, N, n)``.  Works under sample-and-hold, so the
+    remaining time in the denominator never reaches zero.
     """
     dt = disc.dt
     v_max = disc.v_max
     centers = disc.dec
 
-    def controller(src, dst):
-        targets = np.array([centers.center(c) for c in dst], dtype=float)
+    def controller(dst):
+        cells = np.asarray(dst, dtype=int)
+        targets = np.array([centers.center(c) for c in cells.ravel()], dtype=float)
+        targets = targets.reshape(cells.shape + (-1,))
 
         def law(t, x):
             remain = float(dt - t)
             if remain <= 0.0:
                 remain = float(dt) * 1e-6
             v = np.empty_like(x)
-            for i in range(x.shape[0]):
-                drive = (targets[i] - x[i]) / remain
-                v[i] = saturate(drive - coupling(g, x, i + 1), v_max)
+            for i in range(x.shape[-2]):
+                drive = (targets[..., i, :] - x[..., i, :]) / remain
+                v[..., i, :] = saturate(drive - coupling(g, x, i + 1), v_max)
             return v
 
         return law

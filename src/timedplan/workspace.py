@@ -13,6 +13,8 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import BoundsMismatch, CellSizeTooLarge, OutOfBounds
 
 EPS_GEO = 1e-9
@@ -56,8 +58,25 @@ class Box:
                 acc += (x - b) ** 2
         return math.sqrt(acc)
 
-    def sample(self, rng):
-        return tuple(a + rng.random() * (b - a) for a, b in zip(self.lo, self.hi))
+
+def boxes_contain(lo, hi, p, eps: float = 0.0) -> np.ndarray:
+    """``Box.contains`` over arrays whose last axis holds coordinates: one
+    verdict per point, against its own box's corners ``lo`` and ``hi``."""
+    return np.all((lo - eps <= p) & (p <= hi + eps), axis=-1)
+
+
+def boxes_distance(lo, hi, p) -> np.ndarray:
+    """``Box.distance`` over arrays whose last axis holds coordinates, with
+    the same per-axis squared gaps summed in axis order.
+
+    ``float_power`` squares through libm's ``pow`` as Python's ``** 2``
+    does; numpy's ``** 2`` multiplies, which rounds differently.
+    """
+    gap = np.where(p < lo, lo - p, np.where(p > hi, p - hi, 0.0))
+    acc = np.zeros(gap.shape[:-1])
+    for k in range(gap.shape[-1]):
+        acc += np.float_power(gap[..., k], 2)
+    return np.sqrt(acc)
 
 
 @dataclass(frozen=True)

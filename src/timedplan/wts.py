@@ -14,9 +14,10 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import dynamics  # integrate_closed is read off the module at each call
 from .errors import LengthMismatch, MismatchedTimeStep, UnknownState
 from .rational import as_fraction, frac_str
-from .workspace import EPS_GEO
+from .workspace import EPS_GEO, boxes_contain, boxes_distance
 
 
 def _prefix_times(durations):
@@ -244,6 +245,9 @@ def check_consistent(runs, g, wts_list) -> bool:
     return True
 
 
+_BATCH_STEPS = 512  # plan steps per integrate_closed call of the certificate
+
+
 @dataclass(frozen=True)
 class StepReport:
     step: int
@@ -281,31 +285,50 @@ def simulation_check(
     starts uniformly from the source cells, integrate the realized law for
     one quantum in RK4 steps of a twentieth of it, and count agents that miss
     their target cell (membership inflated by ``EPS_GEO``).
-    ``controller(source, target)`` returns the joint feedback law for that
-    step.
-    """
-    from .dynamics import integrate_closed  # local to avoid import cycles at load
+    ``controller(targets)`` returns the joint feedback law for a batch of
+    steps, one target state per step.
 
-    rng = np.random.default_rng(seed)
-    dec = disc.dec
-    dt_sim = disc.dt / 20
-    reports = []
+    Steps are taken ``_BATCH_STEPS`` at a time, which bounds the memory
+    held at once whatever the plan's length.  A batch's starts are drawn
+    together, one step's samples after another, which is the order a
+    sample at a time draws them; then each sample index is integrated in one
+    call over the whole batch.
+    """
+    steps = [(tuple(src), tuple(dst)) for src, dst in steps]
     for j, (src, dst) in enumerate(steps):
-        src, dst = tuple(src), tuple(dst)
         if not p.has_transition(src, dst):
             raise UnknownState(f"step {j}: {src} -> {dst} is not a product transition")
-        misses = 0
-        worst = 0.0
-        for _ in range(n_samples):
-            x0 = np.array([dec.cell(c).sample(rng) for c in src])
-            law = controller(src, dst)
-            traj = integrate_closed(g, x0, law, dt_sim, disc.dt, disc.v_max)
-            landed = traj.final()
-            for idx, c in enumerate(dst):
-                box = dec.cell(c)
-                dist = box.distance(landed[idx])
-                worst = max(worst, dist)
-                if not box.contains(landed[idx], eps=EPS_GEO):
-                    misses += 1
-        reports.append(StepReport(j, n_samples, misses, worst))
+    rng = np.random.default_rng(seed)
+    reports = []
+    for first in range(0, len(steps), _BATCH_STEPS):
+        batch = steps[first:first + _BATCH_STEPS]
+        src_lo, src_hi = _corners(disc.dec, [src for src, _ in batch])
+        dst_lo, dst_hi = _corners(disc.dec, [dst for _, dst in batch])
+        u = rng.random((len(batch), n_samples) + src_lo.shape[1:])
+        starts = src_lo[:, None] + u * (src_hi - src_lo)[:, None]
+        law = controller([dst for _, dst in batch])
+        misses = np.zeros(len(batch), dtype=int)
+        worst = np.zeros(len(batch))
+        for k in range(n_samples):
+            landed = dynamics.integrate_closed(
+                g, starts[:, k], law, disc.dt / 20, disc.dt, disc.v_max
+            ).final()
+            misses += np.count_nonzero(
+                ~boxes_contain(dst_lo, dst_hi, landed, eps=EPS_GEO), axis=-1
+            )
+            dist = boxes_distance(dst_lo, dst_hi, landed)
+            # fmax skips NaN as max(worst, nan) does
+            worst = np.fmax(worst, np.fmax.reduce(dist, axis=-1))
+        reports.extend(
+            StepReport(first + j, n_samples, int(m), float(w))
+            for j, (m, w) in enumerate(zip(misses, worst))
+        )
     return SimulationReport(tuple(reports))
+
+
+def _corners(dec, states):
+    """Lower and upper corners of every agent's cell, ``(J, N, n)`` each."""
+    boxes = [[dec.cell(c) for c in state] for state in states]
+    lo = np.array([[b.lo for b in row] for row in boxes], dtype=float)
+    hi = np.array([[b.hi for b in row] for row in boxes], dtype=float)
+    return lo, hi

@@ -11,6 +11,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
+
+from timedplan.dynamics import integrate_closed
 from timedplan.errors import BallOutsideWorkspace, UnknownState
 from timedplan.graphs import CommGraph, build_graph
 from timedplan.mitl import (
@@ -26,7 +29,7 @@ from timedplan.mitl import (
 from timedplan.rational import INF, as_fraction, frac_gcd
 from timedplan.tba import TBA, Atom, Edge, GAnd, GNot, TOP, eval_guard, gand
 from timedplan.workspace import EPS_GEO
-from timedplan.wts import TimedWord
+from timedplan.wts import SimulationReport, StepReport, TimedWord
 
 
 def rand_fraction(rng, max_den=4, max_num=8):
@@ -543,3 +546,67 @@ def scan_successors(disc, action):
     return frozenset(
         i + 1 for i, cell in enumerate(dec.cells) if cell.distance(x_hat) <= reach
     )
+
+
+# -- the landing certificate one sample at a time --------------------------------
+
+
+def reference_controller(disc, g):
+    """The certificate's feedback law on one agent set, agent by agent:
+    each agent's neighbor differences summed in neighbor order, and its
+    input saturated by ``np.linalg.norm`` of the single vector.
+    ``controller(dst)`` returns ``law(t, x)`` for ``x`` of shape ``(N, n)``.
+    """
+
+    def controller(dst):
+        targets = [np.array(disc.dec.center(c), dtype=float) for c in dst]
+
+        def law(t, x):
+            remain = float(disc.dt - t)
+            if remain <= 0.0:
+                remain = float(disc.dt) * 1e-6
+            v = np.empty_like(x)
+            for i in range(x.shape[0]):
+                drift = np.zeros(x.shape[1])
+                for j in g.neighbors(i + 1):
+                    drift += x[j - 1] - x[i]
+                u = (targets[i] - x[i]) / remain - drift
+                nrm = float(np.linalg.norm(u))
+                v[i] = u * (disc.v_max / nrm) if nrm > disc.v_max and nrm > 0 else u
+            return v
+
+        return law
+
+    return controller
+
+
+def per_sample_certificate(p, disc, g, steps, controller, n_samples, seed):
+    """``simulation_check`` one landing at a time: for each step, for each
+    sample, draw the start coordinate by coordinate from the source cells,
+    integrate one quantum in twentieths, and test each agent's landing with
+    ``Box.contains`` and ``Box.distance``."""
+    rng = np.random.default_rng(seed)
+    dec = disc.dec
+    reports = []
+    for j, (src, dst) in enumerate(steps):
+        src, dst = tuple(src), tuple(dst)
+        if not p.has_transition(src, dst):
+            raise UnknownState(f"step {j}: {src} -> {dst} is not a product transition")
+        misses = 0
+        worst = 0.0
+        for _ in range(n_samples):
+            x0 = np.array(
+                [
+                    [a + rng.random() * (b - a) for a, b in zip(dec.cell(c).lo, dec.cell(c).hi)]
+                    for c in src
+                ]
+            )
+            traj = integrate_closed(
+                g, x0, controller(dst), disc.dt / 20, disc.dt, disc.v_max
+            )
+            for box, x in zip((dec.cell(c) for c in dst), traj.final()):
+                worst = max(worst, box.distance(x))
+                if not box.contains(x, eps=EPS_GEO):
+                    misses += 1
+        reports.append(StepReport(j, n_samples, misses, worst))
+    return SimulationReport(tuple(reports))

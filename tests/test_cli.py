@@ -44,6 +44,7 @@ def test_synthesize_writes_run_dir(tmp_path, capsys):
         assert (out / name).exists(), name
     cert = json.loads((out / "certificate.json").read_text())
     assert cert["ok"] is True and cert["total_misses"] == 0
+    assert cert["tasks_sat"] == [True, True] and cert["consistent"] is True
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["route"] in ("independent", "joint-product")
     assert manifest["seed"] == 0
@@ -237,3 +238,56 @@ def test_console_script_version():
     )
     assert got.returncode == 0
     assert "timedplan" in got.stdout
+
+
+def _forged(states_1, states_2):
+    """A plan for the shipped scenario whose agents follow the given cycles."""
+    from fractions import Fraction
+
+    from timedplan.synthesis import Plan, zip_runs
+    from timedplan.wts import TimedRun
+
+    dt = Fraction(1, 20)
+    runs = tuple(TimedRun(s, (dt,) * len(s), 0) for s in (states_1, states_2))
+    return Plan(runs=runs, joint=zip_runs(runs), dt=dt, route="independent")
+
+
+@pytest.mark.parametrize(
+    "plan, named",
+    [
+        # both agents hold their start cells: agent 1 never reaches p1 (cell 14)
+        (lambda: _forged((15,), (21,)), "agent 1's run does not satisfy"),
+        # both tasks hold, but agent 1 jumps across the grid in one quantum
+        (lambda: _forged((14, 36), (22, 22)), "check_consistent"),
+    ],
+)
+def test_plan_failing_its_self_check_is_not_written(tmp_path, capsys, monkeypatch, plan, named):
+    import timedplan.cli
+
+    monkeypatch.setattr(timedplan.cli, "synthesize", lambda *a, **k: plan())
+    out = tmp_path / "run"
+    assert main(["synthesize", SCENARIO, "--out", str(out)]) == 1
+    printed = capsys.readouterr().out
+    assert "self-check" in printed and named in printed
+    assert not (out / "plan.json").exists()
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "joint",
+    [[], [[15, 21], [15, 21], [15], [15, 21]]],
+    ids=["empty", "ragged"],
+)
+def test_simulate_rejects_malformed_joint(tmp_path, capsys, joint):
+    run = tmp_path / "run"
+    assert main(["synthesize", SCENARIO, "--out", str(run)]) == 0
+    raw = json.loads((run / "plan.json").read_text())
+    raw["joint"] = joint
+    raw["stem_len"] = 0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw), encoding="utf-8")
+    capsys.readouterr()
+    code = main(["simulate", SCENARIO, "--plan", str(bad), "--out", str(tmp_path / "s")])
+    printed = capsys.readouterr().out
+    assert code == 1
+    assert "PlanMismatch" in printed and "'joint'" in printed

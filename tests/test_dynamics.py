@@ -133,3 +133,48 @@ def test_disagreement_decays_without_input():
     traj = integrate_closed(g, x0, zero_law, Fraction(1, 50), 3, v_max=1.0)
     vals = [lyapunov(g, traj.states[k]) for k in range(0, len(traj.times), 25)]
     assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
+
+
+def test_batched_coupling_equals_single_calls():
+    g = path3()
+    xs = np.random.default_rng(3).normal(size=(7, 3, 2))
+    for i in (1, 2, 3):
+        got = coupling(g, xs, i)
+        assert got.shape == (7, 2)
+        assert np.array_equal(got, np.stack([coupling(g, x, i) for x in xs]))
+
+
+def test_batched_integration_equals_single_runs():
+    g = path3()
+    xs = np.random.default_rng(4).normal(size=(5, 3, 2))
+
+    def law(t, x):  # state-dependent, held per step, inside the bound
+        return 0.5 * np.tanh(x + t) / np.sqrt(2.0)
+
+    batch = integrate_closed(g, xs, law, Fraction(1, 20), 1, v_max=1.0)
+    assert batch.states.shape == (21, 5, 3, 2)
+    for k, x in enumerate(xs):
+        one = integrate_closed(g, x, law, Fraction(1, 20), 1, v_max=1.0)
+        assert one.times == batch.times
+        assert np.array_equal(batch.states[:, k], one.states)
+
+
+@pytest.mark.parametrize("shape", [(4, 2, 2), (3, 4, 2), (2,), (4, 3)])
+def test_wrong_agent_axis_rejected(shape):
+    g = path3()
+    with pytest.raises(DimensionMismatch):
+        coupling(g, np.zeros(shape), 1)
+    with pytest.raises(DimensionMismatch):
+        integrate_closed(g, np.zeros(shape), zero_law, Fraction(1, 10), 1, 1.0)
+
+
+def test_batched_input_bound_names_the_agent():
+    g = path3()
+
+    def bad(t, x):
+        v = np.zeros_like(x)
+        v[2, 1, 0] = 2.0  # agent 2 of the third set
+        return v
+
+    with pytest.raises(InputBoundViolated, match="agent 2 "):
+        integrate_closed(g, np.zeros((4, 3, 2)), bad, Fraction(1, 10), 1, v_max=1.0)

@@ -59,6 +59,16 @@ def test_saturate():
     assert np.allclose(saturate(small, 1.0), small)
 
 
+def test_saturate_batch_rounds_as_single_vectors():
+    """Each row is scaled by v_max / np.linalg.norm(row), bit for bit."""
+    vs = np.random.default_rng(8).normal(size=(6, 500, 2))
+    got = saturate(vs, 1.0)
+    for v, row in zip(vs.reshape(-1, 2), got.reshape(-1, 2)):
+        nrm = float(np.linalg.norm(v))
+        want = v * (1.0 / nrm) if nrm > 1.0 else v
+        assert np.array_equal(row, want)
+
+
 def test_align_runs_unrolls_to_common_shape():
     r1 = TimedRun((1, 2), (Fraction(1, 4),) * 2, 1)  # stem 1, cycle 1
     r2 = TimedRun((5, 6), (Fraction(1, 4),) * 2, 0)  # cycle 2
@@ -167,7 +177,7 @@ def test_make_controller_drives_to_target_cell():
     dec = b.disc.dec
     # agents hold their start cells
     starts = (15, 21)
-    law = ctrl(starts, starts)
+    law = ctrl(starts)
     x = np.array([dec.center(c) for c in starts])
     from timedplan.dynamics import integrate_closed
 
