@@ -16,7 +16,6 @@ from .abstraction import (
     build_wts,
     dmax_range,
     dt_range,
-    nominal_endpoint,
     successors,
 )
 from .buchi import BuchiWTS, enumerate_accepting, find_accepting, project_run

@@ -7,15 +7,20 @@ step quanta are exactly the closed interval between those roots.
 
 A transition of agent i under an action (own cell, neighbor cells) leads to
 every cell meeting the closed ball of radius lam*v_max*dt around the
-nominal endpoint:  center(own) + dt * coupling(centers).  The candidate
-cells come from an index range over the grid's cuts on each axis; the
-closed-ball test then decides each candidate exactly as a scan would.
+nominal endpoint:  center(own) + dt * coupling(centers).  On a grid the
+endpoint's coordinate on each axis depends only on that axis's cell indices,
+so per-axis tables hold each coordinate with its squared gap to every
+interval in reach, and a cell passes when its gaps, summed in axis order as
+``Box.distance`` sums them, stay within the squared radius.  Float addition
+is monotone, so the union over every neighbor configuration (``post_any``)
+takes the least gap per axis in closed form.  One successor cache serves
+every agent of a discretization.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -34,9 +39,6 @@ from .rational import as_fraction
 from .workspace import EPS_GEO, CellDecomposition, ServiceLabeling, locate
 
 _FEAS_SLACK = 1e-12
-# relative widening of a successor ball's per-axis index window; it dwarfs
-# the rounding of the distance test, so no cell that passes it is missed
-_WINDOW_SLACK = 1e-9
 
 
 def _check_lambda(lam: float):
@@ -111,69 +113,119 @@ class Discretization:
         return max(self.lam * self.v_max * float(self.dt) - self.radius_shrink, 0.0)
 
     @cached_property
-    def table(self) -> StepTable:
-        """Per-cell constants the successor computation reads on every call."""
-        return StepTable(
-            centers=(None,) + tuple(c.center for c in self.dec.cells),
-            h=float(self.dt),
-            reach=self.radius + EPS_GEO,
+    def axes(self) -> AxisTable:
+        """Per-axis successor tables and the successor cache every agent
+        of this discretization shares."""
+        return AxisTable(self)
+
+
+def _square_limit(reach: float) -> float:
+    """Largest double whose square root is at most ``reach``, so that
+    ``sqrt(a) <= reach`` holds exactly when ``a <= lim``."""
+    lim = reach * reach
+    while math.sqrt(lim) > reach:
+        lim = math.nextafter(lim, 0.0)
+    while math.sqrt(math.nextafter(lim, math.inf)) <= reach:
+        lim = math.nextafter(lim, math.inf)
+    return lim
+
+
+class _AxisRows(dict):
+    """Row memo of one axis, filled on first lookup.  The key is the axis
+    indices of an action's cells (own, neighbors...); the row pairs every
+    interval within ``lim`` of the endpoint coordinate with the squared gap
+    ``Box.distance`` adds for it.  An interval enters as its share
+    ``j * stride`` of the cell index (plus 1 on the first axis, so that the
+    shares add up to the 1-based index).  ``xs`` keeps the coordinates."""
+
+    def __init__(self, cuts, h, lim, stride, offset):
+        super().__init__()
+        self.cuts = cuts
+        self.centers = tuple(0.5 * (a + b) for a, b in zip(cuts, cuts[1:]))
+        self.h = h
+        self.lim = lim
+        self.stride = stride
+        self.offset = offset
+        self.xs: dict[tuple[int, ...], float] = {}
+
+    def __missing__(self, key):
+        centers = self.centers
+        own = centers[key[0]]
+        drift = 0.0
+        for nb in key[1:]:
+            drift += centers[nb] - own
+        x = self.xs[key] = own + self.h * drift
+        row = []
+        for j, (a, b) in enumerate(zip(self.cuts, self.cuts[1:])):
+            gap = (a - x) ** 2 if x < a else (x - b) ** 2 if x > b else 0.0
+            if gap <= self.lim:
+                row.append((self.offset + j * self.stride, gap))
+        row = self[key] = tuple(row)
+        return row
+
+
+class AxisTable:
+    """Successor geometry of one discretization, one axis at a time.
+
+    On a grid a cell is one interval per axis, and the endpoint's axis-k
+    coordinate depends only on the axis-k indices of the action's cells,
+    so ``rows[k]`` memoizes it per tuple of those indices.  A cell's
+    distance is its intervals' squared gaps summed in axis order, and
+    ``sqrt(a) <= reach`` is ``a <= lim``.  ``post`` caches successor sets
+    by action for every agent of the discretization, and ``sets`` gives
+    equal sets one shared object.
+    """
+
+    def __init__(self, disc: Discretization):
+        dec = disc.dec
+        self.lim = _square_limit(disc.radius + EPS_GEO)
+        self.sides = tuple(len(cuts) - 1 for cuts in dec.cuts)
+        # cell indices are lexicographic in the axis indices, last axis fastest
+        strides = [math.prod(self.sides[k + 1:]) for k in range(dec.dim)]
+        self.rows = tuple(
+            _AxisRows(cuts, float(disc.dt), self.lim, stride, int(k == 0))
+            for k, (cuts, stride) in enumerate(zip(dec.cuts, strides))
         )
+        self.index = dict(
+            zip(range(1, dec.n_cells + 1), itertools.product(*map(range, self.sides)))
+        )
+        self.post: dict[tuple[int, ...], frozenset[int]] = {}
+        self.sets: dict[frozenset[int], frozenset[int]] = {}
 
+    def indices(self, action) -> list[tuple[int, ...]]:
+        """Axis indices of each of the action's cells."""
+        try:
+            return [self.index[c] for c in action]
+        except KeyError:
+            bad = next(c for c in action if c not in self.index)
+            raise OutOfBounds(f"cell index {bad} not in 1..{len(self.index)}") from None
 
-@dataclass(frozen=True)
-class StepTable:
-    """Cell centers (1-based, slot 0 unused), the float quantum, and the
-    closed-ball threshold ``radius + EPS_GEO`` of one discretization."""
-
-    centers: tuple
-    h: float
-    reach: float
-
-
-def nominal_endpoint(disc: Discretization, action: tuple[int, ...]) -> tuple[float, ...]:
-    """Euler endpoint from the own-cell center under center-valued coupling."""
-    table = disc.table
-    centers = table.centers
-    n_cells = len(centers) - 1
-    for c in action:
-        if not 1 <= c <= n_cells:
-            raise OutOfBounds(f"cell index {c} not in 1..{n_cells}")
-    own = centers[action[0]]
-    dim = len(own)
-    drift = [0.0] * dim
-    for nb in action[1:]:
-        nc = centers[nb]
-        for k in range(dim):
-            drift[k] += nc[k] - own[k]
-    h = table.h
-    return tuple(own[k] + h * drift[k] for k in range(dim))
+    def within(self, per_axis) -> frozenset[int]:
+        """Cells whose squared gaps, ``per_axis[k]`` holding axis k's
+        (share, gap) pairs, sum to at most ``lim`` in axis order."""
+        lim = self.lim
+        acc = per_axis[0]
+        if len(per_axis) == 1:
+            return frozenset([b for b, _ in acc])
+        for pairs in per_axis[1:-1]:
+            acc = [(b + c, d + e) for b, d in acc for c, e in pairs if d + e <= lim]
+        return frozenset([b + c for b, d in acc for c, e in per_axis[-1] if d + e <= lim])
 
 
 def successors(disc: Discretization, g: CommGraph, action: tuple[int, ...]) -> frozenset[int]:
     """Cells meeting the closed successor ball for ``action``.
 
-    Nonempty whenever the ball overlaps the workspace (it always contains
-    the cell owning the nominal endpoint when that point is in bounds);
-    raises BallOutsideWorkspace otherwise.
+    The cuts span the workspace bounds, so on each axis the nearest
+    interval is exactly as far as the bounds are: the set is empty exactly
+    when the ball misses the workspace, which raises BallOutsideWorkspace.
     """
-    dec = disc.dec
-    x_hat = nominal_endpoint(disc, action)
-    reach = disc.table.reach
-    if dec.bounds.distance(x_hat) > reach:
-        raise BallOutsideWorkspace(
-            f"successor ball around {x_hat} misses the workspace"
-        )
-    cells = dec.cells
-    # a cell meeting the ball overlaps the ball's extent on every axis;
-    # flat indices grow in the lexicographic order ``locate`` uses
-    candidates = [0]
-    for x, cuts in zip(x_hat, dec.cuts):
-        side = len(cuts) - 1
-        pad = reach + _WINDOW_SLACK * (abs(x) + reach)
-        first = max(bisect_left(cuts, x - pad) - 1, 0)
-        stop = min(bisect_right(cuts, x + pad), side)
-        candidates = [i * side + j for i in candidates for j in range(first, stop)]
-    return frozenset(i + 1 for i in candidates if cells[i].distance(x_hat) <= reach)
+    axes = disc.axes
+    keys = tuple(zip(*axes.indices(action)))
+    got = axes.within([rows[key] for rows, key in zip(axes.rows, keys)])
+    if not got:
+        x_hat = tuple(rows.xs[key] for rows, key in zip(axes.rows, keys))
+        raise BallOutsideWorkspace(f"successor ball around {x_hat} misses the workspace")
+    return got
 
 
 class AgentWTS:
@@ -181,9 +233,10 @@ class AgentWTS:
 
     States are all cell indices; every transition takes exactly ``dt``.
     Actions are (own cell, neighbor cells in ascending agent order) and the
-    transition relation is materialized lazily: ``post`` computes and caches
-    one action's successor set, ``post_any`` the union over every neighbor
-    configuration (used when the neighbors' moves are not yet committed).
+    transition relation is materialized lazily: ``post`` looks one action's
+    successor set up in the cache the discretization's agents share,
+    ``post_any`` takes the union over every neighbor configuration (used
+    when the neighbors' moves are not yet committed) in closed form.
     """
 
     def __init__(
@@ -205,11 +258,10 @@ class AgentWTS:
         self._labels = {
             c: labeling.label(agent, c) for c in range(1, self.n_states + 1)
         }
-        self._post: dict[tuple[int, ...], frozenset[int]] = {}
+        self._arity = 1 + len(self.neighbors)
+        self._post = disc.axes.post
+        self._sets = disc.axes.sets
         self._post_any: dict[int, frozenset[int]] = {}
-        # one shared object per distinct successor set: the
-        # n_cells ** (1 + degree) actions have far fewer distinct sets
-        self._sets: dict[frozenset[int], frozenset[int]] = {}
 
     @property
     def states(self) -> range:
@@ -220,31 +272,39 @@ class AgentWTS:
 
     def post(self, action: tuple[int, ...]) -> frozenset[int]:
         action = tuple(action)
-        if len(action) != 1 + len(self.neighbors):
-            raise ValueError(
-                f"agent {self.agent} takes actions of arity {1 + len(self.neighbors)}"
-            )
+        # before the lookup: the cache also holds other agents' arities
+        if len(action) != self._arity:
+            raise ValueError(f"agent {self.agent} takes actions of arity {self._arity}")
         got = self._post.get(action)
         if got is None:
             try:
                 got = successors(self.disc, self.graph, action)
             except BallOutsideWorkspace:
                 got = frozenset()  # exit attempts simply have no transition
-            got = self._sets.setdefault(got, got)
-            self._post[action] = got
+            got = self._post[action] = self._sets.setdefault(got, got)
         return got
 
     def post_any(self, cell: int) -> frozenset[int]:
+        """Union of ``post`` over every neighbor configuration.
+
+        Float addition is monotone, so the least summed gap of a cell over
+        all configurations is the sum of each axis's least gap over that
+        axis's ``side ** degree`` endpoint values.
+        """
         got = self._post_any.get(cell)
         if got is None:
-            acc: set[int] = set()
-            configs = [(cell,)]
-            for _ in self.neighbors:
-                configs = [c + (nb,) for c in configs for nb in self.states]
-            for action in configs:
-                acc |= self.post(action)
-            got = frozenset(acc)
-            self._post_any[cell] = got
+            axes = self.disc.axes
+            degree = self._arity - 1
+            per_axis = []
+            (own,) = axes.indices((cell,))
+            for rows, o, side in zip(axes.rows, own, axes.sides):
+                least: dict[int, float] = {}
+                for nbs in itertools.product(range(side), repeat=degree):
+                    for b, gap in rows[(o,) + nbs]:
+                        if gap < least.get(b, math.inf):
+                            least[b] = gap
+                per_axis.append(sorted(least.items()))
+            got = self._post_any[cell] = axes.within(per_axis)
         return got
 
     # protocol used by the acceptance-product builder

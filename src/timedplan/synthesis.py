@@ -305,10 +305,7 @@ def reachable_layers(p: ProductWTS, steps: int, max_states=None) -> LayerStats:
     layer = set(p.initial)
     counts = [len(layer)]
     for _ in range(steps):
-        nxt = set()
-        for s in layer:
-            nxt.update(p.successors(s))
-        layer = nxt
+        layer = set(itertools.chain.from_iterable(map(p.successors, layer)))
         counts.append(len(layer))
         if max_states is not None and len(layer) > max_states:
             raise BudgetExceeded(

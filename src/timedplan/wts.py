@@ -9,8 +9,10 @@ at 0 and are exact rationals throughout.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 import numpy as np
 
@@ -148,9 +150,8 @@ class ProductWTS:
         self.components = comps
         self.dt = comps[0].dt
         self.n_agents = len(comps)
-        self.initial = frozenset(
-            tuple(pick) for pick in _cartesian([sorted(c.initial) for c in comps])
-        )
+        self.initial = frozenset(itertools.product(*(sorted(c.initial) for c in comps)))
+        self._picks = tuple(_picker(idx, comp.neighbors) for idx, comp in enumerate(comps))
         alphabet = set()
         for c in comps:
             alphabet |= c.alphabet
@@ -159,8 +160,7 @@ class ProductWTS:
 
     def pr(self, idx: int, joint: tuple) -> tuple:
         """Action of component ``idx`` induced by the joint configuration."""
-        comp = self.components[idx]
-        return (joint[idx],) + tuple(joint[j - 1] for j in comp.neighbors)
+        return self._picks[idx](joint)
 
     def label(self, joint: tuple) -> frozenset[str]:
         out = set()
@@ -172,17 +172,15 @@ class ProductWTS:
         joint = tuple(joint)
         got = self._succ.get(joint)
         if got is None:
-            per_agent = []
-            for idx in range(self.n_agents):
-                post = self.components[idx].post(self.pr(idx, joint))
+            posts = []
+            for comp, pick in zip(self.components, self._picks):
+                post = comp.post(pick(joint))
                 if not post:
-                    per_agent = None
+                    posts = None
                     break
-                per_agent.append(sorted(post))
-            if per_agent is None:
-                got = ()
-            else:
-                got = tuple(tuple(pick) for pick in _cartesian(per_agent))
+                posts.append(sorted(post))
+            # lexicographic over the sorted posts, agent 1 outermost
+            got = () if posts is None else tuple(itertools.product(*posts))
             self._succ[joint] = got
         return got
 
@@ -199,11 +197,11 @@ class ProductWTS:
             yield nxt, self.dt
 
 
-def _cartesian(pools):
-    out = [()]
-    for pool in pools:
-        out = [prev + (item,) for prev in out for item in pool]
-    return out
+def _picker(idx: int, neighbors):
+    """``joint -> (joint[idx], neighbors' cells...)``, always a tuple."""
+    if not neighbors:
+        return lambda joint: (joint[idx],)
+    return itemgetter(idx, *(j - 1 for j in neighbors))
 
 
 def product(wts_list) -> ProductWTS:

@@ -8,6 +8,7 @@ implementations are checked against structurally different computations.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -546,6 +547,24 @@ def scan_successors(disc, action):
     return frozenset(
         i + 1 for i, cell in enumerate(dec.cells) if cell.distance(x_hat) <= reach
     )
+
+
+def scan_post(disc, action):
+    """``AgentWTS.post`` by full scan: the empty set where the ball misses
+    the workspace."""
+    try:
+        return scan_successors(disc, action)
+    except BallOutsideWorkspace:
+        return frozenset()
+
+
+def enumerate_post_any(post, cell, n_cells, degree):
+    """``AgentWTS.post_any`` by enumeration: the union of ``post`` over all
+    ``n_cells ** degree`` neighbor configurations of ``cell``."""
+    acc = set()
+    for nbs in itertools.product(range(1, n_cells + 1), repeat=degree):
+        acc |= post((cell,) + nbs)
+    return frozenset(acc)
 
 
 # -- the landing certificate one sample at a time --------------------------------

@@ -1,4 +1,6 @@
+import functools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -7,10 +9,10 @@ import pytest
 from timedplan.abstraction import (
     AgentWTS,
     Discretization,
+    _square_limit,
     build_wts,
     dmax_range,
     dt_range,
-    nominal_endpoint,
     successors,
 )
 from timedplan.dynamics import ConditionConstants, condition_constants
@@ -25,13 +27,14 @@ from timedplan.errors import (
 from timedplan.graphs import build_graph, theorem1_constants
 from timedplan.scenario import build, load_scenario
 from timedplan.workspace import (
+    EPS_GEO,
     Box,
     ServiceLabeling,
     grid,
     locate,
 )
 
-from helpers import scan_successors
+from helpers import enumerate_post_any, scan_post, scan_successors
 
 
 def consts(m=1.0, l_comb=14.0):
@@ -136,19 +139,29 @@ def test_radius_formula_and_shrink():
     assert shrunk.radius == pytest.approx(disc.radius / 2)
 
 
-def test_nominal_endpoint_stationary_when_neighbors_coincide():
+def endpoint(disc, action):
+    """The nominal endpoint, read off the axis tables' rows."""
+    axes = disc.axes
+    out = []
+    for rows, key in zip(axes.rows, zip(*axes.indices(action))):
+        rows[key]  # fills the row and its coordinate
+        out.append(rows.xs[key])
+    return tuple(out)
+
+
+def test_endpoint_stationary_when_neighbors_coincide():
     g, dec, disc = tiny_setup()
     # neighbor in the same cell: zero drift, endpoint = own center
-    assert nominal_endpoint(disc, (5, 5)) == dec.center(5)
+    assert endpoint(disc, (5, 5)) == dec.center(5)
     hit = successors(disc, g, (5, 5))
     assert locate(dec, dec.center(5)) in hit
 
 
-def test_nominal_endpoint_drifts_toward_neighbor():
+def test_endpoint_drifts_toward_neighbor():
     g, dec, disc = tiny_setup()
     own = np.array(dec.center(1))
     nb = np.array(dec.center(9))
-    got = np.array(nominal_endpoint(disc, (1, 9)))
+    got = np.array(endpoint(disc, (1, 9)))
     expect = own + float(disc.dt) * (nb - own)
     assert np.allclose(got, expect)
 
@@ -186,7 +199,7 @@ def test_build_wts_rejects_outside_start():
         build_wts(disc, g, 1, (-1.0, 0.0), lab)
 
 
-# -- successor balls from the cut index, against a full scan -------------------
+# -- successor balls from the axis tables, against a full scan -----------------
 
 
 def loose_disc(dec, dt):
@@ -206,18 +219,37 @@ DECOMPOSITIONS = {
     "ragged-wide": lambda: grid(Box((0.0, 0.0), (0.077, 0.0655)), 0.012),
     "ragged-tall": lambda: grid(Box((0.0, 0.0), (0.0605, 0.09)), 0.012),
     "ragged-offset": lambda: grid(Box((-0.031, 0.0125), (0.0305, 0.0707)), 0.012),
+    "ragged-3d": lambda: grid(Box((0.0, -0.01, 0.0), (0.0365, 0.026, 0.03)), 0.012),
 }
 
 
-def agree(disc, action):
+class Star:
+    """Graph stand-in: agent 1 neighbors agents 2..1+degree, so an agent of
+    any arity, degree 0 included, can be built on one decomposition."""
+
+    def __init__(self, degree):
+        self.degree = degree
+
+    def neighbors(self, agent):
+        return tuple(range(2, 2 + self.degree))
+
+
+def agent_of_arity(disc, arity):
+    return AgentWTS(1, disc, Star(arity - 1), ServiceLabeling({}), 1)
+
+
+def agree(disc, action, agents):
+    post = agents[len(action)].post(action)
     try:
         expect = scan_successors(disc, action)
     except BallOutsideWorkspace:
         with pytest.raises(BallOutsideWorkspace):
             successors(disc, None, action)
+        assert post == frozenset()
         return "outside"
     got = successors(disc, None, action)
     assert got == expect, (action, sorted(got), sorted(expect))
+    assert post == expect
     return "inside"
 
 
@@ -228,57 +260,125 @@ def test_successors_match_full_scan(name):
     seen = set()
     for dt in (Fraction(1, 20), Fraction(1, 2), Fraction(2)):
         disc = loose_disc(dec, dt)
+        agents = {arity: agent_of_arity(disc, arity) for arity in (1, 2, 3)}
         for _ in range(600):
             arity = int(rng.integers(1, 4))
             action = tuple(int(c) for c in rng.integers(1, dec.n_cells + 1, arity))
-            seen.add(agree(disc, action))
+            seen.add(agree(disc, action, agents))
     assert seen == {"inside", "outside"}
 
 
 def test_successors_match_full_scan_on_shipped_grid():
     disc = shipped_disc()
+    agents = {arity: agent_of_arity(disc, arity) for arity in (1, 2, 3)}
     n = disc.dec.n_cells
     for own in range(1, n + 1):
-        agree(disc, (own,))
+        agree(disc, (own,), agents)
         for nb in range(1, n + 1):
-            agree(disc, (own, nb))
+            agree(disc, (own, nb), agents)
     rng = np.random.default_rng(5)
     for _ in range(500):
-        agree(disc, tuple(int(c) for c in rng.integers(1, n + 1, 3)))
+        agree(disc, tuple(int(c) for c in rng.integers(1, n + 1, 3)), agents)
 
 
-def test_nominal_endpoint_rejects_unknown_cells():
+def test_unknown_cells_raise_out_of_bounds():
     disc = shipped_disc()
+    pair = agent_of_arity(disc, 2)
     for action in ((0,), (1, 37), (-1, 2)):
         with pytest.raises(OutOfBounds):
-            nominal_endpoint(disc, action)
+            successors(disc, None, action)
+    for action in ((0, 1), (1, 37), (-1, 2)):
+        with pytest.raises(OutOfBounds):
+            pair.post(action)
+    for cell in (0, 37, -1):
+        with pytest.raises(OutOfBounds):
+            pair.post_any(cell)
 
 
-@pytest.mark.parametrize("name", ["uniform", "ragged-wide"])
+@pytest.mark.parametrize("name", sorted(DECOMPOSITIONS))
 def test_post_any_is_union_of_scans(name):
+    """The closed form against one full scan per neighbor configuration:
+    every cell at degrees 0 and 1, a few cells at degree 2."""
     dec = DECOMPOSITIONS[name]()
-    disc = loose_disc(dec, Fraction(1, 2))
-    g = build_graph(3, [(1, 2), (2, 3)])
-    lab = ServiceLabeling({1: {}, 2: {}, 3: {}})
-    pair = AgentWTS(1, disc, g, lab, 1)  # one neighbor
-    middle = AgentWTS(2, disc, g, lab, 1)  # two neighbors
     n = dec.n_cells
+    for dt in (Fraction(1, 20), Fraction(1, 2)):
+        disc = loose_disc(dec, dt)
+        scan = functools.partial(scan_post, disc)
+        for degree in (0, 1):
+            w = agent_of_arity(disc, 1 + degree)
+            for cell in range(1, n + 1):
+                assert w.post_any(cell) == enumerate_post_any(scan, cell, n, degree)
+    middle = agent_of_arity(disc, 3)
+    for cell in (1, n // 2, n):
+        assert middle.post_any(cell) == enumerate_post_any(scan, cell, n, 2)
 
-    def union(cell, degree):
-        configs = [(cell,)]
-        for _ in range(degree):
-            configs = [c + (nb,) for c in configs for nb in range(1, n + 1)]
-        out = set()
-        for action in configs:
-            try:
-                out |= scan_successors(disc, action)
-            except BallOutsideWorkspace:
-                pass
-        return frozenset(out)
 
+def test_post_any_at_degree_three_reaches_outside():
+    """Endpoints pushed out of the workspace add nothing to the union."""
+    g, dec, disc = tiny_setup()
+    disc = loose_disc(dec, Fraction(2))
+    n = dec.n_cells
+    scan = functools.partial(scan_post, disc)
+    assert scan((1, 9, 9, 9)) == frozenset()  # an exit configuration
+    w = agent_of_arity(disc, 4)
     for cell in range(1, n + 1):
-        assert pair.post_any(cell) == union(cell, 1)
-    assert middle.post_any(n // 2) == union(n // 2, 2)
+        assert w.post_any(cell) == enumerate_post_any(scan, cell, n, 3)
+
+
+def grid_growth_disc(side):
+    """The benchmark's grid-growth geometry: the shipped scenario's
+    abstraction over a side x side grid of 0.012 cells."""
+    base = shipped_disc()
+    dec = grid(Box((0.0, 0.0), (0.012 * side, 0.012 * side)), 0.012)
+    return Discretization(dec, base.dt, base.lam, base.constants, base.v_max)
+
+
+@pytest.mark.parametrize("side", [6, 10, 16])
+def test_post_any_matches_enumeration_on_grid_growth(side):
+    disc = grid_growth_disc(side)
+    n = disc.dec.n_cells
+    pair = agent_of_arity(disc, 2)
+    for cell in range(1, n + 1):
+        assert pair.post_any(cell) == enumerate_post_any(pair.post, cell, n, 1)
+
+
+@pytest.mark.parametrize("side", [6, 10, 16])
+def test_post_matches_scan_on_grid_growth(side):
+    disc = grid_growth_disc(side)
+    n = disc.dec.n_cells
+    pair = agent_of_arity(disc, 2)
+    if side < 16:
+        actions = [(own, nb) for own in range(1, n + 1) for nb in range(1, n + 1)]
+    else:
+        rng = random.Random(side)
+        actions = [(rng.randint(1, n), rng.randint(1, n)) for _ in range(3000)]
+    for action in actions:
+        assert pair.post(action) == scan_post(disc, action), action
+
+
+def test_post_checks_arity_before_the_shared_cache():
+    g, dec, disc = tiny_setup()
+    path = build_graph(3, [(1, 2), (2, 3)])
+    lab = ServiceLabeling({})
+    pair = AgentWTS(1, disc, path, lab, 1)  # one neighbor
+    middle = AgentWTS(2, disc, path, lab, 1)  # two neighbors
+    assert pair.post((5, 9)) == scan_post(disc, (5, 9))
+    with pytest.raises(ValueError):
+        middle.post((5, 9))
+    assert middle.post((5, 9, 1)) == scan_post(disc, (5, 9, 1))
+    with pytest.raises(ValueError):
+        pair.post((5, 9, 1))
+    assert pair.post((5, 9)) is AgentWTS(1, disc, path, lab, 2).post((5, 9))
+
+
+@pytest.mark.parametrize("reach", [1e-9, 0.007000001, 0.5, 1.0, 3.0, 12345.678])
+def test_square_limit_brackets_reach(reach):
+    rng = random.Random(reach)
+    for r in (reach, reach * (1 + rng.random() * 1e-6), shipped_disc().radius + EPS_GEO):
+        lim = _square_limit(r)
+        assert math.sqrt(lim) <= r < math.sqrt(math.nextafter(lim, math.inf))
+    disc = shipped_disc()
+    assert disc.axes.lim == _square_limit(disc.radius + EPS_GEO)
 
 
 def test_post_shares_equal_successor_sets():

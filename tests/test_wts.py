@@ -158,6 +158,25 @@ def test_product_moves_respect_neighbor_enabling():
     assert p.label((2, 2)) == {"p1", "p2"}
 
 
+def test_product_successors_are_lexicographic_and_pick_any_degree():
+    """Joint successors come agent 1 outermost over each agent's sorted
+    post; a component without neighbors acts on its own cell alone."""
+    dt = Fraction(1, 4)
+    free = {(c, (c, n)): {3, 1, 2} for c in (1, 2, 3) for n in (1, 2, 3)}
+    a1 = TableAgentWTS(1, (2,), dt, free, initial=[2])
+    a2 = TableAgentWTS(2, (1, 3), dt, {(2, (2, 2, 1)): {2, 3, 1}}, initial=[2])
+    a3 = TableAgentWTS(3, (), dt, {(1, (1,)): {1, 3}}, initial=[1, 3])
+    p = product([a1, a2, a3])
+    assert p.initial == {(2, 2, 1), (2, 2, 3)}
+    assert p.pr(2, (2, 2, 1)) == (1,)
+    assert p.pr(1, (2, 2, 1)) == (2, 2, 1)
+    got = p.successors((2, 2, 1))
+    assert got == tuple(
+        (x, y, z) for x in (1, 2, 3) for y in (1, 2, 3) for z in (1, 3)
+    )
+    assert p.successors((2, 2, 3)) == ()  # agents 2 and 3 have no move
+
+
 def test_product_requires_matching_quanta():
     a1, _ = two_table_agents()
     _, b2 = two_table_agents(dt=Fraction(1, 5))
