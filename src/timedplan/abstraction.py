@@ -13,21 +13,20 @@ so per-axis tables hold each coordinate with its squared gap to every
 interval in reach, and a cell passes when its gaps, summed in axis order as
 ``Box.distance`` sums them, stay within the squared radius.  Float addition
 is monotone, so the union over every neighbor configuration (``post_any``)
-takes the least gap per axis in closed form.  One successor cache serves
-every agent of a discretization.
+takes the least gap per axis in closed form.  One ``AxisTable`` per
+discretization owns both, keyed by action and by (cell, degree).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .dynamics import ConditionConstants
 from .errors import (
-    BallOutsideWorkspace,
     C1Violated,
     InfeasibleDiameter,
     LambdaOutOfRange,
@@ -89,13 +88,10 @@ class Discretization:
     lam: float
     constants: ConditionConstants
     v_max: float
-    radius_shrink: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "dt", as_fraction(self.dt))
         _check_lambda(self.lam)
-        if self.radius_shrink < 0:
-            raise ValueError("radius_shrink must be nonnegative")
         _, d_hi = dmax_range(self.constants, self.lam, self.v_max)
         if self.dec.diameter > d_hi + _FEAS_SLACK:
             raise InfeasibleDiameter(
@@ -110,13 +106,19 @@ class Discretization:
 
     @property
     def radius(self) -> float:
-        return max(self.lam * self.v_max * float(self.dt) - self.radius_shrink, 0.0)
+        return self.lam * self.v_max * float(self.dt)
 
-    @cached_property
+    @property
     def axes(self) -> AxisTable:
-        """Per-axis successor tables and the successor cache every agent
-        of this discretization shares."""
-        return AxisTable(self)
+        """The successor sets every agent of this discretization shares.
+        The table refers back here, so this link is weak (no cycle) and the
+        agents, which hold the table, keep it alive and shared."""
+        ref = self.__dict__.get("_axes")
+        table = ref and ref()
+        if table is None:
+            table = AxisTable(self)
+            object.__setattr__(self, "_axes", weakref.ref(table))
+        return table
 
 
 def _square_limit(reach: float) -> float:
@@ -136,7 +138,7 @@ class _AxisRows(dict):
     interval within ``lim`` of the endpoint coordinate with the squared gap
     ``Box.distance`` adds for it.  An interval enters as its share
     ``j * stride`` of the cell index (plus 1 on the first axis, so that the
-    shares add up to the 1-based index).  ``xs`` keeps the coordinates."""
+    shares add up to the 1-based index)."""
 
     def __init__(self, cuts, h, lim, stride, offset):
         super().__init__()
@@ -146,7 +148,6 @@ class _AxisRows(dict):
         self.lim = lim
         self.stride = stride
         self.offset = offset
-        self.xs: dict[tuple[int, ...], float] = {}
 
     def __missing__(self, key):
         centers = self.centers
@@ -154,7 +155,7 @@ class _AxisRows(dict):
         drift = 0.0
         for nb in key[1:]:
             drift += centers[nb] - own
-        x = self.xs[key] = own + self.h * drift
+        x = own + self.h * drift
         row = []
         for j, (a, b) in enumerate(zip(self.cuts, self.cuts[1:])):
             gap = (a - x) ** 2 if x < a else (x - b) ** 2 if x > b else 0.0
@@ -172,11 +173,12 @@ class AxisTable:
     so ``rows[k]`` memoizes it per tuple of those indices.  A cell's
     distance is its intervals' squared gaps summed in axis order, and
     ``sqrt(a) <= reach`` is ``a <= lim``.  ``post`` caches successor sets
-    by action for every agent of the discretization, and ``sets`` gives
-    equal sets one shared object.
+    by action and gives equal sets one shared object; ``post_any`` caches
+    its closed form by cell and degree.
     """
 
     def __init__(self, disc: Discretization):
+        self.disc = disc
         dec = disc.dec
         self.lim = _square_limit(disc.radius + EPS_GEO)
         self.sides = tuple(len(cuts) - 1 for cuts in dec.cuts)
@@ -189,8 +191,9 @@ class AxisTable:
         self.index = dict(
             zip(range(1, dec.n_cells + 1), itertools.product(*map(range, self.sides)))
         )
-        self.post: dict[tuple[int, ...], frozenset[int]] = {}
-        self.sets: dict[frozenset[int], frozenset[int]] = {}
+        self._post: dict[tuple[int, ...], frozenset[int]] = {}
+        self._sets: dict[frozenset[int], frozenset[int]] = {}
+        self._post_any: dict[tuple[int, int], frozenset[int]] = {}
 
     def indices(self, action) -> list[tuple[int, ...]]:
         """Axis indices of each of the action's cells."""
@@ -211,32 +214,57 @@ class AxisTable:
             acc = [(b + c, d + e) for b, d in acc for c, e in pairs if d + e <= lim]
         return frozenset([b + c for b, d in acc for c, e in per_axis[-1] if d + e <= lim])
 
+    def post(self, action: tuple[int, ...]) -> frozenset[int]:
+        """``successors`` of ``action``, cached and interned."""
+        got = self._post.get(action)
+        if got is None:
+            got = successors(self.disc, action)
+            got = self._post[action] = self._sets.setdefault(got, got)
+        return got
 
-def successors(disc: Discretization, g: CommGraph, action: tuple[int, ...]) -> frozenset[int]:
+    def post_any(self, cell: int, degree: int) -> frozenset[int]:
+        """Union of ``post`` over every configuration of ``degree`` neighbors.
+
+        Float addition is monotone, so the least summed gap of a cell over
+        all configurations is the sum of each axis's least gap over that
+        axis's ``side ** degree`` endpoint values.
+        """
+        got = self._post_any.get((cell, degree))
+        if got is None:
+            per_axis = []
+            (own,) = self.indices((cell,))
+            for rows, o, side in zip(self.rows, own, self.sides):
+                least: dict[int, float] = {}
+                for nbs in itertools.product(range(side), repeat=degree):
+                    for b, gap in rows[(o,) + nbs]:
+                        if gap < least.get(b, math.inf):
+                            least[b] = gap
+                per_axis.append(sorted(least.items()))
+            got = self._post_any[(cell, degree)] = self.within(per_axis)
+        return got
+
+
+def successors(disc: Discretization, action: tuple[int, ...]) -> frozenset[int]:
     """Cells meeting the closed successor ball for ``action``.
 
     The cuts span the workspace bounds, so on each axis the nearest
     interval is exactly as far as the bounds are: the set is empty exactly
-    when the ball misses the workspace, which raises BallOutsideWorkspace.
+    when the ball misses the workspace (an exit attempt has no transition).
     """
     axes = disc.axes
-    keys = tuple(zip(*axes.indices(action)))
-    got = axes.within([rows[key] for rows, key in zip(axes.rows, keys)])
-    if not got:
-        x_hat = tuple(rows.xs[key] for rows, key in zip(axes.rows, keys))
-        raise BallOutsideWorkspace(f"successor ball around {x_hat} misses the workspace")
-    return got
+    keys = zip(*axes.indices(action))
+    return axes.within([rows[key] for rows, key in zip(axes.rows, keys)])
 
 
 class AgentWTS:
     """Weighted transition system of one agent over the cell decomposition.
 
     States are all cell indices; every transition takes exactly ``dt``.
-    Actions are (own cell, neighbor cells in ascending agent order) and the
-    transition relation is materialized lazily: ``post`` looks one action's
-    successor set up in the cache the discretization's agents share,
-    ``post_any`` takes the union over every neighbor configuration (used
-    when the neighbors' moves are not yet committed) in closed form.
+    Actions are (own cell, neighbor cells in ascending agent order).  The
+    transition relation is the discretization's ``AxisTable``: ``post``
+    looks one action's successor set up there, ``post_any`` the union over
+    every neighbor configuration (used when the neighbors' moves are not
+    yet committed).
     """
 
     def __init__(
@@ -248,8 +276,6 @@ class AgentWTS:
         initial_cell: int,
     ):
         self.agent = agent
-        self.disc = disc
-        self.graph = g
         self.neighbors = g.neighbors(agent)
         self.dt = disc.dt
         self.n_states = disc.dec.n_cells
@@ -259,9 +285,7 @@ class AgentWTS:
             c: labeling.label(agent, c) for c in range(1, self.n_states + 1)
         }
         self._arity = 1 + len(self.neighbors)
-        self._post = disc.axes.post
-        self._sets = disc.axes.sets
-        self._post_any: dict[int, frozenset[int]] = {}
+        self._table = disc.axes
 
     @property
     def states(self) -> range:
@@ -272,40 +296,14 @@ class AgentWTS:
 
     def post(self, action: tuple[int, ...]) -> frozenset[int]:
         action = tuple(action)
-        # before the lookup: the cache also holds other agents' arities
+        # before the lookup: the table also holds other agents' arities
         if len(action) != self._arity:
             raise ValueError(f"agent {self.agent} takes actions of arity {self._arity}")
-        got = self._post.get(action)
-        if got is None:
-            try:
-                got = successors(self.disc, self.graph, action)
-            except BallOutsideWorkspace:
-                got = frozenset()  # exit attempts simply have no transition
-            got = self._post[action] = self._sets.setdefault(got, got)
-        return got
+        return self._table.post(action)
 
     def post_any(self, cell: int) -> frozenset[int]:
-        """Union of ``post`` over every neighbor configuration.
-
-        Float addition is monotone, so the least summed gap of a cell over
-        all configurations is the sum of each axis's least gap over that
-        axis's ``side ** degree`` endpoint values.
-        """
-        got = self._post_any.get(cell)
-        if got is None:
-            axes = self.disc.axes
-            degree = self._arity - 1
-            per_axis = []
-            (own,) = axes.indices((cell,))
-            for rows, o, side in zip(axes.rows, own, axes.sides):
-                least: dict[int, float] = {}
-                for nbs in itertools.product(range(side), repeat=degree):
-                    for b, gap in rows[(o,) + nbs]:
-                        if gap < least.get(b, math.inf):
-                            least[b] = gap
-                per_axis.append(sorted(least.items()))
-            got = self._post_any[cell] = axes.within(per_axis)
-        return got
+        """Union of ``post`` over every neighbor configuration."""
+        return self._table.post_any(cell, self._arity - 1)
 
     # protocol used by the acceptance-product builder
     def succ_weighted(self, cell: int):

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .dynamics import integrate_closed, lyapunov
-from .errors import BudgetExceeded, TimedplanError
+from .errors import BudgetExceeded, PlanMismatch, TimedplanError
 from .mitl import sat
 from .rational import decimal_str, frac_str
 from .scenario import (
@@ -62,11 +62,7 @@ def _load_built(args) -> Built:
 
 
 def cmd_validate(args) -> int:
-    try:
-        b = _load_built(args)
-    except (TimedplanError, OSError) as e:
-        print(f"invalid: {type(e).__name__}: {e}")
-        return 1
+    b = _load_built(args)
     s = b.scenario
     print(f"scenario '{s.name}': ok")
     print(f"  agents: {s.n_agents}, edges: {list(s.edges)}")
@@ -137,21 +133,13 @@ def _certificate(b: Built, plan: Plan):
 
 
 def cmd_synthesize(args) -> int:
-    try:
-        b = _load_built(args)
-    except (TimedplanError, OSError) as e:
-        print(f"invalid: {type(e).__name__}: {e}")
-        return 1
+    b = _load_built(args)
     s = b.scenario
     out = Path(args.out) if args.out else Path("runs") / s.name
     t0 = time.perf_counter()
-    try:
-        result = synthesize(
-            b.graph, b.wts_list, b.formulas, r_selec=s.r_selec, max_states=s.max_states
-        )
-    except BudgetExceeded as e:
-        print(f"budget exhausted: {e}")
-        return 3
+    result = synthesize(
+        b.graph, b.wts_list, b.formulas, r_selec=s.r_selec, max_states=s.max_states
+    )
     elapsed = time.perf_counter() - t0
     if isinstance(result, Infeasible):
         print(f"infeasible: {result.reason}")
@@ -207,27 +195,33 @@ def cmd_synthesize(args) -> int:
     return 0
 
 
-def cmd_simulate(args) -> int:
-    try:
-        b = _load_built(args)
-        plan_path = Path(args.plan)
-        plan = plan_loads(
-            plan_path.read_text(encoding="utf-8"), b.scenario.fingerprint
+def _check_replayable(b: Built, plan: Plan):
+    """Reject a plan the scenario cannot replay: another quantum, a cell
+    off the grid, or a first state other than the start cells."""
+    s = b.scenario
+    if plan.dt != s.dt:
+        raise PlanMismatch(
+            f"plan key 'dt' is {frac_str(plan.dt)}, the scenario's quantum is {frac_str(s.dt)}"
         )
-    except (TimedplanError, OSError) as e:
-        print(f"invalid: {type(e).__name__}: {e}")
-        return 1
+    n = b.dec.n_cells
+    off = [c for state in plan.joint.states for c in state if not 1 <= c <= n]
+    if off:
+        raise PlanMismatch(f"plan key 'joint' names cell {off[0]}, the grid has 1..{n}")
+    start_cells = tuple(locate(b.dec, p) for p in s.starts)
+    if start_cells != plan.joint.state(0):
+        raise PlanMismatch(
+            f"plan starts at {plan.joint.state(0)}, scenario starts occupy {start_cells}"
+        )
+
+
+def cmd_simulate(args) -> int:
+    b = _load_built(args)
+    plan = plan_loads(Path(args.plan).read_text(encoding="utf-8"), b.scenario.fingerprint)
+    _check_replayable(b, plan)
     s = b.scenario
     g = b.graph
     disc = b.disc
     dec = b.dec
-    start_cells = tuple(locate(dec, p) for p in s.starts)
-    if start_cells != plan.joint.state(0):
-        print(
-            f"invalid: PlanMismatch: plan starts at {plan.joint.state(0)}, "
-            f"scenario starts occupy {start_cells}"
-        )
-        return 1
 
     quanta = args.quanta if args.quanta is not None else len(plan.joint)
     controller = make_controller(disc, g)
@@ -288,17 +282,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    try:
-        b = _load_built(args)
-    except (TimedplanError, OSError) as e:
-        print(f"invalid: {type(e).__name__}: {e}")
-        return 1
+    b = _load_built(args)
     p = product(b.wts_list)
-    try:
-        st = reachable_layers(p, args.steps, max_states=b.scenario.max_states)
-    except BudgetExceeded as e:
-        print(f"budget exhausted: {e}")
-        return 3
+    st = reachable_layers(p, args.steps, max_states=b.scenario.max_states)
     print(f"layers: {', '.join(str(c) for c in st.counts)}")
     print(f"elapsed: {st.seconds:.3f}s")
     if args.out:
@@ -370,13 +356,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _run(args) -> int:
+    """The subcommand's exit code; a typed error maps to its code here."""
+    try:
+        return args.func(args)
+    except BudgetExceeded as e:
+        print(f"budget exhausted: {e}")
+        return 3
+    except BrokenPipeError:
+        raise  # an OSError, but main's to handle
+    except (TimedplanError, OSError) as e:
+        print(f"invalid: {type(e).__name__}: {e}")
+        return 1
+
+
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as e:  # argparse exits 2 on a usage error, a verdict code here
         return 1 if e.code == 2 else e.code
     try:
-        code = args.func(args)
+        code = _run(args)
         sys.stdout.flush()  # a closed reader surfaces here, not at exit
         return code
     except BrokenPipeError:

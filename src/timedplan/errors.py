@@ -69,10 +69,6 @@ class TimeStepOutOfRange(TimedplanError):
     """Chosen step quantum falls outside the feasible range."""
 
 
-class BallOutsideWorkspace(TimedplanError):
-    """Nominal successor ball has no overlap with the workspace."""
-
-
 # -- transition systems ----------------------------------------------------
 
 class MismatchedTimeStep(TimedplanError):

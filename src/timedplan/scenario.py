@@ -36,7 +36,7 @@ _FIXED_KEYS = {
     "scenario": {"version", "name"},
     "graph": {"agents", "edges"},
     "workspace": {"bounds", "cell_size"},
-    "abstraction": {"lambda", "dt", "radius_shrink"},
+    "abstraction": {"lambda", "dt"},
     "synthesis": {"r_selec", "max_states", "samples", "seed"},
 }
 _START_RE = re.compile(r"^start\.(\d+)$")
@@ -136,7 +136,6 @@ class Scenario:
     cell_size: float
     lam: float
     dt: Fraction
-    radius_shrink: float
     labels: dict
     formula_text: tuple[str, ...]
     r_selec: int
@@ -237,9 +236,6 @@ def parse_scenario(text: str) -> Scenario:
         float(dt)
     except OverflowError:
         _fail(f"dt must be finite as a float, got {ab['dt']!r}")
-    radius_shrink = _real("radius_shrink", ab.get("radius_shrink", "0"))
-    if radius_shrink < 0:
-        _fail(f"radius_shrink must be nonnegative, got {ab['radius_shrink']!r}")
 
     labels: dict[int, dict[int, set]] = {i: {} for i in range(1, n_agents + 1)}
     if "labels" in cp:
@@ -281,7 +277,6 @@ def parse_scenario(text: str) -> Scenario:
         cell_size=cell_size,
         lam=lam,
         dt=dt,
-        radius_shrink=radius_shrink,
         labels={a: {c: frozenset(s) for c, s in per.items()} for a, per in labels.items()},
         formula_text=tuple(phis[i] for i in range(1, n_agents + 1)),
         r_selec=r_selec,
@@ -320,7 +315,7 @@ def build(s: Scenario) -> Built:
     box = Box(s.bounds_lo, s.bounds_hi)
     dec = grid(box, s.cell_size)
     labeling = ServiceLabeling(s.labels)
-    disc = Discretization(dec, s.dt, s.lam, consts, s.v_max, s.radius_shrink)
+    disc = Discretization(dec, s.dt, s.lam, consts, s.v_max)
     wts_list = tuple(
         build_wts(disc, g, i, s.starts[i - 1], labeling)
         for i in range(1, s.n_agents + 1)
@@ -366,6 +361,8 @@ def plan_loads(text: str, fingerprint: str | None = None) -> Plan:
         sha = raw["scenario_sha256"]
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
         raise PlanMismatch(f"unreadable plan file: {e}") from None
+    if not dt > 0:
+        raise PlanMismatch(f"plan key 'dt' must be positive, got {raw['dt']!r}")
     if fingerprint is not None and sha != fingerprint:
         raise PlanMismatch(
             "plan was synthesized for a different scenario file "

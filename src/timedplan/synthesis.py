@@ -300,15 +300,23 @@ class LayerStats:
 
 
 def reachable_layers(p: ProductWTS, steps: int, max_states=None) -> LayerStats:
-    """Sizes of successive forward images, starting from the initial set."""
+    """Sizes of successive forward images, starting from the initial set.
+
+    A layer equal to the one before it is a fixed point of the image, so
+    its count repeats for every step left.
+    """
     t0 = time.perf_counter()
     layer = set(p.initial)
     counts = [len(layer)]
-    for _ in range(steps):
-        layer = set(itertools.chain.from_iterable(map(p.successors, layer)))
-        counts.append(len(layer))
-        if max_states is not None and len(layer) > max_states:
+    for k in range(steps):
+        nxt = set(itertools.chain.from_iterable(map(p.successors, layer)))
+        counts.append(len(nxt))
+        if max_states is not None and len(nxt) > max_states:
             raise BudgetExceeded(
-                f"reachable layer passed {max_states} states", count=len(layer)
+                f"reachable layer passed {max_states} states", count=len(nxt)
             )
+        if nxt == layer:
+            counts.extend([len(nxt)] * (steps - 1 - k))
+            break
+        layer = nxt
     return LayerStats(tuple(counts), time.perf_counter() - t0)

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from timedplan.dynamics import integrate_closed
-from timedplan.errors import BallOutsideWorkspace, UnknownState
+from timedplan.errors import UnknownState
 from timedplan.graphs import CommGraph, build_graph
 from timedplan.mitl import (
     Always,
@@ -531,8 +531,8 @@ class RationalProduct:
 
 def scan_successors(disc, action):
     """Cells meeting the closed successor ball, by testing every cell box
-    against the nominal endpoint recomputed from ``Box.center``; raises
-    BallOutsideWorkspace when the ball misses the workspace.
+    against the nominal endpoint recomputed from ``Box.center``; the empty
+    set when the ball misses the workspace bounds.
     """
     dec = disc.dec
     own = dec.center(action[0])
@@ -543,19 +543,10 @@ def scan_successors(disc, action):
     )
     reach = disc.radius + EPS_GEO
     if dec.bounds.distance(x_hat) > reach:
-        raise BallOutsideWorkspace(f"successor ball around {x_hat} misses the workspace")
+        return frozenset()
     return frozenset(
         i + 1 for i, cell in enumerate(dec.cells) if cell.distance(x_hat) <= reach
     )
-
-
-def scan_post(disc, action):
-    """``AgentWTS.post`` by full scan: the empty set where the ball misses
-    the workspace."""
-    try:
-        return scan_successors(disc, action)
-    except BallOutsideWorkspace:
-        return frozenset()
 
 
 def enumerate_post_any(post, cell, n_cells, degree):
@@ -629,3 +620,16 @@ def per_sample_certificate(p, disc, g, steps, controller, n_samples, seed):
                     misses += 1
         reports.append(StepReport(j, n_samples, misses, worst))
     return SimulationReport(tuple(reports))
+
+
+# -- reachable layers without the fixed-point stop --------------------------------
+
+
+def expand_layers(p, steps):
+    """Every forward image of ``p``'s initial set up to ``steps``, each
+    expanded from the one before: ``reachable_layers`` before it stopped
+    at a fixed point."""
+    layers = [set(p.initial)]
+    for _ in range(steps):
+        layers.append(set(itertools.chain.from_iterable(map(p.successors, layers[-1]))))
+    return layers

@@ -17,7 +17,6 @@ from timedplan.abstraction import (
 )
 from timedplan.dynamics import ConditionConstants, condition_constants
 from timedplan.errors import (
-    BallOutsideWorkspace,
     C1Violated,
     InfeasibleDiameter,
     LambdaOutOfRange,
@@ -34,7 +33,7 @@ from timedplan.workspace import (
     locate,
 )
 
-from helpers import enumerate_post_any, scan_post, scan_successors
+from helpers import enumerate_post_any, scan_successors
 
 
 def consts(m=1.0, l_comb=14.0):
@@ -130,45 +129,34 @@ def test_discretization_rejects_coarse_grid():
         Discretization(big, disc.dt, disc.lam, c, 1.0)
 
 
-def test_radius_formula_and_shrink():
+def test_radius_formula():
     g, dec, disc = tiny_setup()
     assert disc.radius == pytest.approx(disc.lam * 1.0 * float(disc.dt))
-    import dataclasses
-
-    shrunk = dataclasses.replace(disc, radius_shrink=disc.radius / 2)
-    assert shrunk.radius == pytest.approx(disc.radius / 2)
-
-
-def endpoint(disc, action):
-    """The nominal endpoint, read off the axis tables' rows."""
-    axes = disc.axes
-    out = []
-    for rows, key in zip(axes.rows, zip(*axes.indices(action))):
-        rows[key]  # fills the row and its coordinate
-        out.append(rows.xs[key])
-    return tuple(out)
 
 
 def test_endpoint_stationary_when_neighbors_coincide():
     g, dec, disc = tiny_setup()
     # neighbor in the same cell: zero drift, endpoint = own center
-    assert endpoint(disc, (5, 5)) == dec.center(5)
-    hit = successors(disc, g, (5, 5))
+    hit = successors(disc, (5, 5))
     assert locate(dec, dec.center(5)) in hit
 
 
 def test_endpoint_drifts_toward_neighbor():
-    g, dec, disc = tiny_setup()
+    disc = shipped_disc()
+    dec = disc.dec
     own = np.array(dec.center(1))
-    nb = np.array(dec.center(9))
-    got = np.array(endpoint(disc, (1, 9)))
+    nb = np.array(dec.center(dec.n_cells))
     expect = own + float(disc.dt) * (nb - own)
-    assert np.allclose(got, expect)
+    hit = successors(disc, (1, dec.n_cells))
+    assert locate(dec, tuple(expect)) in hit
+    reach = disc.radius + EPS_GEO
+    assert hit == {i for i in range(1, dec.n_cells + 1) if dec.cell(i).distance(expect) <= reach}
+    assert hit != successors(disc, (1, 1))  # the drift moved the ball
 
 
 def test_successor_ball_is_distance_disk():
     g, dec, disc = tiny_setup()
-    hit = successors(disc, g, (5, 5))
+    hit = successors(disc, (5, 5))
     x = np.array(dec.center(5))
     for i in range(1, dec.n_cells + 1):
         inside = dec.cell(i).distance(x) <= disc.radius + 1e-12
@@ -239,18 +227,13 @@ def agent_of_arity(disc, arity):
 
 
 def agree(disc, action, agents):
-    post = agents[len(action)].post(action)
-    try:
-        expect = scan_successors(disc, action)
-    except BallOutsideWorkspace:
-        with pytest.raises(BallOutsideWorkspace):
-            successors(disc, None, action)
-        assert post == frozenset()
-        return "outside"
-    got = successors(disc, None, action)
+    """``successors`` and ``post`` against the full scan; whether the ball
+    met the workspace."""
+    expect = scan_successors(disc, action)
+    got = successors(disc, action)
     assert got == expect, (action, sorted(got), sorted(expect))
-    assert post == expect
-    return "inside"
+    assert agents[len(action)].post(action) == expect
+    return "inside" if expect else "outside"
 
 
 @pytest.mark.parametrize("name", sorted(DECOMPOSITIONS))
@@ -286,7 +269,7 @@ def test_unknown_cells_raise_out_of_bounds():
     pair = agent_of_arity(disc, 2)
     for action in ((0,), (1, 37), (-1, 2)):
         with pytest.raises(OutOfBounds):
-            successors(disc, None, action)
+            successors(disc, action)
     for action in ((0, 1), (1, 37), (-1, 2)):
         with pytest.raises(OutOfBounds):
             pair.post(action)
@@ -303,7 +286,7 @@ def test_post_any_is_union_of_scans(name):
     n = dec.n_cells
     for dt in (Fraction(1, 20), Fraction(1, 2)):
         disc = loose_disc(dec, dt)
-        scan = functools.partial(scan_post, disc)
+        scan = functools.partial(scan_successors, disc)
         for degree in (0, 1):
             w = agent_of_arity(disc, 1 + degree)
             for cell in range(1, n + 1):
@@ -318,7 +301,7 @@ def test_post_any_at_degree_three_reaches_outside():
     g, dec, disc = tiny_setup()
     disc = loose_disc(dec, Fraction(2))
     n = dec.n_cells
-    scan = functools.partial(scan_post, disc)
+    scan = functools.partial(scan_successors, disc)
     assert scan((1, 9, 9, 9)) == frozenset()  # an exit configuration
     w = agent_of_arity(disc, 4)
     for cell in range(1, n + 1):
@@ -353,7 +336,7 @@ def test_post_matches_scan_on_grid_growth(side):
         rng = random.Random(side)
         actions = [(rng.randint(1, n), rng.randint(1, n)) for _ in range(3000)]
     for action in actions:
-        assert pair.post(action) == scan_post(disc, action), action
+        assert pair.post(action) == scan_successors(disc, action), action
 
 
 def test_post_checks_arity_before_the_shared_cache():
@@ -362,10 +345,10 @@ def test_post_checks_arity_before_the_shared_cache():
     lab = ServiceLabeling({})
     pair = AgentWTS(1, disc, path, lab, 1)  # one neighbor
     middle = AgentWTS(2, disc, path, lab, 1)  # two neighbors
-    assert pair.post((5, 9)) == scan_post(disc, (5, 9))
+    assert pair.post((5, 9)) == scan_successors(disc, (5, 9))
     with pytest.raises(ValueError):
         middle.post((5, 9))
-    assert middle.post((5, 9, 1)) == scan_post(disc, (5, 9, 1))
+    assert middle.post((5, 9, 1)) == scan_successors(disc, (5, 9, 1))
     with pytest.raises(ValueError):
         pair.post((5, 9, 1))
     assert pair.post((5, 9)) is AgentWTS(1, disc, path, lab, 2).post((5, 9))
@@ -393,3 +376,18 @@ def test_post_shares_equal_successor_sets():
     a, b = next(acts for acts in by_set.values() if len(acts) > 1)[:2]
     assert w.post(a) is w.post(b)
     assert len({id(w.post(acts[0])) for acts in by_set.values()}) == len(by_set)
+
+
+def test_post_any_is_shared_by_agents_of_equal_degree():
+    """The table keys the closed form by cell and degree: the two ends of
+    a path share one set, the middle agent gets its own."""
+    g, dec, disc = tiny_setup()
+    n = dec.n_cells
+    path = build_graph(3, [(1, 2), (2, 3)])
+    lab = ServiceLabeling({})
+    end1, middle, end3 = (AgentWTS(i, disc, path, lab, 1) for i in (1, 2, 3))
+    for cell in range(1, n + 1):
+        assert end3.post_any(cell) is end1.post_any(cell)
+        assert end1.post_any(cell) == enumerate_post_any(end1.post, cell, n, 1)
+        assert middle.post_any(cell) == enumerate_post_any(middle.post, cell, n, 2)
+    assert any(middle.post_any(c) != end1.post_any(c) for c in range(1, n + 1))

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -23,7 +24,7 @@ from timedplan.wts import (
     timed_word,
 )
 
-from helpers import TableAgentWTS
+from helpers import TableAgentWTS, expand_layers
 
 
 def free_agents(dt=Fraction(1, 4), n_cells=3):
@@ -205,3 +206,55 @@ def test_reachable_layers_budget():
     p = product(systems)
     with pytest.raises(BudgetExceeded):
         reachable_layers(p, 5, max_states=2)
+
+
+def random_path_product(seed, n_cells=4):
+    """Three agents on a path whose actions lead to random, rarely empty,
+    successor sets: seeds 0 and 4 die out, 7 cycles with period 2, and 9
+    repeats a count (53) before its fixed point (55)."""
+    rng = np.random.default_rng(seed)
+    cells = range(1, n_cells + 1)
+    neighbors = {1: (2,), 2: (1, 3), 3: (2,)}
+    systems = []
+    for agent, nbs in neighbors.items():
+        table = {}
+        for action in itertools.product(cells, repeat=1 + len(nbs)):
+            k = 0 if rng.random() < 0.05 else int(rng.integers(1, 3))
+            table[(action[0], action)] = {int(c) for c in rng.choice(cells, k)}
+        systems.append(TableAgentWTS(agent, nbs, Fraction(1, 4), table, initial=[1]))
+    return product(systems)
+
+
+def shipped_product(name):
+    from timedplan.scenario import build, load_scenario
+
+    return product(build(load_scenario(f"scenarios/{name}.cfg")).wts_list)
+
+
+LAYER_CASES = ["path_three_fast", "two_agent_services"] + [f"random-{s}" for s in range(12)]
+
+
+def layer_product(case):
+    if case.startswith("random-"):
+        return random_path_product(int(case.split("-")[1]))
+    return shipped_product(case)
+
+
+@pytest.mark.parametrize("case", LAYER_CASES)
+def test_reachable_layers_match_full_expansion(case):
+    p = layer_product(case)
+    want = [len(layer) for layer in expand_layers(p, 40)]
+    for steps in (0, 1, 10, 40):
+        assert reachable_layers(p, steps).counts == tuple(want[: steps + 1])
+
+
+@pytest.mark.parametrize("case", ["two_agent_services", "random-1", "random-9"])
+def test_reachable_layers_expand_nothing_past_the_fixed_point(case):
+    layers = expand_layers(layer_product(case), 40)
+    fixed = next(k for k in range(40) if layers[k + 1] == layers[k])
+    p = layer_product(case)
+    calls = []
+    successors = p.successors
+    p.successors = lambda joint: calls.append(joint) or successors(joint)
+    reachable_layers(p, 40)
+    assert len(calls) == sum(len(layer) for layer in layers[: fixed + 1])
