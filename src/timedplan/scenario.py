@@ -374,6 +374,11 @@ def plan_loads(text: str, fingerprint: str | None = None) -> Plan:
             "plan key 'joint' must list at least one state, each with one cell "
             f"per agent; got state lengths {widths}"
         )
+    if not 0 <= stem < len(joint_states):
+        raise PlanMismatch(
+            f"plan key 'stem_len' must be in 0..{len(joint_states) - 1}, "
+            f"got {raw['stem_len']!r}"
+        )
     joint = TimedRun(joint_states, (dt,) * len(joint_states), stem)
     runs = split_joint(joint, widths[0])
     return Plan(runs=runs, joint=joint, dt=dt, route=route, combos_checked=combos)

@@ -156,7 +156,6 @@ class ProductWTS:
         for c in comps:
             alphabet |= c.alphabet
         self.alphabet = frozenset(alphabet)
-        self._succ: dict[tuple, tuple] = {}
 
     def pr(self, idx: int, joint: tuple) -> tuple:
         """Action of component ``idx`` induced by the joint configuration."""
@@ -170,19 +169,14 @@ class ProductWTS:
 
     def successors(self, joint: tuple) -> tuple:
         joint = tuple(joint)
-        got = self._succ.get(joint)
-        if got is None:
-            posts = []
-            for comp, pick in zip(self.components, self._picks):
-                post = comp.post(pick(joint))
-                if not post:
-                    posts = None
-                    break
-                posts.append(sorted(post))
-            # lexicographic over the sorted posts, agent 1 outermost
-            got = () if posts is None else tuple(itertools.product(*posts))
-            self._succ[joint] = got
-        return got
+        posts = []
+        for comp, pick in zip(self.components, self._picks):
+            post = comp.post(pick(joint))
+            if not post:
+                return ()
+            posts.append(sorted(post))
+        # lexicographic over the sorted posts, agent 1 outermost
+        return tuple(itertools.product(*posts))
 
     def has_transition(self, src: tuple, dst: tuple) -> bool:
         """Whether each agent's step to ``dst`` is enabled under the action

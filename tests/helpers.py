@@ -8,6 +8,7 @@ implementations are checked against structurally different computations.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -629,7 +630,8 @@ def expand_layers(p, steps):
     """Every forward image of ``p``'s initial set up to ``steps``, each
     expanded from the one before: ``reachable_layers`` before it stopped
     at a fixed point."""
+    succ = functools.cache(p.successors)  # a state recurs in many layers
     layers = [set(p.initial)]
     for _ in range(steps):
-        layers.append(set(itertools.chain.from_iterable(map(p.successors, layers[-1]))))
+        layers.append(set(itertools.chain.from_iterable(map(succ, layers[-1]))))
     return layers

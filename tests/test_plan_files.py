@@ -29,9 +29,23 @@ def cell_off_the_grid(raw):
     raw["joint"][1] = [999, 999]
 
 
+def stem_past_the_end(raw):
+    raw["stem_len"] = 99
+
+
+def negative_stem(raw):
+    raw["stem_len"] = -1
+
+
 @pytest.mark.parametrize(
     "edit, key",
-    [(negative_dt, "'dt'"), (other_dt, "'dt'"), (cell_off_the_grid, "'joint'")],
+    [
+        (negative_dt, "'dt'"),
+        (other_dt, "'dt'"),
+        (cell_off_the_grid, "'joint'"),
+        (stem_past_the_end, "'stem_len'"),
+        (negative_stem, "'stem_len'"),
+    ],
 )
 def test_simulate_rejects_unreplayable_plan(plan_json, tmp_path, capsys, edit, key):
     raw = json.loads(json.dumps(plan_json))

@@ -1,9 +1,16 @@
+import hashlib
 import itertools
+import os
+import subprocess
+import sys
+import types
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from timedplan import synthesis
 from timedplan.errors import BudgetExceeded, LengthMismatch
 from timedplan.graphs import build_graph
 from timedplan.mitl import parse, sat
@@ -145,6 +152,30 @@ def test_synthesize_budget():
         synthesize(g, systems, formulas, max_states=1)
 
 
+def test_joint_product_plan_on_shipped_scenario_is_pinned():
+    """The joint-product route's plan on ``two_agent_services``, as found
+    while the product memoized every joint successor."""
+    from timedplan.scenario import build, load_scenario
+
+    b = build(load_scenario("scenarios/two_agent_services.cfg"))
+    plan = synthesize(b.graph, b.wts_list, b.formulas, r_selec=0)
+    assert plan.route == "joint-product"
+    assert (plan.stem_len, plan.cycle_len) == (609, 2)
+    assert plan.joint.states[plan.stem_len:] == ((6, 24), (6, 24))
+    digest = hashlib.sha256(repr(plan.joint.states).encode()).hexdigest()
+    assert digest.startswith("17caf145119b1bca")
+
+
+def test_generate_and_check_budget_counts_joint_states():
+    """All 16 joint states of two free agents on 4 cells are explored."""
+    g, systems = free_agents(n_cells=4)
+    formulas = [parse("F[0,2] (p1 & X[0,1] p1)"), parse("F[0,2] p2")]
+    assert synthesize(g, systems, formulas, max_states=16).route == "generate-and-check"
+    with pytest.raises(BudgetExceeded, match="^joint exploration passed 15 states$") as e:
+        synthesize(g, systems, formulas, max_states=15)
+    assert e.value.count == 16
+
+
 def test_generate_and_check_route_on_nested_formula():
     """Outside the compilable fragment the planner degrades to checking
     joint candidates directly against the semantics."""
@@ -249,12 +280,76 @@ def test_reachable_layers_match_full_expansion(case):
 
 
 @pytest.mark.parametrize("case", ["two_agent_services", "random-1", "random-9"])
-def test_reachable_layers_expand_nothing_past_the_fixed_point(case):
+def test_reachable_layers_expand_nothing_past_the_fixed_point(case, monkeypatch):
+    """Layers 0 .. fixed are imaged once each, and nothing after."""
     layers = expand_layers(layer_product(case), 40)
     fixed = next(k for k in range(40) if layers[k + 1] == layers[k])
-    p = layer_product(case)
     calls = []
-    successors = p.successors
-    p.successors = lambda joint: calls.append(joint) or successors(joint)
-    reachable_layers(p, 40)
-    assert len(calls) == sum(len(layer) for layer in layers[: fixed + 1])
+    image = synthesis._image
+    monkeypatch.setattr(synthesis, "_image", lambda *a: calls.append(a) or image(*a))
+    reachable_layers(layer_product(case), 40)
+    assert len(calls) == fixed + 1
+
+
+WORKLOADS = Path(__file__).parent.parent / "perfbench" / "workloads.py"
+
+
+def benchmark_specs():
+    """The benchmark's generated scenarios, from its source text, so that
+    nothing is written beside it."""
+    module = types.ModuleType("perfbench_workloads")
+    module.__file__ = str(WORKLOADS)
+    sys.modules[module.__name__] = module  # dataclasses look their module up
+    exec(compile(WORKLOADS.read_text(encoding="utf-8"), str(WORKLOADS), "exec"), module.__dict__)
+    specs = [module.grid_growth_spec(side) for side in (6, 10, 16)]
+    return {spec.name: spec.text for spec in specs + list(module.joint_route_specs())}
+
+
+@pytest.mark.parametrize("name", sorted(benchmark_specs()))
+def test_coded_layers_match_full_expansion_on_generated_scenarios(name):
+    from timedplan.scenario import build, parse_scenario
+
+    p = product(build(parse_scenario(benchmark_specs()[name])).wts_list)
+    want = [len(layer) for layer in expand_layers(p, 40)]
+    for steps in (0, 1, 40):
+        got = reachable_layers(p, steps).counts
+        assert got == tuple(want[: steps + 1])
+        assert all(type(c) is int for c in got)
+
+
+@pytest.mark.parametrize("case", ["path_three_fast", "random-9"])
+def test_set_fallback_above_the_bitmap_cap(case, monkeypatch):
+    coded = reachable_layers(layer_product(case), 10).counts
+    monkeypatch.setattr(synthesis, "_BITMAP_CAP", 0)
+    monkeypatch.setattr(synthesis, "_image", None)  # the coded path would fail
+    got = reachable_layers(layer_product(case), 10).counts
+    assert got == coded
+    assert all(type(c) is int for c in got)
+
+
+def test_coded_layers_budget_on_path_three():
+    p = shipped_product("path_three_fast")
+    assert reachable_layers(p, 10, max_states=15625).counts[-1] == 15625
+    with pytest.raises(BudgetExceeded, match="^reachable layer passed 15624 states$") as e:
+        reachable_layers(p, 10, max_states=15624)
+    assert e.value.count == 15625
+
+
+def test_coded_layers_leave_numpy_ma_unimported():
+    """``np.unique`` imports ``numpy.ma``, which costs peak memory."""
+    script = (
+        "import sys\n"
+        "from timedplan.scenario import build, load_scenario\n"
+        "from timedplan.synthesis import reachable_layers\n"
+        "from timedplan.wts import product\n"
+        "b = build(load_scenario('scenarios/two_agent_services.cfg'))\n"
+        "reachable_layers(product(b.wts_list), 40)\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    root = Path(__file__).parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", script], cwd=root, env=env,
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert done.stdout.split() == ["False"]
