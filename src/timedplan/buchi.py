@@ -221,8 +221,3 @@ def enumerate_accepting(b: BuchiWTS, limit: int) -> list[TimedRun]:
 def project_run(run: TimedRun) -> TimedRun:
     """Drop automaton bookkeeping: the underlying system run."""
     return TimedRun(tuple(n[0] for n in run.states), run.durations, run.stem_len)
-
-
-def locations(run: TimedRun) -> tuple:
-    """The automaton locations along a product lasso."""
-    return tuple(n[1] for n in run.states)

@@ -24,9 +24,9 @@ from .errors import PlanMismatch, ScenarioError, TimedplanError
 from .graphs import build_graph, theorem1_constants
 from .mitl import parse
 from .rational import as_fraction, frac_str
-from .synthesis import Plan, split_joint
-from .workspace import Box, ServiceLabeling, grid, grid_shape
-from .wts import TimedRun
+from .synthesis import Plan
+from .workspace import Box, ServiceLabeling, grid, grid_shape, locate
+from .wts import TimedRun, check_consistent
 
 _KNOWN_SECTIONS = (
     "scenario", "graph", "dynamics", "workspace",
@@ -293,10 +293,7 @@ class Built:
 
     scenario: Scenario
     graph: object
-    bound_params: object
-    constants: object
     dec: object
-    labeling: ServiceLabeling
     disc: Discretization
     wts_list: tuple
     formulas: tuple
@@ -310,8 +307,7 @@ def build(s: Scenario) -> Built:
     which property failed.
     """
     g = build_graph(s.n_agents, s.edges)
-    params = theorem1_constants(g, s.v_max, s.margin)
-    consts = condition_constants(g, params)
+    consts = condition_constants(g, theorem1_constants(g, s.v_max, s.margin))
     box = Box(s.bounds_lo, s.bounds_hi)
     dec = grid(box, s.cell_size)
     labeling = ServiceLabeling(s.labels)
@@ -327,58 +323,83 @@ def build(s: Scenario) -> Built:
         except TimedplanError as e:
             raise type(e)(f"phi.{i}: {e}") from None
     return Built(
-        scenario=s, graph=g, bound_params=params, constants=consts, dec=dec,
-        labeling=labeling, disc=disc, wts_list=wts_list, formulas=tuple(formulas),
+        scenario=s, graph=g, dec=dec, disc=disc, wts_list=wts_list,
+        formulas=tuple(formulas),
     )
 
 
 # -- plan persistence ----------------------------------------------------------
 
 
-def plan_to_dict(plan: Plan, fingerprint: str) -> dict:
-    return {
+def plan_dumps(plan: Plan, fingerprint: str) -> str:
+    raw = {
         "scenario_sha256": fingerprint,
         "route": plan.route,
         "dt": frac_str(plan.dt),
-        "stem_len": plan.joint.stem_len,
+        "stem_len": plan.stem_len,
         "combos_checked": plan.combos_checked,
         "joint": [list(s) for s in plan.joint.states],
     }
+    return json.dumps(raw, indent=2, sort_keys=True) + "\n"
 
 
-def plan_dumps(plan: Plan, fingerprint: str) -> str:
-    return json.dumps(plan_to_dict(plan, fingerprint), indent=2, sort_keys=True) + "\n"
+def _json_int(key: str, value) -> int:
+    """A plan's cell, stem length or combo count: a JSON int, not a float or bool."""
+    if type(value) is not int:
+        raise PlanMismatch(f"plan key {key!r} must hold integers, got {value!r}")
+    return value
 
 
-def plan_loads(text: str, fingerprint: str | None = None) -> Plan:
+def plan_loads(text: str, b: Built) -> Plan:
+    """The plan in ``text`` if it is a joint lasso of ``b``'s product from
+    its start cells, every step (the closing one too) a transition, as the
+    self-check's ``check_consistent`` has it; else a ``PlanMismatch``
+    naming the plan key at fault."""
+    s = b.scenario
     try:
         raw = json.loads(text)
         route = raw["route"]
         dt = as_fraction(raw["dt"])
-        stem = int(raw["stem_len"])
-        joint_states = tuple(tuple(int(c) for c in s) for s in raw["joint"])
-        combos = int(raw.get("combos_checked", 0))
+        stem = _json_int("stem_len", raw["stem_len"])
+        joint_states = tuple(
+            tuple(_json_int("joint", c) for c in state) for state in raw["joint"]
+        )
+        combos = _json_int("combos_checked", raw.get("combos_checked", 0))
         sha = raw["scenario_sha256"]
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError, ZeroDivisionError) as e:
         raise PlanMismatch(f"unreadable plan file: {e}") from None
-    if not dt > 0:
-        raise PlanMismatch(f"plan key 'dt' must be positive, got {raw['dt']!r}")
-    if fingerprint is not None and sha != fingerprint:
+    if sha != s.fingerprint:
         raise PlanMismatch(
             "plan was synthesized for a different scenario file "
-            f"(expected {fingerprint[:12]}..., got {sha[:12]}...)"
+            f"(expected {s.fingerprint[:12]}..., got {str(sha)[:12]}...)"
         )
-    widths = sorted({len(s) for s in joint_states})
-    if len(widths) != 1 or widths[0] == 0:
+    if dt != s.dt:
         raise PlanMismatch(
-            "plan key 'joint' must list at least one state, each with one cell "
-            f"per agent; got state lengths {widths}"
+            f"plan key 'dt' is {frac_str(dt)}, the scenario's quantum is {frac_str(s.dt)}"
         )
+    widths = sorted({len(state) for state in joint_states})
+    if widths != [s.n_agents]:
+        raise PlanMismatch(
+            f"plan key 'joint' must list at least one state, each with one cell "
+            f"per agent ({s.n_agents}); got state lengths {widths}"
+        )
+    n = b.dec.n_cells
+    off = [c for state in joint_states for c in state if not 1 <= c <= n]
+    if off:
+        raise PlanMismatch(f"plan key 'joint' names cell {off[0]}, the grid has 1..{n}")
     if not 0 <= stem < len(joint_states):
         raise PlanMismatch(
-            f"plan key 'stem_len' must be in 0..{len(joint_states) - 1}, "
-            f"got {raw['stem_len']!r}"
+            f"plan key 'stem_len' must be in 0..{len(joint_states) - 1}, got {stem}"
         )
-    joint = TimedRun(joint_states, (dt,) * len(joint_states), stem)
-    runs = split_joint(joint, widths[0])
-    return Plan(runs=runs, joint=joint, dt=dt, route=route, combos_checked=combos)
+    start_cells = tuple(locate(b.dec, p) for p in s.starts)
+    if start_cells != joint_states[0]:
+        raise PlanMismatch(
+            f"plan starts at {joint_states[0]}, scenario starts occupy {start_cells}"
+        )
+    plan = Plan(TimedRun(joint_states, (dt,) * len(joint_states), stem), route, combos)
+    if not check_consistent(plan.runs, b.graph, b.wts_list):
+        raise PlanMismatch(
+            "plan key 'joint' takes a step that is not a transition of the "
+            "scenario's product (check_consistent)"
+        )
+    return plan

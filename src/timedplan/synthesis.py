@@ -48,20 +48,30 @@ class Infeasible:
 
 @dataclass(frozen=True)
 class Plan:
-    """Aligned per-agent lassos plus their zip as one joint lasso."""
+    """A joint lasso of the product: one cell per agent at each position,
+    one quantum per step.  Each agent's run is its coordinate of the joint
+    states, and the quantum is the lasso's step."""
 
-    runs: tuple[TimedRun, ...]
     joint: TimedRun
-    dt: Fraction
     route: str
     combos_checked: int = 0
 
-    def __bool__(self):
-        return True
-
     @property
     def n_agents(self) -> int:
-        return len(self.runs)
+        return len(self.joint.states[0])
+
+    @property
+    def runs(self) -> tuple[TimedRun, ...]:
+        """Each agent's run: its coordinate of every joint state."""
+        j = self.joint
+        return tuple(
+            TimedRun(tuple(s[i] for s in j.states), j.durations, j.stem_len)
+            for i in range(self.n_agents)
+        )
+
+    @property
+    def dt(self) -> Fraction:
+        return self.joint.durations[0]
 
     @property
     def stem_len(self) -> int:
@@ -127,7 +137,7 @@ def synthesize(g, wts_list, formulas, r_selec: int = 100, max_states=None):
     try:
         tbas = [mitl_to_tba(f, alphabet=c.alphabet) for f, c in zip(formulas, comps)]
     except UnsupportedFragment:
-        return _generate_and_check(g, comps, formulas, r_selec, max_states)
+        return _generate_and_check(comps, formulas, r_selec, max_states)
 
     per_agent = []
     for i, (c, a) in enumerate(zip(comps, tbas), start=1):
@@ -150,13 +160,7 @@ def synthesize(g, wts_list, formulas, r_selec: int = 100, max_states=None):
         combos += 1
         aligned = align_runs(pick)
         if check_consistent(aligned, g, comps):
-            return Plan(
-                runs=tuple(aligned),
-                joint=zip_runs(aligned),
-                dt=comps[0].dt,
-                route="independent",
-                combos_checked=combos,
-            )
+            return Plan(zip_runs(aligned), "independent", combos)
 
     folded = tbas[0]
     for a in tbas[1:]:
@@ -166,25 +170,10 @@ def synthesize(g, wts_list, formulas, r_selec: int = 100, max_states=None):
     run = find_accepting(b)
     if run is None:
         return Infeasible("no joint run satisfies every task together")
-    joint = project_run(run)
-    runs = split_joint(joint, g.n_agents)
-    return Plan(
-        runs=runs, joint=joint, dt=comps[0].dt, route="joint-product",
-        combos_checked=combos,
-    )
+    return Plan(project_run(run), "joint-product", combos)
 
 
-def split_joint(joint: TimedRun, n_agents: int) -> tuple[TimedRun, ...]:
-    """Each agent's run: its coordinate of every joint state."""
-    return tuple(
-        TimedRun(
-            tuple(s[i] for s in joint.states), joint.durations, joint.stem_len
-        )
-        for i in range(n_agents)
-    )
-
-
-def _generate_and_check(g, comps, formulas, r_selec, max_states):
+def _generate_and_check(comps, formulas, r_selec, max_states):
     """Bounded search over joint lassos, each verified against every task
     by direct semantic evaluation.  Exhaustion is a budget failure, not an
     infeasibility proof.
@@ -221,16 +210,16 @@ def _generate_and_check(g, comps, formulas, r_selec, max_states):
         examined += 1
         path = tree_path(parent, node)
         states = tuple(path[:-1]) + tuple(cyc)
-        joint = TimedRun(states, (p.dt,) * len(states), len(path) - 1)
-        runs = split_joint(joint, g.n_agents)
+        plan = Plan(
+            TimedRun(states, (p.dt,) * len(states), len(path) - 1),
+            "generate-and-check",
+            examined,
+        )
         if all(
             sat(timed_word(r, c.label), 0, f)
-            for r, c, f in zip(runs, comps, formulas)
+            for r, c, f in zip(plan.runs, comps, formulas)
         ):
-            return Plan(
-                runs=runs, joint=joint, dt=p.dt, route="generate-and-check",
-                combos_checked=examined,
-            )
+            return plan
     raise BudgetExceeded(
         f"no verdict after checking {examined} joint lassos "
         f"(tasks outside the compilable fragment cannot be refuted)",

@@ -238,6 +238,14 @@ def check_consistent(runs, g, wts_list) -> bool:
 
 
 _BATCH_STEPS = 512  # plan steps per integrate_closed call of the certificate
+SUBSTEPS = 20  # RK4 steps per quantum when a landing is integrated
+
+
+def lands_in(lo, hi, x) -> np.ndarray:
+    """The landing rule: whether each position of ``x`` lies in its target
+    cell's closed box, corners ``lo`` and ``hi``, inflated by ``EPS_GEO``;
+    so a landing on a face the cell shares with a neighbor is a hit."""
+    return boxes_contain(lo, hi, x, eps=EPS_GEO)
 
 
 @dataclass(frozen=True)
@@ -275,8 +283,8 @@ def simulation_check(
 
     For each (source, target) product transition, draw ``n_samples`` joint
     starts uniformly from the source cells, integrate the realized law for
-    one quantum in RK4 steps of a twentieth of it, and count agents that miss
-    their target cell (membership inflated by ``EPS_GEO``).
+    one quantum in ``SUBSTEPS`` RK4 steps, and count agents that miss their
+    target cell by ``lands_in``.
     ``controller(targets)`` returns the joint feedback law for a batch of
     steps, one target state per step.
 
@@ -294,8 +302,8 @@ def simulation_check(
     reports = []
     for first in range(0, len(steps), _BATCH_STEPS):
         batch = steps[first:first + _BATCH_STEPS]
-        src_lo, src_hi = _corners(disc.dec, [src for src, _ in batch])
-        dst_lo, dst_hi = _corners(disc.dec, [dst for _, dst in batch])
+        src_lo, src_hi = cell_corners(disc.dec, [src for src, _ in batch])
+        dst_lo, dst_hi = cell_corners(disc.dec, [dst for _, dst in batch])
         u = rng.random((len(batch), n_samples) + src_lo.shape[1:])
         starts = src_lo[:, None] + u * (src_hi - src_lo)[:, None]
         law = controller([dst for _, dst in batch])
@@ -303,11 +311,9 @@ def simulation_check(
         worst = np.zeros(len(batch))
         for k in range(n_samples):
             landed = dynamics.integrate_closed(
-                g, starts[:, k], law, disc.dt / 20, disc.dt, disc.v_max
+                g, starts[:, k], law, disc.dt / SUBSTEPS, disc.dt, disc.v_max
             ).final()
-            misses += np.count_nonzero(
-                ~boxes_contain(dst_lo, dst_hi, landed, eps=EPS_GEO), axis=-1
-            )
+            misses += np.count_nonzero(~lands_in(dst_lo, dst_hi, landed), axis=-1)
             dist = boxes_distance(dst_lo, dst_hi, landed)
             # fmax skips NaN as max(worst, nan) does
             worst = np.fmax(worst, np.fmax.reduce(dist, axis=-1))
@@ -318,7 +324,7 @@ def simulation_check(
     return SimulationReport(tuple(reports))
 
 
-def _corners(dec, states):
+def cell_corners(dec, states):
     """Lower and upper corners of every agent's cell, ``(J, N, n)`` each."""
     boxes = [[dec.cell(c) for c in state] for state in states]
     lo = np.array([[b.lo for b in row] for row in boxes], dtype=float)

@@ -430,6 +430,11 @@ def rand_wts_lasso(rng, wts: WTS, max_len=8):
     return None
 
 
+def locations(run) -> tuple:
+    """The automaton locations along a product lasso."""
+    return tuple(n[1] for n in run.states)
+
+
 # -- whole-graph lasso probing -------------------------------------------------
 
 

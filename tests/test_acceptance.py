@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from timedplan.abstraction import dmax_range, dt_range
-from timedplan.buchi import BuchiWTS, find_accepting, locations, project_run
+from timedplan.buchi import BuchiWTS, find_accepting, project_run
 from timedplan.dynamics import ConditionConstants, integrate_closed, relative_norm
 from timedplan.graphs import build_graph, theorem1_constants
 from timedplan.mitl import parse, sat
@@ -31,6 +31,7 @@ from timedplan.wts import (
 
 from helpers import (
     accepting_cycle_exists,
+    locations,
     rand_fraction,
     rand_fragment,
     rand_tba,

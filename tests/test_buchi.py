@@ -7,7 +7,6 @@ from timedplan.buchi import (
     BuchiWTS,
     enumerate_accepting,
     find_accepting,
-    locations,
     project_run,
 )
 from timedplan.errors import AlphabetMismatch, BudgetExceeded, MismatchedTimeStep
@@ -22,6 +21,7 @@ from helpers import (
     WTS,
     accepting_cycle_exists,
     crawl,
+    locations,
     probe_every_accepting,
     rand_tba,
     rand_wts,

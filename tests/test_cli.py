@@ -173,6 +173,38 @@ def test_simulate_round_trip(tmp_path, capsys):
     assert all(r.endswith("yes") for r in rows[1:])
 
 
+def test_simulate_counts_a_landing_on_a_shared_face_as_a_hit(tmp_path, capsys, monkeypatch):
+    """Agent 1 lands on the upper face its planned cell shares with the next
+    cell, inside the closed box: a hit, as in the certificate, although the
+    half-open ``locate`` puts the point in the neighbor."""
+    import timedplan.cli
+    from timedplan.dynamics import Trajectory
+    from timedplan.scenario import build, load_scenario
+    from timedplan.workspace import locate
+
+    dec = build(load_scenario(SCENARIO)).dec
+    real = timedplan.cli.integrate_closed
+
+    def on_the_face(*args, **kwargs):
+        traj = real(*args, **kwargs)
+        states = traj.states.copy()
+        box = dec.cell(locate(dec, states[-1, 0]))
+        assert box.hi[0] < dec.bounds.hi[0]  # a face shared with a neighbor
+        states[-1, 0, 0] = box.hi[0]
+        return Trajectory(traj.times, states)
+
+    run = tmp_path / "run"
+    assert main(["synthesize", SCENARIO, "--out", str(run)]) == 0
+    monkeypatch.setattr(timedplan.cli, "integrate_closed", on_the_face)
+    sim = tmp_path / "sim"
+    code = main(["simulate", SCENARIO, "--plan", str(run / "plan.json"), "--out", str(sim)])
+    printed = capsys.readouterr().out
+    assert code == 0, printed
+    rows = [r.split(",") for r in (sim / "reachable_cells.csv").read_text().split()[1:]]
+    assert rows and all(r[4] == "yes" for r in rows)
+    assert all(r[2] != r[3] for r in rows if r[1] == "1")
+
+
 def test_simulate_rejects_foreign_plan(tmp_path, capsys):
     run = tmp_path / "run"
     assert main(["synthesize", SCENARIO, "--out", str(run)]) == 0
@@ -249,7 +281,7 @@ def _forged(states_1, states_2):
 
     dt = Fraction(1, 20)
     runs = tuple(TimedRun(s, (dt,) * len(s), 0) for s in (states_1, states_2))
-    return Plan(runs=runs, joint=zip_runs(runs), dt=dt, route="independent")
+    return Plan(zip_runs(runs), route="independent")
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 from pathlib import Path
 
@@ -187,16 +188,17 @@ def test_plan_round_trip():
     )
     assert plan
     blob = plan_dumps(plan, b.scenario.fingerprint)
-    back = plan_loads(blob, b.scenario.fingerprint)
+    back = plan_loads(blob, b)
     assert back.joint.states == plan.joint.states
     assert back.joint.durations == plan.joint.durations
     assert back.joint.stem_len == plan.joint.stem_len
     assert back.route == plan.route
     assert [r.states for r in back.runs] == [r.states for r in plan.runs]
+    other = dataclasses.replace(b.scenario, fingerprint="0" * 64)
     with pytest.raises(PlanMismatch):
-        plan_loads(blob, "0" * 64)
+        plan_loads(blob, dataclasses.replace(b, scenario=other))
     with pytest.raises(PlanMismatch):
-        plan_loads("not json", b.scenario.fingerprint)
+        plan_loads("not json", b)
 
 
 # -- fuzzing: every input ends in a Scenario or a TimedplanError ---------------

@@ -1,8 +1,10 @@
 """Every public top-level function and class of the package is used by the
-package itself: some module of ``src/timedplan`` refers to its name outside
-that name's own definition, so a recursive call does not count.  A name
-only the tests (or ``__init__``'s re-exports) reach is dead surface; move it
-to ``tests/helpers.py`` or delete it.
+package itself: another module of ``src/timedplan`` imports it by name, or
+its own module names it outside the name's own definition, so a recursive
+call does not count.  An attribute of the same name (``a.locations``) or a
+same-named local in another module is not a use.  A name only the tests (or
+``__init__``'s re-exports) reach is dead surface; move it to
+``tests/helpers.py`` or delete it.
 """
 
 import ast
@@ -25,22 +27,19 @@ def _modules():
 
 
 def test_no_public_name_is_unused_by_the_package():
-    defined = {}
-    referenced = set()
+    defined = set()
+    used = set()  # (module, name)
     for module, tree in _modules():
         for top in tree.body:
-            names = set()
-            for node in ast.walk(top):
-                if isinstance(node, ast.Name):
-                    names.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    names.add(node.attr)
-                elif isinstance(node, ast.alias):
-                    names.add(node.name)
+            own = None
             if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
-                names.discard(top.name)
-                if not top.name.startswith("_"):
-                    defined[top.name] = module
-            referenced |= names
-    unused = {f"{defined[n]}.{n}" for n in defined.keys() - referenced}
-    assert unused == {f"{defined[n]}.{n}" for n in ALLOWED}
+                own = top.name
+                if not own.startswith("_"):
+                    defined.add((module, own))
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and node.id != own:
+                    used.add((module, node.id))
+                elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                    used.update((node.module, alias.name) for alias in node.names)
+    unused = {f"{m}.{n}" for m, n in defined - used}
+    assert unused == {f"{m}.{n}" for m, n in defined if n in ALLOWED}
