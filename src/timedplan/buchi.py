@@ -13,9 +13,9 @@ automaton, so an accepting lasso of this product projects to a system run
 whose observation word the automaton accepts, and the durations along the
 lasso are genuine transition weights.
 
-Guards are read by ``eval_guard`` on the exact valuation, once per distinct
-(location, clocks, delay, letter) step; a node's successors are the system
-moves of its state crossed with those memoized steps.
+Guards are read on the automaton in ticks (``TBA.in_ticks``) with int clocks,
+once per distinct (location, clocks, delay, letter) step; a node's
+successors are the system moves of its state crossed with those steps.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import AlphabetMismatch, BudgetExceeded, MismatchedTimeStep
-from .rational import INF, frac_gcd
+from .rational import frac_gcd
 from .search import bfs_order, nested_dfs, on_cycle, shortest_cycle, tree_path
 from .tba import TBA, eval_guard
 from .wts import TimedRun
@@ -33,7 +33,7 @@ class BuchiWTS:
     """Explored on demand; keeps every discovered node for budget control.
 
     The system must expose ``dt``, a quantum every transition weight is a
-    whole multiple of.
+    whole multiple of.  ``tba`` holds the automaton in ticks of ``unit``.
     """
 
     def __init__(self, wts, tba: TBA, max_states: int | None = None):
@@ -43,10 +43,10 @@ class BuchiWTS:
                 f"automaton alphabet {sorted(tba.ap)}"
             )
         self.wts = wts
-        self.tba = tba
         self.max_states = max_states
         self.unit: Fraction = frac_gcd([wts.dt, *tba.constants])
-        self.cap: int = int(tba.c_max / self.unit) + 1
+        self.tba = tba = tba.in_ticks(self.unit)
+        self.cap: int = int(tba.c_max) + 1
         self._memo: dict = {}
         self._moves: dict = {}
         self._ticks: dict = {}
@@ -59,7 +59,7 @@ class BuchiWTS:
             for q in tba.initial:
                 if wts.label(s) != tba.labels[q]:
                     continue
-                if not eval_guard(self.valuation(zeros), tba.invariants[q]):
+                if not eval_guard(tba.valuation(zeros), tba.invariants[q]):
                     continue
                 node = (s, q, zeros)
                 initial.append(node)
@@ -72,11 +72,6 @@ class BuchiWTS:
 
     def accepting(self, node) -> bool:
         return node[1] in self.tba.accepting
-
-    def valuation(self, ticks) -> dict:
-        """Exact clock valuation of a tick tuple (``cap`` reads as infinity)."""
-        unit, cap = self.unit, self.cap
-        return self.tba.valuation(INF if v == cap else v * unit for v in ticks)
 
     def anchors(self):
         """Accepting nodes that lie on a cycle, in breadth-first discovery
@@ -137,7 +132,7 @@ class BuchiWTS:
             tba = self.tba
             cap = self.cap
             moved = tuple(min(v + ticks, cap) for v in nu)
-            moved_map = self.valuation(moved)
+            moved_map = tba.valuation(moved)
             out = {}
             if eval_guard(moved_map, tba.invariants[q]):
                 for e in tba.edges_reading(q, letter):
@@ -146,7 +141,7 @@ class BuchiWTS:
                     after = tuple(
                         0 if c in e.resets else v for c, v in zip(tba.clocks, moved)
                     )
-                    if eval_guard(self.valuation(after), tba.invariants[e.dst]):
+                    if eval_guard(tba.valuation(after), tba.invariants[e.dst]):
                         out[(e.dst, after)] = None
             got = tuple(out)
             self._steps[key] = got

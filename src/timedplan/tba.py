@@ -9,13 +9,15 @@ lasso word is accepted when some run over it (labels matching the word
 letters pointwise) visits an accepting location infinitely often, decided on
 the finite graph of (word position, location, capped valuation) triples:
 values above the largest constant collapse to an infinity sentinel, which is
-sound because every comparison constant lies at or below the cap.
+sound because every comparison constant lies at or below the cap.  The
+acceptance product reads instead a copy in whole ticks (``TBA.in_ticks``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import eq, ge, gt, le, lt
 
 from .errors import AlphabetMismatch, UndeclaredClock, UnsupportedFragment
 from .mitl import And, Eventually, Interval, Next, Not, Prop, Until, Always, props
@@ -33,18 +35,20 @@ class Top:
 
 
 TOP = Top()
+_COMPARE = {"<": lt, ">": gt, "<=": le, ">=": ge, "=": eq}
 
 
 @dataclass(frozen=True)
 class Atom:
     clock: str
     op: str  # one of < > <= >= =
-    const: Fraction
+    const: Fraction | int  # int ticks on an automaton from TBA.in_ticks
 
     def __post_init__(self):
-        if self.op not in ("<", ">", "<=", ">=", "="):
+        if self.op not in _COMPARE:
             raise ValueError(f"unknown comparison {self.op!r}")
-        object.__setattr__(self, "const", as_fraction(self.const))
+        if not isinstance(self.const, int):
+            object.__setattr__(self, "const", as_fraction(self.const))
 
     def __str__(self):
         return f"{self.clock} {self.op} {self.const}"
@@ -91,8 +95,8 @@ def window(clock: str, interval: Interval):
 def eval_guard(nu, g) -> bool:
     """Evaluate a constraint against a clock valuation (mapping).
 
-    Values are rationals or the infinity sentinel; infinity compares above
-    every constant and equals none.
+    Values are rationals or the infinity sentinel, which compares above every
+    constant and equals none; int ticks on an automaton from ``TBA.in_ticks``.
     """
     if isinstance(g, Top):
         return True
@@ -105,37 +109,30 @@ def eval_guard(nu, g) -> bool:
             v = nu[g.clock]
         except KeyError:
             raise UndeclaredClock(f"clock {g.clock!r} not in the valuation") from None
-        c = g.const
-        if g.op == "<":
-            return v < c
-        if g.op == ">":
-            return v > c
-        if g.op == "<=":
-            return v <= c
-        if g.op == ">=":
-            return v >= c
-        return v == c
+        return _COMPARE[g.op](v, g.const)
     raise TypeError(f"not a clock constraint: {g!r}")
 
 
-def _constants(g):
+def atoms(g):
+    """The comparison atoms of a constraint, left to right."""
     if isinstance(g, Atom):
-        yield g.const
+        yield g
     elif isinstance(g, GNot):
-        yield from _constants(g.sub)
+        yield from atoms(g.sub)
     elif isinstance(g, GAnd):
-        yield from _constants(g.left)
-        yield from _constants(g.right)
+        yield from atoms(g.left)
+        yield from atoms(g.right)
 
 
-def _rename_clocks(g, mapping):
-    if isinstance(g, Top):
-        return g
+def _rewrite(g, atom):
+    """The constraint with every atom ``x`` replaced by ``atom(x)``."""
     if isinstance(g, Atom):
-        return Atom(mapping[g.clock], g.op, g.const)
+        return atom(g)
     if isinstance(g, GNot):
-        return GNot(_rename_clocks(g.sub, mapping))
-    return GAnd(_rename_clocks(g.left, mapping), _rename_clocks(g.right, mapping))
+        return GNot(_rewrite(g.sub, atom))
+    if isinstance(g, GAnd):
+        return GAnd(_rewrite(g.left, atom), _rewrite(g.right, atom))
+    return g
 
 
 # -- the automaton ------------------------------------------------------------
@@ -166,15 +163,13 @@ class TBA:
         self.ap = frozenset(ap)
         self.labels = {q: frozenset(labels.get(q, ())) for q in self.locations}
         self.invariants = {q: TOP for q in self.locations}
-        if invariants:
-            self.invariants.update(invariants)
+        self.invariants.update(invariants or {})
         clock_set = set(self.clocks)
-        for q in self.initial:
-            if q not in loc_set:
-                raise ValueError(f"initial location {q!r} undeclared")
-        for q in self.accepting:
-            if q not in loc_set:
-                raise ValueError(f"accepting location {q!r} undeclared")
+        for kind, qs in (("initial", self.initial), ("accepting", self.accepting),
+                         ("invariant", self.invariants)):
+            for q in qs:
+                if q not in loc_set:
+                    raise ValueError(f"{kind} location {q!r} undeclared")
         for q, l in self.labels.items():
             if not l <= self.ap:
                 raise AlphabetMismatch(f"label {set(l)} of {q!r} outside the alphabet")
@@ -183,18 +178,36 @@ class TBA:
                 raise ValueError(f"edge {e} references undeclared locations")
             if not e.resets <= clock_set:
                 raise UndeclaredClock(f"edge {e} resets undeclared clocks")
-            for cl in _guard_clocks(e.guard):
-                if cl not in clock_set:
-                    raise UndeclaredClock(f"edge {e} guards undeclared clock {cl!r}")
+        guarded = [(e, e.guard) for e in self.edges]
+        guarded += [(f"invariant of {q!r}", g) for q, g in self.invariants.items()]
+        consts = []
+        for where, g in guarded:
+            for x in atoms(g):
+                if x.clock not in clock_set:
+                    raise UndeclaredClock(f"{where} guards undeclared clock {x.clock!r}")
+                consts.append(x.const)
         by_src = {q: [] for q in self.locations}
         for e in self.edges:
             by_src[e.src].append(e)
         self._out = {q: tuple(v) for q, v in by_src.items()}
         self._reading: dict = {}
-        consts = [c for e in self.edges for c in _constants(e.guard)]
-        consts += [c for g in self.invariants.values() for c in _constants(g)]
         self.constants = frozenset(consts)
         self.c_max: Fraction = max(consts, default=Fraction(0))
+
+    def in_ticks(self, unit: Fraction) -> TBA:
+        """This automaton with every guard and invariant constant divided by
+        ``unit``, which must divide each: ``k`` ticks read as ``k * unit`` here.
+        """
+        def scale(x):
+            ticks, rest = divmod(x.const, unit)
+            if rest:
+                raise ValueError(f"constant of {x} is not a whole number of {unit}")
+            return Atom(x.clock, x.op, ticks)
+
+        edges = [Edge(e.src, _rewrite(e.guard, scale), e.resets, e.dst) for e in self.edges]
+        invariants = {q: _rewrite(g, scale) for q, g in self.invariants.items()}
+        return TBA(self.locations, self.initial, self.clocks, edges, self.accepting,
+                   self.labels, self.ap, invariants)
 
     def out_edges(self, q: str):
         return self._out[q]
@@ -209,16 +222,6 @@ class TBA:
 
     def valuation(self, values) -> dict:
         return dict(zip(self.clocks, values))
-
-
-def _guard_clocks(g):
-    if isinstance(g, Atom):
-        yield g.clock
-    elif isinstance(g, GNot):
-        yield from _guard_clocks(g.sub)
-    elif isinstance(g, GAnd):
-        yield from _guard_clocks(g.left)
-        yield from _guard_clocks(g.right)
 
 
 def _cap(v, c_max):
@@ -424,6 +427,8 @@ def intersect(a: TBA, b: TBA) -> TBA:
     map_a = {c: f"a.{c}" for c in a.clocks}
     map_b = {c: f"b.{c}" for c in b.clocks}
     clocks = tuple(map_a.values()) + tuple(map_b.values())
+    rename_a = lambda x: Atom(map_a[x.clock], x.op, x.const)
+    rename_b = lambda x: Atom(map_b[x.clock], x.op, x.const)
     ap = a.ap | b.ap
 
     def consistent(qa, qb):
@@ -443,8 +448,8 @@ def intersect(a: TBA, b: TBA) -> TBA:
                 locations.append(q)
                 labels[q] = a.labels[qa] | b.labels[qb]
                 invariants[q] = gand(
-                    _rename_clocks(a.invariants[qa], map_a),
-                    _rename_clocks(b.invariants[qb], map_b),
+                    _rewrite(a.invariants[qa], rename_a),
+                    _rewrite(b.invariants[qb], rename_b),
                 )
     edges = []
     for qa in a.locations:
@@ -464,8 +469,8 @@ def intersect(a: TBA, b: TBA) -> TBA:
                             Edge(
                                 name[(qa, qb, phase)],
                                 gand(
-                                    _rename_clocks(ea.guard, map_a),
-                                    _rename_clocks(eb.guard, map_b),
+                                    _rewrite(ea.guard, rename_a),
+                                    _rewrite(eb.guard, rename_b),
                                 ),
                                 frozenset(map_a[c] for c in ea.resets)
                                 | frozenset(map_b[c] for c in eb.resets),

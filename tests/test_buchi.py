@@ -11,18 +11,20 @@ from timedplan.buchi import (
 )
 from timedplan.errors import AlphabetMismatch, BudgetExceeded, MismatchedTimeStep
 from timedplan.mitl import parse, sat
-from timedplan.rational import INF
+from timedplan.rational import INF, frac_gcd
 from timedplan.scenario import build, load_scenario
-from timedplan.tba import intersect, mitl_to_tba
+from timedplan.tba import TBA, TOP, Edge, atoms, eval_guard, intersect, mitl_to_tba
 from timedplan.wts import timed_word
 
 from helpers import (
     RationalProduct,
     WTS,
+    _rand_guard,
     accepting_cycle_exists,
     crawl,
     locations,
     probe_every_accepting,
+    rand_fraction,
     rand_tba,
     rand_wts,
     universal_tba,
@@ -255,9 +257,75 @@ def test_constants_off_the_quantum_get_their_own_ticks():
     b = BuchiWTS(w, a)
     assert b.unit == Fraction(1, 420)
     assert b.cap == 61  # one tick above 1/7
-    assert b.valuation((60,)) == {"c": Fraction(1, 7)}
-    assert b.valuation((61,)) == {"c": INF}
+    # the window guard in ticks reads 60 as 1/7, and the capped 61 as infinity
+    (exact,) = {e.guard for e in a.edges} - {TOP}
+    (ticked,) = {e.guard for e in b.tba.edges} - {TOP}
+    assert eval_guard({"c": 60}, ticked) and eval_guard({"c": Fraction(1, 7)}, exact)
+    assert not eval_guard({"c": 61}, ticked) and not eval_guard({"c": INF}, exact)
     assert assert_same_as_rational(w, a) > 0
+
+
+def _with_invariants(rng, a):
+    """``a`` with a random invariant at every location (``TOP`` at about 30 %
+    of them), drawn from ``rng``.
+    """
+    invariants = {q: _rand_guard(rng) for q in a.locations}
+    return TBA(a.locations, a.initial, a.clocks, a.edges, a.accepting, a.labels, a.ap,
+               invariants)
+
+
+def test_ticks_match_rational_clocks_under_invariants():
+    rng = np.random.default_rng(59)
+    inv_rng = np.random.default_rng(61)  # rand_tba's stream stays as it was
+    pruned = joint = 0
+    for _ in range(200):
+        props = ("p",) if rng.random() < 0.5 else ("p", "q")
+        w = rand_wts(rng, props, n_states=int(rng.integers(2, 7)))
+        plain = rand_tba(rng, props, n_locs=int(rng.integers(2, 5)))
+        a = _with_invariants(inv_rng, plain)
+        b = BuchiWTS(w, plain)
+        pruned += 1 < assert_same_as_rational(w, a) < len(crawl(b.initial, b.succ)[0])
+        # intersect renames both factors' invariants apart
+        both = intersect(a, _with_invariants(inv_rng, plain))
+        b = BuchiWTS(w, intersect(plain, plain))
+        joint += 1 < assert_same_as_rational(w, both) < len(crawl(b.initial, b.succ)[0])
+    # products that invariants cut without emptying
+    assert pruned >= 10 and joint >= 10
+
+
+def test_the_product_reads_only_int_clocks(monkeypatch):
+    import timedplan.buchi as buchi
+
+    read = []
+    real = buchi.eval_guard
+
+    def spy(nu, g):
+        read.extend(nu.values())
+        return real(nu, g)
+
+    monkeypatch.setattr(buchi, "eval_guard", spy)
+    w = build(load_scenario("scenarios/two_agent_services.cfg")).wts_list[0]
+    b = BuchiWTS(w, mitl_to_tba(parse("F[1/30, 1/7] p1"), alphabet=w.alphabet))
+    nodes, _ = crawl(b.initial, b.succ)
+    assert all(type(v) is int for v in read)
+    assert b.cap in read
+    assert all(type(v) is int for _, _, clocks in nodes for v in clocks)
+
+
+def test_in_ticks_keeps_every_verdict():
+    rng = np.random.default_rng(67)
+    for _ in range(300):
+        g = _rand_guard(rng)
+        a = TBA(("q",), ("q",), ("c",), (Edge("q", g, (), "q"),), (), {}, frozenset())
+        unit = frac_gcd([rand_fraction(rng), *a.constants])
+        cap = int(a.c_max / unit) + 1
+        (ticked,) = [e.guard for e in a.in_ticks(unit).edges]
+        assert all(type(x.const) is int for x in atoms(ticked))
+        for tick in range(cap + 1):
+            exact = INF if tick == cap else tick * unit
+            assert eval_guard({"c": tick}, ticked) == eval_guard({"c": exact}, g)
+    with pytest.raises(ValueError):
+        mitl_to_tba(parse("F[0, 1/7] p")).in_ticks(Fraction(1, 2))
 
 
 def test_weights_off_the_quantum_are_rejected():

@@ -136,6 +136,17 @@ def test_tba_validation():
             (Edge("q", TOP, frozenset({"d"}), "q"),),
             ("q",), {"q": frozenset()}, frozenset(),
         )
+    # invariants go through the same checks as edges, at construction
+    with pytest.raises(ValueError, match="'zz'"):
+        TBA(
+            ("q",), ("q",), ("c",), (), ("q",), {"q": frozenset()}, frozenset(),
+            invariants={"zz": Atom("c", "<=", 9)},
+        )
+    with pytest.raises(UndeclaredClock, match="'d'"):
+        TBA(
+            ("q",), ("q",), ("c",), (), ("q",), {"q": frozenset()}, frozenset(),
+            invariants={"q": gand(Atom("c", ">=", 0), Atom("d", "<=", 1))},
+        )
 
 
 def test_cmax_and_capping():
