@@ -187,7 +187,7 @@ def parse(text: str, alphabet=None):
     If ``alphabet`` is given, propositions outside it are rejected.
     """
     toks = _Tokens(text)
-    f = _parse_until(toks)
+    f = _parse_implies(toks)
     kind, val = toks.peek()
     if kind is not None:
         raise MitlSyntaxError(f"trailing input near {val!r}")
@@ -199,10 +199,6 @@ def parse(text: str, alphabet=None):
 
 
 # precedence (loosest to tightest):  ->  |  &  U  unary
-def _parse_until(toks):
-    return _parse_implies(toks)
-
-
 def _parse_implies(toks):
     left = _parse_or(toks)
     kind, _ = toks.peek()
@@ -255,7 +251,7 @@ def _parse_unary(toks):
         sub = _parse_unary(toks)
         return {"X": Next, "F": Eventually, "G": Always}[op](interval, sub)
     if kind == "lpar":
-        inner = _parse_until(toks)
+        inner = _parse_implies(toks)
         k2, v2 = toks.take()
         if k2 != "rpar":
             raise MitlSyntaxError(f"expected ')', found {v2!r}")

@@ -319,6 +319,45 @@ def _loc(phase: str, letter: frozenset[str]) -> str:
     return f"{phase}:{{{','.join(sorted(letter))}}}"
 
 
+def _rules(f):
+    """The rule table of a single-operator formula.
+
+    A table is (phases, initial, moves, accepting): ``phases`` maps each
+    phase to the test its letters pass, ``initial`` lists (phase, test on the
+    first letter), ``moves`` lists (source phase, guard, target phase, test
+    on the target letter), and ``accepting`` names phases.  A test of None
+    passes every letter.  F[a,b] l is true U[a,b] l.
+    """
+    if isinstance(f, Eventually) and _is_prop_combo(f.sub):
+        f = Until(f.interval, None, f.sub)
+    if isinstance(f, Always) and _is_prop_combo(f.sub):
+        inside = window("c", f.interval)
+        return ({"hold": None},
+                [("hold", f.sub if f.interval.lo == 0 else None)],
+                [("hold", inside, "hold", f.sub), ("hold", GNot(inside), "hold", None)],
+                {"hold"})
+    if isinstance(f, Until) and _is_prop_combo(f.left) and _is_prop_combo(f.right):
+        return ({"wait": None, "done": None},
+                [("wait", f.left)] + ([("done", f.right)] if f.interval.lo == 0 else []),
+                [("wait", TOP, "wait", f.left),
+                 ("wait", window("c", f.interval), "done", f.right),
+                 ("done", TOP, "done", None)],
+                {"done"})
+    if isinstance(f, Next) and _is_prop_combo(f.sub):
+        return ({"init": None, "next": f.sub, "tail": None},
+                [("init", None)],
+                [("init", window("c", f.interval), "next", f.sub),
+                 ("next", TOP, "tail", None),
+                 ("tail", TOP, "tail", None)],
+                {"tail"})
+    if _is_prop_combo(f):
+        return ({"init": None, "tail": None},
+                [("init", f)],
+                [("init", TOP, "tail", None), ("tail", TOP, "tail", None)],
+                {"init", "tail"})
+    raise UnsupportedFragment(f"cannot compile {f} (operator nesting unsupported)")
+
+
 def mitl_to_tba(f, alphabet=None) -> TBA:
     """Compile a fragment formula into a language-equivalent automaton.
 
@@ -326,7 +365,8 @@ def mitl_to_tba(f, alphabet=None) -> TBA:
     top-level conjunctions of these, where l is a propositional combination.
     Locations are phase x letter pairs so every word over the alphabet has
     matching runs; the single clock is never reset and therefore reads the
-    absolute stamp of the position under evaluation.
+    absolute stamp of the position under evaluation.  Each location's
+    out-edges go by target letter, then by the table's moves in order.
     """
     if isinstance(f, And) and not _is_prop_combo(f):
         left = mitl_to_tba(f.left, alphabet)
@@ -334,83 +374,26 @@ def mitl_to_tba(f, alphabet=None) -> TBA:
         return intersect(left, right)
 
     ap = frozenset(props(f)) | (frozenset(alphabet) if alphabet else frozenset())
+    phases, initial, moves, accepting = _rules(f)
     letters = _letters(ap)
-    c = "c"
-
-    def locs(phase, pred=None):
-        return [_loc(phase, l) for l in letters if _prop_eval(pred, l)]
-
-    labels = {}
-    for phase in ("wait", "done", "hold", "init", "next", "tail"):
-        for l in letters:
-            labels[_loc(phase, l)] = l
-
-    if isinstance(f, Eventually) and _is_prop_combo(f.sub):
-        f = Until(f.interval, None, f.sub)  # F[a,b] l is true U[a,b] l
-
-    if isinstance(f, Always) and _is_prop_combo(f.sub):
-        interval = f.interval
-        locations = locs("hold")
-        if interval.lo == 0:
-            initial = locs("hold", f.sub)
-        else:
-            initial = locs("hold")
-        edges = []
-        inside = window(c, interval)
-        for l in letters:
-            for l2 in letters:
-                if _prop_eval(f.sub, l2):
-                    edges.append(Edge(_loc("hold", l), inside, frozenset(), _loc("hold", l2)))
-                edges.append(Edge(_loc("hold", l), GNot(inside), frozenset(), _loc("hold", l2)))
-        return TBA(locations, initial, (c,), edges, locations, labels, ap)
-
-    if isinstance(f, Until) and _is_prop_combo(f.left) and _is_prop_combo(f.right):
-        interval = f.interval
-        locations = locs("wait") + locs("done")
-        initial = locs("wait", f.left)
-        if interval.lo == 0:
-            initial += locs("done", f.right)
-        edges = []
-        for l in letters:
-            for l2 in letters:
-                if _prop_eval(f.left, l2):
-                    edges.append(Edge(_loc("wait", l), TOP, frozenset(), _loc("wait", l2)))
-                if _prop_eval(f.right, l2):
-                    edges.append(
-                        Edge(_loc("wait", l), window(c, interval), frozenset(), _loc("done", l2))
-                    )
-                edges.append(Edge(_loc("done", l), TOP, frozenset(), _loc("done", l2)))
-        return TBA(locations, initial, (c,), edges, locs("done"), labels, ap)
-
-    if isinstance(f, Next) and _is_prop_combo(f.sub):
-        interval = f.interval
-        locations = locs("init") + locs("next", f.sub) + locs("tail")
-        initial = locs("init")
-        edges = []
-        for l in letters:
-            for l2 in letters:
-                if _prop_eval(f.sub, l2):
-                    edges.append(
-                        Edge(_loc("init", l), window(c, interval), frozenset(), _loc("next", l2))
-                    )
-                edges.append(Edge(_loc("tail", l), TOP, frozenset(), _loc("tail", l2)))
-        for l in letters:
-            if _prop_eval(f.sub, l):
-                for l2 in letters:
-                    edges.append(Edge(_loc("next", l), TOP, frozenset(), _loc("tail", l2)))
-        return TBA(locations, initial, (c,), edges, locs("tail"), labels, ap)
-
-    if _is_prop_combo(f):
-        locations = locs("init") + locs("tail")
-        initial = locs("init", f)
-        edges = []
-        for l in letters:
-            for l2 in letters:
-                edges.append(Edge(_loc("init", l), TOP, frozenset(), _loc("tail", l2)))
-                edges.append(Edge(_loc("tail", l), TOP, frozenset(), _loc("tail", l2)))
-        return TBA(locations, initial, (c,), edges, locations, labels, ap)
-
-    raise UnsupportedFragment(f"cannot compile {f} (operator nesting unsupported)")
+    at = [(p, l) for p, test in phases.items() for l in letters if _prop_eval(test, l)]
+    labels = {_loc(p, l): l for p, l in at}
+    edges = [
+        Edge(_loc(p, l), guard, (), _loc(dst, l2))
+        for p, l in at
+        for l2 in letters
+        for src, guard, dst, test in moves
+        if src == p and _prop_eval(test, l2)
+    ]
+    return TBA(
+        list(labels),
+        [_loc(p, l) for p, test in initial for l in letters if _prop_eval(test, l)],
+        ("c",),
+        edges,
+        [_loc(p, l) for p, l in at if p in accepting],
+        labels,
+        ap,
+    )
 
 
 # -- products ---------------------------------------------------------------
@@ -426,67 +409,35 @@ def intersect(a: TBA, b: TBA) -> TBA:
     """
     map_a = {c: f"a.{c}" for c in a.clocks}
     map_b = {c: f"b.{c}" for c in b.clocks}
-    clocks = tuple(map_a.values()) + tuple(map_b.values())
-    rename_a = lambda x: Atom(map_a[x.clock], x.op, x.const)
-    rename_b = lambda x: Atom(map_b[x.clock], x.op, x.const)
-    ap = a.ap | b.ap
+    shared_a = {qa: a.labels[qa] & b.ap for qa in a.locations}
+    shared_b = {qb: b.labels[qb] & a.ap for qb in b.locations}
 
-    def consistent(qa, qb):
-        return a.labels[qa] & b.ap == b.labels[qb] & a.ap
+    def joint(ga, gb):
+        return gand(_rewrite(ga, lambda x: Atom(map_a[x.clock], x.op, x.const)),
+                    _rewrite(gb, lambda x: Atom(map_b[x.clock], x.op, x.const)))
 
-    locations = []
-    labels = {}
-    invariants = {}
-    name = {}
+    locations, labels, invariants, edges, accepting = [], {}, {}, [], []
     for qa in a.locations:
         for qb in b.locations:
-            if not consistent(qa, qb):
+            if shared_a[qa] != shared_b[qb]:
                 continue
-            for phase in (1, 2):
+            turns = ((1, 2 if qa in a.accepting else 1), (2, 1 if qb in b.accepting else 2))
+            for phase, nxt_phase in turns:
                 q = f"{qa}|{qb}|{phase}"
-                name[(qa, qb, phase)] = q
                 locations.append(q)
                 labels[q] = a.labels[qa] | b.labels[qb]
-                invariants[q] = gand(
-                    _rewrite(a.invariants[qa], rename_a),
-                    _rewrite(b.invariants[qb], rename_b),
-                )
-    edges = []
-    for qa in a.locations:
-        for qb in b.locations:
-            if not consistent(qa, qb):
-                continue
-            for phase in (1, 2):
-                if phase == 1:
-                    nxt_phase = 2 if qa in a.accepting else 1
-                else:
-                    nxt_phase = 1 if qb in b.accepting else 2
-                for ea in a.out_edges(qa):
-                    for eb in b.out_edges(qb):
-                        if (ea.dst, eb.dst, nxt_phase) not in name:
-                            continue
-                        edges.append(
-                            Edge(
-                                name[(qa, qb, phase)],
-                                gand(
-                                    _rewrite(ea.guard, rename_a),
-                                    _rewrite(eb.guard, rename_b),
-                                ),
-                                frozenset(map_a[c] for c in ea.resets)
-                                | frozenset(map_b[c] for c in eb.resets),
-                                name[(ea.dst, eb.dst, nxt_phase)],
-                            )
-                        )
-    initial = [
-        name[(qa, qb, 1)]
-        for qa in a.initial
-        for qb in b.initial
-        if (qa, qb, 1) in name
-    ]
-    accepting = [
-        name[(qa, qb, 1)]
-        for qa in a.locations
-        for qb in b.locations
-        if qa in a.accepting and (qa, qb, 1) in name
-    ]
-    return TBA(locations, initial, clocks, edges, accepting, labels, ap, invariants)
+                invariants[q] = joint(a.invariants[qa], b.invariants[qb])
+                if phase == 1 and qa in a.accepting:
+                    accepting.append(q)
+                edges += [
+                    Edge(q, joint(ea.guard, eb.guard),
+                         {map_a[c] for c in ea.resets} | {map_b[c] for c in eb.resets},
+                         f"{ea.dst}|{eb.dst}|{nxt_phase}")
+                    for ea in a.out_edges(qa)
+                    for eb in b.out_edges(qb)
+                    if shared_a[ea.dst] == shared_b[eb.dst]
+                ]
+    initial = [f"{qa}|{qb}|1" for qa in a.initial for qb in b.initial
+               if shared_a[qa] == shared_b[qb]]
+    clocks = tuple(map_a.values()) + tuple(map_b.values())
+    return TBA(locations, initial, clocks, edges, accepting, labels, a.ap | b.ap, invariants)

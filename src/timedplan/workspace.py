@@ -9,6 +9,7 @@ follow the construction order (grids: lexicographic by grid coordinate).
 
 from __future__ import annotations
 
+import itertools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -132,20 +133,10 @@ def grid(bounds: Box, cell_size: float) -> CellDecomposition:
         tuple([a + k * cell_size for k in range(count)] + [b])
         for a, b, count in zip(bounds.lo, bounds.hi, shape)
     ]
-    cells = []
-    idx = [0] * bounds.dim
-    while True:
-        lo = tuple(axes[k][idx[k]] for k in range(bounds.dim))
-        hi = tuple(axes[k][idx[k] + 1] for k in range(bounds.dim))
-        cells.append(Box(lo, hi))
-        for k in range(bounds.dim - 1, -1, -1):
-            idx[k] += 1
-            if idx[k] < len(axes[k]) - 1:
-                break
-            idx[k] = 0
-        else:
-            break
-    return CellDecomposition(bounds=bounds, cells=tuple(cells), cuts=tuple(axes))
+    # a cell picks one (lo, hi) interval per axis; the last axis runs fastest
+    intervals = [tuple(zip(cuts, cuts[1:])) for cuts in axes]
+    cells = tuple(Box(*zip(*cell)) for cell in itertools.product(*intervals))
+    return CellDecomposition(bounds=bounds, cells=cells, cuts=tuple(axes))
 
 
 def locate(dec: CellDecomposition, p) -> int:

@@ -96,9 +96,6 @@ class TimedWord(TimedRun):
 
     label = TimedRun.state
 
-    def alphabet(self) -> frozenset[str]:
-        return frozenset().union(*self.states)
-
 
 def format_steps(items, durations, stem_len) -> str:
     """One position per line: ``j; num/den; item`` with a cycle marker."""

@@ -2,9 +2,10 @@
 package itself: another module of ``src/timedplan`` imports it by name, or
 its own module names it outside the name's own definition, so a recursive
 call does not count.  An attribute of the same name (``a.locations``) or a
-same-named local in another module is not a use.  A name only the tests (or
-``__init__``'s re-exports) reach is dead surface; move it to
-``tests/helpers.py`` or delete it.
+same-named local in another module is not a use.  A name only the tests
+reach is dead surface; move it to ``tests/helpers.py`` or delete it.
+Callers import from the modules: the package root binds ``__version__``
+alone.
 """
 
 import ast
@@ -43,3 +44,16 @@ def test_no_public_name_is_unused_by_the_package():
                     used.update((node.module, alias.name) for alias in node.names)
     unused = {f"{m}.{n}" for m, n in defined - used}
     assert unused == {f"{m}.{n}" for m, n in defined if n in ALLOWED}
+
+
+def test_package_root_binds_only_the_version():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound.add(node.id)
+        elif isinstance(node, ast.alias):  # "*" for a star import
+            bound.add((node.asname or node.name).split(".")[0])
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+    assert bound == {"__version__"}

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -210,6 +211,40 @@ def test_compile_eventually_golden(text, p, lo, hi, done_initial):
         frozenset({done_, done_p}),
         {wait_: waiting, wait_p: waiting, done_: done, done_p: done},
     )
+
+
+def _render(a):
+    """Every location with its label, invariant and out-edges in order."""
+    lines = [
+        "locations " + " ".join(a.locations),
+        "initial " + " ".join(a.initial),
+        "accepting " + " ".join(sorted(a.accepting)),
+    ]
+    for q in a.locations:
+        lines.append(f"{q} label {sorted(a.labels[q])} invariant {a.invariants[q]}")
+        for e in a.out_edges(q):
+            lines.append(f"  {e.guard} reset {sorted(e.resets)} -> {e.dst}")
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize(
+    "text, n_locations, n_edges, digest",
+    [("G[0,3] p", 4, 24, "abdac53dbdc10784"),
+     ("G[1,3] p", 4, 24, "8a1c2c108d3a5ebf"),
+     ("p U[0,2] q", 8, 32, "662561d3fd344451"),
+     ("p U[1,inf] q", 8, 32, "b18a459293639b6f"),
+     ("F[1/2,4] q", 8, 40, "1edc940ca754b020"),
+     ("X[1,2] p", 10, 32, "99ce9d10dea641eb"),
+     ("p & !q", 8, 32, "0698ee383f906e02"),
+     ("F[0,2] p & G[1,inf] !q", 16, 120, "318e32801b5ec262"),
+     ("(F[0,2] p & G[1,3] q) & X[0,1] p", 80, 504, "c628cf65e71f4703")],
+)
+def test_compiled_automata_are_pinned(text, n_locations, n_edges, digest):
+    # the per-source edge order is part of the pin: it fixes the acceptance
+    # product's successor order and so which plan the search returns
+    a = mitl_to_tba(parse(text), alphabet={"p", "q"})
+    assert (len(a.locations), len(a.edges)) == (n_locations, n_edges)
+    assert hashlib.sha256(_render(a).encode()).hexdigest()[:16] == digest
 
 
 def test_compile_always_hand_case():

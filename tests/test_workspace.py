@@ -102,11 +102,12 @@ def test_locate_half_open_rule():
 
 def test_locate_agrees_with_cell_membership():
     rng = np.random.default_rng(5)
-    d = grid(Box((0.0, 0.0), (1.0, 0.7)), 0.3)
-    for _ in range(200):
-        p = (float(rng.uniform(0, 1)), float(rng.uniform(0, 0.7)))
-        i = locate(d, p)
-        assert d.cell(i).contains(p, eps=1e-12)
+    for hi in ((1.0, 0.7), (1.0, 0.7, 0.5)):
+        d = grid(Box((0.0,) * len(hi), hi), 0.3)
+        for _ in range(200):
+            p = tuple(float(rng.uniform(0, h)) for h in hi)
+            i = locate(d, p)
+            assert d.cell(i).contains(p, eps=1e-12)
 
 
 def test_cell_index_is_one_based():

@@ -78,7 +78,6 @@ def test_timed_word_projection():
     assert w.label(0) == {"green"}
     assert w.label(1) == frozenset()
     assert w.time(4) == 5
-    assert w.alphabet() == {"green"}
     with pytest.raises(UnknownState):
         timed_word(run_long(), {"s0": {"green"}})
 
