@@ -12,6 +12,7 @@ plans but can never prove their absence.
 
 from __future__ import annotations
 
+import ctypes
 import itertools
 import math
 import operator
@@ -33,6 +34,25 @@ from .mitl import props, sat
 from .search import bfs_order, on_cycle, shortest_cycle, tree_path
 from .tba import intersect, mitl_to_tba
 from .wts import ProductWTS, TimedRun, check_consistent, product, timed_word
+
+
+def _fix_mmap_threshold() -> None:
+    """Keep glibc's mmap threshold at its default of 128 KiB.
+
+    glibc raises the threshold to the size of each mapped block that is
+    freed, so after the first multi-megabyte array is freed the next ones
+    go to the heap, where smaller blocks can split a freed one's hole and
+    the heap then grows by another block in some processes and not in
+    others: one run's peak RSS differed by 4 MB from process to process.
+    A fixed threshold maps every such array and unmaps it when freed.  Does
+    nothing where the C library has no ``mallopt``.
+    """
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt(-3, 128 * 1024)  # M_MMAP_THRESHOLD
+
+
+_fix_mmap_threshold()
 
 
 @dataclass(frozen=True)
@@ -317,9 +337,10 @@ def reachable_layers(p: ProductWTS, steps: int, max_states=None) -> LayerStats:
         initial = np.array(sorted(p.initial), dtype=np.int64).reshape(-1, n)
         layer = np.sort(initial @ place)
         same = np.array_equal
+        scratch = [np.empty(0, dtype=np.int64)] * 2
 
         def image(layer):
-            return _image(agents, radix ** n, layer)
+            return _image(agents, radix ** n, layer, scratch)
     counts = [len(layer)]
     for k in range(steps):
         nxt = image(layer)
@@ -393,13 +414,15 @@ class _AgentRows:
         self.slot[codes] = np.arange(first, first + len(posts))
 
 
-def _image(agents, size: int, layer: np.ndarray) -> np.ndarray:
+def _image(agents, size: int, layer: np.ndarray, scratch: list) -> np.ndarray:
     """Sorted codes, below ``size``, of every successor of the joint states
     coded in ``layer``.
 
     A joint state's successors are every combination of the agents' posts,
     so their codes are the sums of one row cell per agent; they are marked
-    in a bitmap of every code, ``_CHUNK`` sums at a time.
+    in a bitmap of every code, ``_CHUNK`` sums at a time.  The partial sums
+    go into the two buffers of ``scratch`` in turn, so a chunk allocates no
+    array of its size.
     """
     slots = [agent.lookup(layer) for agent in agents]
     stuck = np.zeros(len(layer), dtype=bool)
@@ -414,6 +437,16 @@ def _image(agents, size: int, layer: np.ndarray) -> np.ndarray:
         for i, (agent, slot) in enumerate(zip(agents, slots)):
             shape = [-1] + [1] * len(agents)
             shape[1 + i] = widths[i]
-            total = total + agent.rows[slot[lo:lo + chunk]].reshape(shape)
+            term = agent.rows[slot[lo:lo + chunk]].reshape(shape)
+            total = _add_into(scratch, i % 2, total, term)
         seen[total] = True
     return np.flatnonzero(seen)
+
+
+def _add_into(scratch: list, k: int, a, b: np.ndarray) -> np.ndarray:
+    """``a + b`` written into a view of ``scratch[k]``, grown to fit."""
+    shape = np.broadcast_shapes(np.shape(a), b.shape)
+    n = math.prod(shape)
+    if len(scratch[k]) < n:
+        scratch[k] = np.empty(max(n, _CHUNK), dtype=np.int64)
+    return np.add(a, b, out=scratch[k][:n].reshape(shape))
