@@ -50,7 +50,6 @@ from .synthesis import (
 from .workspace import locate
 from .wts import (
     SUBSTEPS,
-    cell_corners,
     check_consistent,
     format_steps,
     lands_in,
@@ -237,7 +236,7 @@ def cmd_simulate(args) -> int:
                 traj_rows.append(row)
             lyap_rows.append([decimal_str(t), f"{lyapunov(g, traj.states[k]):.12g}"])
         x = traj.final()
-        hits = lands_in(*cell_corners(dec, [dst]), x[None])[0]
+        hits = lands_in(*dec.corners(dst), x)
         misses += int(np.count_nonzero(~hits))
         for i in range(s.n_agents):
             try:

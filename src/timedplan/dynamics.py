@@ -103,6 +103,8 @@ class Trajectory:
 
 def _check_inputs(v: np.ndarray, v_max: float, t: float):
     norms = np.linalg.norm(v, axis=-1)
+    if not norms.size:  # an empty batch has no input to bound
+        return
     worst = np.unravel_index(np.argmax(norms), norms.shape)
     if norms[worst] > v_max + _BOUND_SLACK:
         raise InputBoundViolated(

@@ -266,19 +266,18 @@ def make_controller(disc, g):
 
     ``controller(dst)`` returns ``law(t, x)``: steer straight at the target
     cell centers at the speed that lands on time, cancel the coupling drift,
-    and saturate at the speed cap.  ``dst`` is one joint target state for
-    positions ``x`` of shape ``(N, n)``, or a sequence of J of them for a
-    batch ``x`` of shape ``(J, N, n)``.  Works under sample-and-hold, so the
-    remaining time in the denominator never reaches zero.
+    and saturate at the speed cap.  ``dst`` is an array of target cells,
+    one per agent along its last axis: one joint state for positions ``x``
+    of shape ``(N, n)``, or any leading shape that broadcasts against a
+    batch ``x`` of shape ``(..., N, n)``.  Works under sample-and-hold, so
+    the remaining time in the denominator never reaches zero.
     """
     dt = disc.dt
     v_max = disc.v_max
-    centers = disc.dec
 
     def controller(dst):
-        cells = np.asarray(dst, dtype=int)
-        targets = np.array([centers.center(c) for c in cells.ravel()], dtype=float)
-        targets = targets.reshape(cells.shape + (-1,))
+        lo, hi = disc.dec.corners(dst)
+        targets = 0.5 * (lo + hi)  # Box.center's arithmetic, cell by cell
 
         def law(t, x):
             remain = float(dt - t)

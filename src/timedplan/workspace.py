@@ -13,6 +13,7 @@ import itertools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -108,6 +109,23 @@ class CellDecomposition:
 
     def center(self, index: int) -> tuple[float, ...]:
         return self.cell(index).center
+
+    @cached_property
+    def _corner_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        lo = np.array([c.lo for c in self.cells], dtype=float)
+        hi = np.array([c.hi for c in self.cells], dtype=float)
+        return lo, hi  # indexed only by corners, which copies
+
+    def corners(self, cells) -> tuple[np.ndarray, np.ndarray]:
+        """Lower and upper corners of every cell in the index array
+        ``cells``, shape ``cells.shape + (dim,)`` each; an index outside
+        1..n_cells raises as ``cell`` does."""
+        idx = np.asarray(cells, dtype=int)
+        bad = idx[(idx < 1) | (idx > len(self.cells))]
+        if bad.size:
+            raise OutOfBounds(f"cell index {bad[0]} not in 1..{len(self.cells)}")
+        lo, hi = self._corner_rows
+        return lo[idx - 1], hi[idx - 1]
 
 
 def grid_shape(lo, hi, cell_size: float) -> tuple[int, ...]:

@@ -234,7 +234,7 @@ def check_consistent(runs, g, wts_list) -> bool:
     return True
 
 
-_BATCH_STEPS = 512  # plan steps per integrate_closed call of the certificate
+_BATCH_LANDINGS = 512  # (step, sample) landings per integrate_closed call
 SUBSTEPS = 20  # RK4 steps per quantum when a landing is integrated
 
 
@@ -282,48 +282,44 @@ def simulation_check(
     starts uniformly from the source cells, integrate the realized law for
     one quantum in ``SUBSTEPS`` RK4 steps, and count agents that miss their
     target cell by ``lands_in``.
-    ``controller(targets)`` returns the joint feedback law for a batch of
-    steps, one target state per step.
+    ``controller(targets)`` returns the joint feedback law for an array of
+    target cells, one row of N cells per landing.
 
-    Steps are taken ``_BATCH_STEPS`` at a time, which bounds the memory
-    held at once whatever the plan's length.  A batch's starts are drawn
-    together, one step's samples after another, which is the order a
-    sample at a time draws them; then each sample index is integrated in one
-    call over the whole batch.
+    Landings run in (step, sample) order, ``_BATCH_LANDINGS`` to one
+    integrate_closed call, which bounds the memory held at once whatever
+    the plan's length and sample count.  A call's starts are drawn
+    together, landing by landing, which is the order a sample at a time
+    draws them; a step whose samples straddle two calls sums both.
     """
     steps = [(tuple(src), tuple(dst)) for src, dst in steps]
     for j, (src, dst) in enumerate(steps):
         if not p.has_transition(src, dst):
             raise UnknownState(f"step {j}: {src} -> {dst} is not a product transition")
+    if n_samples < 0:
+        raise ValueError(f"n_samples must be non-negative, got {n_samples}")
     rng = np.random.default_rng(seed)
-    reports = []
-    for first in range(0, len(steps), _BATCH_STEPS):
-        batch = steps[first:first + _BATCH_STEPS]
-        src_lo, src_hi = cell_corners(disc.dec, [src for src, _ in batch])
-        dst_lo, dst_hi = cell_corners(disc.dec, [dst for _, dst in batch])
-        u = rng.random((len(batch), n_samples) + src_lo.shape[1:])
-        starts = src_lo[:, None] + u * (src_hi - src_lo)[:, None]
-        law = controller([dst for _, dst in batch])
-        misses = np.zeros(len(batch), dtype=int)
-        worst = np.zeros(len(batch))
-        for k in range(n_samples):
-            landed = dynamics.integrate_closed(
-                g, starts[:, k], law, disc.dt / SUBSTEPS, disc.dt, disc.v_max
-            ).final()
-            misses += np.count_nonzero(~lands_in(dst_lo, dst_hi, landed), axis=-1)
-            dist = boxes_distance(dst_lo, dst_hi, landed)
-            # fmax skips NaN as max(worst, nan) does
-            worst = np.fmax(worst, np.fmax.reduce(dist, axis=-1))
-        reports.extend(
-            StepReport(first + j, n_samples, int(m), float(w))
+    src_lo, src_hi = disc.dec.corners([src for src, _ in steps])
+    src_side = src_hi - src_lo
+    dst_cells = np.array([dst for _, dst in steps], dtype=int)
+    dst_lo, dst_hi = disc.dec.corners(dst_cells)
+    misses = np.zeros(len(steps), dtype=int)
+    worst = np.zeros(len(steps))
+    landings = len(steps) * n_samples
+    for first in range(0, landings, _BATCH_LANDINGS):
+        rows = np.arange(first, min(first + _BATCH_LANDINGS, landings)) // n_samples
+        u = rng.random(rows.shape + src_lo.shape[1:])
+        starts = src_lo[rows] + u * src_side[rows]
+        law = controller(dst_cells[rows])
+        landed = dynamics.integrate_closed(
+            g, starts, law, disc.dt / SUBSTEPS, disc.dt, disc.v_max
+        ).final()
+        lo, hi = dst_lo[rows], dst_hi[rows]
+        np.add.at(misses, rows, np.count_nonzero(~lands_in(lo, hi, landed), axis=-1))
+        # fmax skips NaN as max(worst, nan) does, and in any order
+        np.fmax.at(worst, rows, np.fmax.reduce(boxes_distance(lo, hi, landed), axis=-1))
+    return SimulationReport(
+        tuple(
+            StepReport(j, n_samples, int(m), float(w))
             for j, (m, w) in enumerate(zip(misses, worst))
         )
-    return SimulationReport(tuple(reports))
-
-
-def cell_corners(dec, states):
-    """Lower and upper corners of every agent's cell, ``(J, N, n)`` each."""
-    boxes = [[dec.cell(c) for c in state] for state in states]
-    lo = np.array([[b.lo for b in row] for row in boxes], dtype=float)
-    hi = np.array([[b.hi for b in row] for row in boxes], dtype=float)
-    return lo, hi
+    )

@@ -178,3 +178,11 @@ def test_batched_input_bound_names_the_agent():
 
     with pytest.raises(InputBoundViolated, match="agent 2 "):
         integrate_closed(g, np.zeros((4, 3, 2)), bad, Fraction(1, 10), 1, v_max=1.0)
+
+
+def test_empty_batch_integrates_to_an_empty_trajectory():
+    g = path3()
+    empty = np.zeros((0, 3, 2))
+    traj = integrate_closed(g, empty, zero_law, Fraction(1, 10), 1, v_max=1.0)
+    assert traj.states.shape == (11, 0, 3, 2)
+    assert traj.times == tuple(Fraction(k, 10) for k in range(11))

@@ -222,6 +222,20 @@ def test_make_controller_drives_to_target_cell():
         assert locate(dec, tuple(traj.final()[i])) == c
 
 
+def test_controller_targets_broadcast_over_a_sample_axis():
+    """Targets of shape (J, 1, N) steer a (J, S, N, n) batch exactly as
+    the same targets repeated once per sample."""
+    from timedplan.scenario import build, load_scenario
+
+    b = build(load_scenario("scenarios/two_agent_services.cfg"))
+    ctrl = make_controller(b.disc, b.graph)
+    cells = np.array([[15, 21], [16, 22], [9, 15]])
+    x = np.random.default_rng(8).uniform(0.0, 0.072, size=(3, 5, 2, 2))
+    for t in (0.0, 0.02):
+        want = ctrl(np.repeat(cells[:, None], 5, axis=1))(t, x)
+        assert np.array_equal(ctrl(cells[:, None])(t, x), want)
+
+
 def test_reachable_layers_monotone():
     g, systems = free_agents()
     p = product(systems)

@@ -118,6 +118,27 @@ def test_cell_index_is_one_based():
     assert d.center(d.n_cells) == (0.75, 0.75)
 
 
+def test_corner_arrays_match_cell_boxes():
+    for hi in ((1.0, 0.7), (1.0, 0.7, 0.5)):
+        d = grid(Box((0.0,) * len(hi), hi), 0.3)
+        cells = np.arange(1, d.n_cells + 1).reshape(-1, 1)
+        lo, up = d.corners(cells)
+        assert lo.shape == up.shape == (d.n_cells, 1, len(hi))
+        for c, a, b in zip(cells[:, 0], lo[:, 0], up[:, 0]):
+            assert tuple(a) == d.cell(c).lo and tuple(b) == d.cell(c).hi
+            # the controller's targets: Box.center's arithmetic, bit for bit
+            assert tuple(0.5 * (a + b)) == d.center(c)
+
+
+@pytest.mark.parametrize("bad", [0, -1, 10])
+def test_corner_arrays_reject_indices_outside_the_grid(bad):
+    d = grid(unit_square(), 0.4)  # 9 cells
+    with pytest.raises(OutOfBounds, match=f"cell index {bad} not in 1..9"):
+        d.corners([[1, 2], [bad, 3]])
+    with pytest.raises(OutOfBounds, match=f"cell index {bad} not in 1..9"):
+        d.cell(bad)
+
+
 def test_service_labeling_disjointness():
     lab = ServiceLabeling({1: {3: frozenset({"a"})}, 2: {5: frozenset({"b"})}})
     assert lab.label(1, 3) == {"a"}
