@@ -25,6 +25,8 @@ import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .dynamics import ConditionConstants
 from .errors import (
     C1Violated,
@@ -173,8 +175,9 @@ class AxisTable:
     so ``rows[k]`` memoizes it per tuple of those indices.  A cell's
     distance is its intervals' squared gaps summed in axis order, and
     ``sqrt(a) <= reach`` is ``a <= lim``.  ``post`` caches successor sets
-    by action and gives equal sets one shared object; ``post_any`` caches
-    its closed form by cell and degree.
+    by action and gives equal sets one shared object; ``post_rows`` gives
+    many actions' sets at once, caching only the padded rows per arity;
+    ``post_any`` caches its closed form by cell and degree.
     """
 
     def __init__(self, disc: Discretization):
@@ -191,9 +194,12 @@ class AxisTable:
         self.index = dict(
             zip(range(1, dec.n_cells + 1), itertools.product(*map(range, self.sides)))
         )
+        # each cell's index on each axis, cell 0 a placeholder
+        self.digits = [np.array([0, *axis]) for axis in zip(*self.index.values())]
         self._post: dict[tuple[int, ...], frozenset[int]] = {}
         self._sets: dict[frozenset[int], frozenset[int]] = {}
         self._post_any: dict[tuple[int, int], frozenset[int]] = {}
+        self._padded: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
 
     def indices(self, action) -> list[tuple[int, ...]]:
         """Axis indices of each of the action's cells."""
@@ -220,6 +226,48 @@ class AxisTable:
         if got is None:
             got = successors(self.disc, action)
             got = self._post[action] = self._sets.setdefault(got, got)
+        return got
+
+    def post_rows(self, actions: np.ndarray) -> np.ndarray:
+        """``post`` of each action (a row of cells) as a row of cells,
+        ascending after a padding that repeats the largest; all -1 for an
+        action without successors.
+
+        The gaps are summed in axis order as ``within`` sums them.  Gaps
+        are nonnegative and float addition is monotone, so a filter on the
+        final sum keeps what ``within`` keeps.
+        """
+        m, arity = actions.shape
+        cells = gaps = 0
+        for digits, side, (shares, gap) in zip(self.digits, self.sides, self._spread(arity)):
+            key = digits.take(actions) @ side ** np.arange(arity - 1, -1, -1)
+            cells = cells + shares.take(key, axis=0)
+            gaps = gaps + gap.take(key, axis=0)
+        cells = np.where(gaps <= self.lim, cells, -1)
+        cells.sort(axis=1)
+        width = max(1, int((cells >= 0).sum(axis=1).max(initial=0)))
+        cells = cells[:, -width:]
+        return np.where(cells < 0, cells[:, -1:], cells)
+
+    def _spread(self, arity: int) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per axis, the shares and squared gaps of its rows for actions of
+        ``arity``: one line per key (the axis indices read as digits), each
+        row padded to the widest with the gap ``inf`` and then spread over
+        every combination of the axes' entries, axis 0 slowest."""
+        got = self._padded.get(arity)
+        if got is None:
+            got = self._padded[arity] = []
+            memos = [
+                [list(rows[key]) for key in itertools.product(range(side), repeat=arity)]
+                for rows, side in zip(self.rows, self.sides)
+            ]
+            widths = [max(1, *map(len, memo)) for memo in memos]
+            for k, memo in enumerate(memos):
+                pad = [(0, math.inf)] * widths[k]
+                a = np.array([row + pad[len(row):] for row in memo])  # (keys, width, 2)
+                a = np.repeat(a, math.prod(widths[k + 1:]), axis=1)
+                a = np.tile(a, (1, math.prod(widths[:k]), 1))
+                got.append((a[..., 0].astype(np.int64), np.ascontiguousarray(a[..., 1])))
         return got
 
     def post_any(self, cell: int, degree: int) -> frozenset[int]:
@@ -300,6 +348,13 @@ class AgentWTS:
         if len(action) != self._arity:
             raise ValueError(f"agent {self.agent} takes actions of arity {self._arity}")
         return self._table.post(action)
+
+    def post_rows(self, actions: np.ndarray) -> np.ndarray:
+        """``post`` of each row of ``actions`` as a row of the table's
+        ``post_rows``."""
+        if actions.shape[1] != self._arity:
+            raise ValueError(f"agent {self.agent} takes actions of arity {self._arity}")
+        return self._table.post_rows(actions)
 
     def post_any(self, cell: int) -> frozenset[int]:
         """Union of ``post`` over every neighbor configuration."""

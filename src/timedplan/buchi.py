@@ -49,7 +49,7 @@ class BuchiWTS:
         self.cap: int = int(tba.c_max) + 1
         self._memo: dict = {}
         self._moves: dict = {}
-        self._ticks: dict = {}
+        self._dt_ticks = int(wts.dt / self.unit)  # the weight of most moves
         self._steps: dict = {}
         self._seen: set = set()
         self._anchors = None
@@ -102,16 +102,19 @@ class BuchiWTS:
         got = self._moves.get(s)
         if got is None:
             keyed = []
+            dt = self.wts.dt
             for s2, w in self.wts.succ_weighted(s):
-                ticks = self._ticks.get(w)
-                if ticks is None:
+                # identity first: comparing, let alone hashing, Fractions is slow
+                if w is dt or w == dt:
+                    ticks = self._dt_ticks
+                else:
                     ticks = w / self.unit
                     if ticks.denominator != 1:
                         raise MismatchedTimeStep(
                             f"weight {w} of {s!r} -> {s2!r} is not a multiple "
-                            f"of the system quantum {self.wts.dt}"
+                            f"of the system quantum {dt}"
                         )
-                    ticks = self._ticks[w] = int(ticks)
+                    ticks = int(ticks)
                 keyed.append((ticks, s2 != s, s2, w))
             # staying put first keeps enumerated lassos compact, which makes
             # the per-agent route's combination step far more likely to succeed

@@ -315,137 +315,91 @@ def reachable_layers(p: ProductWTS, steps: int, max_states=None) -> LayerStats:
     """Sizes of successive forward images, starting from the initial set.
 
     A joint state is coded as one integer, one digit per agent in radix
-    (largest cell + 1), agent 1 most significant, and a layer is the sorted
-    array of its codes.  When there are more codes than ``_BITMAP_CAP``,
-    layers are sets of joint tuples instead.  A layer equal to the one
-    before it is a fixed point of the image, so its count repeats for every
-    step left.
+    (largest cell + 1), agent 1 most significant, and a layer is the bitmap
+    of its codes.  When there are more codes than ``_BITMAP_CAP``, layers
+    are sets of joint tuples instead.  A layer that holds the one before it
+    adds to itself only the image of its new states.  A layer equal to the
+    one before it is a fixed point of the image, so its count repeats for
+    every step left.
     """
     t0 = time.perf_counter()
     n = p.n_agents
     radix = 1 + max(max(itertools.chain(c.states, c.initial)) for c in p.components)
     if radix ** n > _BITMAP_CAP:
         layer = set(p.initial)
-        same = operator.eq
+        count, holds, minus, same = len, operator.le, operator.sub, operator.eq
 
         def image(layer):
             return set(itertools.chain.from_iterable(map(p.successors, layer)))
     else:
         place = radix ** np.arange(n - 1, -1, -1, dtype=np.int64)
-        agents = [_AgentRows(c, idx, radix, place) for idx, c in enumerate(p.components)]
-        initial = np.array(sorted(p.initial), dtype=np.int64).reshape(-1, n)
-        layer = np.sort(initial @ place)
+        layer = np.zeros(radix ** n, dtype=bool)
+        layer[np.array(sorted(p.initial), dtype=np.int64).reshape(-1, n) @ place] = True
         same = np.array_equal
-        scratch = [np.empty(0, dtype=np.int64)] * 2
+
+        def count(a):
+            return int(np.count_nonzero(a))
+
+        def minus(a, b):
+            return a & ~b
+
+        def holds(a, b):
+            return not minus(a, b).any()
 
         def image(layer):
-            return _image(agents, radix ** n, layer, scratch)
-    counts = [len(layer)]
+            return _image(p.components, radix, place, layer)
+    counts = [count(layer)]
+    prev = None
     for k in range(steps):
-        nxt = image(layer)
-        counts.append(len(nxt))
-        if max_states is not None and len(nxt) > max_states:
+        # layer = image(prev), so prev <= layer gives
+        # image(layer) = layer | image(layer - prev)
+        if prev is not None and holds(prev, layer):
+            nxt = layer | image(minus(layer, prev))
+        else:
+            nxt = image(layer)
+        counts.append(count(nxt))
+        if max_states is not None and counts[-1] > max_states:
             raise BudgetExceeded(
-                f"reachable layer passed {max_states} states", count=len(nxt)
+                f"reachable layer passed {max_states} states", count=counts[-1]
             )
         if same(nxt, layer):
-            counts.extend([len(nxt)] * (steps - 1 - k))
+            counts.extend([counts[-1]] * (steps - 1 - k))
             break
-        layer = nxt
+        prev, layer = layer, nxt
     return LayerStats(tuple(counts), time.perf_counter() - t0)
 
 
-# most joint codes whose layers are coded as arrays; below 2**31, so an
-# action code's row index fits ``_AgentRows.slot``
-_BITMAP_CAP = 1 << 26
+_BITMAP_CAP = 1 << 26  # most joint codes whose layers are coded as bitmaps
 _CHUNK = 1 << 18  # about this many summed successor codes at once
+# joint states whose posts are built at once: a row of 9 cells keeps their
+# arrays below the 128 KiB mmap threshold, so the heap reuses them
+_ROWS = 1 << 10
 
 
-class _AgentRows:
-    """One agent's posts as rows of cells scaled by its place in the joint
-    code, looked up by the code of the agent's action (own cell, then its
-    neighbors' in agent order, own cell most significant).
-
-    Rows are filled from ``comp.post`` the first time a layer meets their
-    action.  ``slot`` maps an action code to its row plus one, 0 while not
-    yet filled, so rows take memory only for actions met.  A row shorter
-    than the widest repeats its first cell, which leaves a union as it is;
-    ``empty`` marks the actions without a move.
-    """
-
-    def __init__(self, comp, idx: int, radix: int, place: np.ndarray):
-        cols = [idx] + [j - 1 for j in comp.neighbors]
-        self.comp = comp
-        self.radix = radix
-        self.place = place[idx]
-        self.cols_place = place[cols]
-        self.action_place = place[len(place) - len(cols):]  # radix ** (k-1 .. 0)
-        self.slot = np.zeros(radix ** len(cols), dtype=np.int32)
-        self.rows = np.zeros((0, 1), dtype=np.int64)
-        self.empty = np.zeros(0, dtype=bool)
-
-    def lookup(self, layer: np.ndarray) -> np.ndarray:
-        """Row of the agent's action in each joint state coded in ``layer``."""
-        codes = (layer[:, None] // self.cols_place % self.radix) @ self.action_place
-        slot = self.slot[codes]
-        new = np.sort(codes[slot == 0])
-        if len(new):
-            self._fill(new[np.r_[True, new[1:] != new[:-1]]])
-            slot = self.slot[codes]
-        return slot - 1
-
-    def _fill(self, codes: np.ndarray):
-        """Append the rows of the distinct action codes ``codes``."""
-        actions = codes[:, None] // self.action_place % self.radix
-        posts = list(map(self.comp.post, map(tuple, actions.tolist())))
-        lens = np.fromiter(map(len, posts), dtype=np.intp, count=len(posts))
-        # a trailing cell for an empty post at the end, which is never read
-        flat = np.fromiter(itertools.chain(*posts, (0,)), dtype=np.int64)
-        width = max(self.rows.shape[1], int(lens.max()))
-        if width > self.rows.shape[1]:
-            pad = np.repeat(self.rows[:, :1], width - self.rows.shape[1], axis=1)
-            self.rows = np.hstack([self.rows, pad])
-        col = np.arange(width)
-        at = (np.cumsum(lens) - lens)[:, None] + np.where(col < lens[:, None], col, 0)
-        self.rows = np.vstack([self.rows, flat[at] * self.place])
-        self.empty = np.concatenate([self.empty, lens == 0])
-        first = len(self.empty) - len(posts) + 1
-        self.slot[codes] = np.arange(first, first + len(posts))
-
-
-def _image(agents, size: int, layer: np.ndarray, scratch: list) -> np.ndarray:
-    """Sorted codes, below ``size``, of every successor of the joint states
-    coded in ``layer``.
+def _image(comps, radix: int, place: np.ndarray, layer: np.ndarray) -> np.ndarray:
+    """Bitmap of every successor of the joint states marked in ``layer``.
 
     A joint state's successors are every combination of the agents' posts,
-    so their codes are the sums of one row cell per agent; they are marked
-    in a bitmap of every code, ``_CHUNK`` sums at a time.  The partial sums
-    go into the two buffers of ``scratch`` in turn, so a chunk allocates no
-    array of its size.
+    so their codes are the sums of one cell per agent's ``post_rows`` row,
+    scaled by the agent's place; the rows repeat a cell to one width, which
+    leaves the sums' set as it is.  Rows are built for ``_ROWS`` states at
+    a time and cached nowhere; their sums are marked ``_CHUNK`` at a time.
     """
-    slots = [agent.lookup(layer) for agent in agents]
-    stuck = np.zeros(len(layer), dtype=bool)
-    for agent, slot in zip(agents, slots):
-        stuck |= agent.empty[slot]
-    slots = [slot[~stuck] for slot in slots]
-    widths = [agent.rows.shape[1] for agent in agents]
-    chunk = max(1, _CHUNK // math.prod(widths))
-    seen = np.zeros(size, dtype=bool)
-    for lo in range(0, len(slots[0]), chunk):
-        total = 0  # broadcast to (chunk, width of agent 1, ..., of agent N)
-        for i, (agent, slot) in enumerate(zip(agents, slots)):
-            shape = [-1] + [1] * len(agents)
-            shape[1 + i] = widths[i]
-            term = agent.rows[slot[lo:lo + chunk]].reshape(shape)
-            total = _add_into(scratch, i % 2, total, term)
-        seen[total] = True
-    return np.flatnonzero(seen)
-
-
-def _add_into(scratch: list, k: int, a, b: np.ndarray) -> np.ndarray:
-    """``a + b`` written into a view of ``scratch[k]``, grown to fit."""
-    shape = np.broadcast_shapes(np.shape(a), b.shape)
-    n = math.prod(shape)
-    if len(scratch[k]) < n:
-        scratch[k] = np.empty(max(n, _CHUNK), dtype=np.int64)
-    return np.add(a, b, out=scratch[k][:n].reshape(shape))
+    cols = [[i] + [j - 1 for j in c.neighbors] for i, c in enumerate(comps)]
+    codes = np.flatnonzero(layer)
+    seen = np.zeros_like(layer)
+    for lo in range(0, len(codes), _ROWS):
+        cells = codes[lo:lo + _ROWS, None] // place % radix
+        rows = [c.post_rows(cells[:, col]) for c, col in zip(comps, cols)]
+        moves = np.logical_and.reduce([r[:, 0] >= 0 for r in rows])
+        # one line per row cell, states last: the sums run along the states
+        rows = [(r[moves] * at).T.copy() for r, at in zip(rows, place)]
+        step = max(1, _CHUNK // math.prod(map(len, rows)))
+        for a in range(0, rows[0].shape[1], step):
+            total = 0  # broadcast to (width of agent 1, ..., of agent N, states)
+            for i, r in enumerate(rows):
+                shape = [1] * len(rows) + [-1]
+                shape[i] = len(r)
+                total = total + r[:, a:a + step].reshape(shape)
+            seen[total] = True
+    return seen

@@ -245,6 +245,16 @@ class TableAgentWTS:
     def post(self, action) -> frozenset:
         return self._table.get(tuple(action), frozenset())
 
+    def post_rows(self, actions) -> np.ndarray:
+        """``post`` of each action laid out as the geometric ``post_rows``
+        lays it out: ascending after a padding that repeats the largest
+        cell, all -1 when empty."""
+        posts = [sorted(self.post(a)) or [-1] for a in actions.tolist()]
+        width = max(map(len, posts), default=1)
+        return np.array(
+            [p[-1:] * (width - len(p)) + p for p in posts], dtype=np.int64
+        ).reshape(len(posts), width)
+
     def post_any(self, cell) -> frozenset:
         acc = set()
         for action, targets in self._table.items():

@@ -391,3 +391,62 @@ def test_post_any_is_shared_by_agents_of_equal_degree():
         assert end1.post_any(cell) == enumerate_post_any(end1.post, cell, n, 1)
         assert middle.post_any(cell) == enumerate_post_any(middle.post, cell, n, 2)
     assert any(middle.post_any(c) != end1.post_any(c) for c in range(1, n + 1))
+
+
+# -- batched successor rows ----------------------------------------------------
+
+
+def rows_agree(disc, agent, actions):
+    """Each ``post_rows`` row against the full scan: its cells ascending
+    after a padding that repeats the largest; all -1 exactly when the ball
+    misses the workspace.  Returns whether the rows met both cases."""
+    rows = agent.post_rows(np.array(actions, dtype=np.int64))
+    assert rows.shape[0] == len(actions) and rows.shape[1] >= 1
+    seen = set()
+    for action, row in zip(actions, rows.tolist()):
+        expect = scan_successors(disc, tuple(action))
+        if expect:
+            pad = [max(expect)] * (len(row) - len(expect))
+            assert row == pad + sorted(expect), (action, row, sorted(expect))
+        else:
+            assert set(row) == {-1}, (action, row)
+        seen.add("inside" if expect else "outside")
+    return seen
+
+
+@pytest.mark.parametrize("name", sorted(DECOMPOSITIONS))
+def test_post_rows_match_full_scan(name):
+    dec = DECOMPOSITIONS[name]()
+    rng = np.random.default_rng(19)
+    seen = set()
+    for dt in (Fraction(1, 20), Fraction(1, 2), Fraction(2)):
+        disc = loose_disc(dec, dt)
+        for arity in (1, 2, 3):
+            actions = rng.integers(1, dec.n_cells + 1, (200, arity)).tolist()
+            seen |= rows_agree(disc, agent_of_arity(disc, arity), actions)
+    assert seen == {"inside", "outside"}
+
+
+# every agent the benchmark builds: path-three's ends and middle, and
+# grid-growth's pairs
+BENCHMARK_AGENTS = [
+    ("path-three", 2), ("path-three", 3),
+    ("grid-growth-6", 2), ("grid-growth-10", 2), ("grid-growth-16", 2),
+]
+
+
+@pytest.mark.parametrize("name,arity", BENCHMARK_AGENTS)
+def test_post_rows_match_scan_on_benchmark_geometries(name, arity):
+    if name == "path-three":
+        disc = build(load_scenario("scenarios/path_three_fast.cfg")).disc
+    else:
+        disc = grid_growth_disc(int(name.rsplit("-", 1)[1]))
+    n = disc.dec.n_cells
+    actions = np.random.default_rng(arity).integers(1, n + 1, (1500, arity)).tolist()
+    assert rows_agree(disc, agent_of_arity(disc, arity), actions) == {"inside"}
+
+
+def test_post_rows_check_arity():
+    disc = shipped_disc()
+    with pytest.raises(ValueError, match="arity 2"):
+        agent_of_arity(disc, 2).post_rows(np.array([[1, 2, 3]]))

@@ -235,6 +235,23 @@ def test_stats_prints_layers(tmp_path, capsys):
     assert (out / "stats.txt").exists()
 
 
+@pytest.mark.parametrize("name", ["path_three_fast", "two_agent_services"])
+def test_stats_csv_is_the_full_expansion(tmp_path, capsys, name):
+    """``stats.csv`` byte for byte against layers expanded one by one."""
+    from timedplan.scenario import build, load_scenario
+    from timedplan.wts import product
+
+    from helpers import expand_layers
+
+    scenario = f"scenarios/{name}.cfg"
+    layers = expand_layers(product(build(load_scenario(scenario)).wts_list), 40)
+    for steps in (0, 1, 10, 40):
+        out = tmp_path / f"steps-{steps}"
+        assert main(["stats", scenario, "--steps", str(steps), "--out", str(out)]) == 0
+        rows = "".join(f"{k},{len(layer)}\n" for k, layer in enumerate(layers[: steps + 1]))
+        assert (out / "stats.csv").read_bytes() == f"step,reachable\n{rows}".encode()
+
+
 def _child_env():
     """The child finds the package where this process found it, installed
     or not."""

@@ -305,6 +305,56 @@ def test_reachable_layers_expand_nothing_past_the_fixed_point(case, monkeypatch)
     assert len(calls) == fixed + 1
 
 
+def one_agent_product(moves):
+    """A single agent without neighbors moving by ``moves`` (cell ->
+    successors), from cell 1."""
+    table = {(c, (c,)): targets for c, targets in moves.items()}
+    return product([TableAgentWTS(1, (), Fraction(1, 4), table, initial=[1])])
+
+
+FRONTIER_CASES = {
+    # layers {1}, {1,2}, {1,2,3}, {1,2,3,4}, then fixed: each holds the one
+    # before, so only its new state is imaged
+    "growing": ({1: {1, 2}, 2: {2, 3}, 3: {3, 4}, 4: {4}}, [1, 1, 1, 1]),
+    # layers {1}, {2}, {1,3}, {2,3}, {1,3}, ...: none holds the one before
+    "cycling": ({1: {2}, 2: {1, 3}, 3: {3}}, [1, 1, 2, 2, 2, 2]),
+}
+
+
+@pytest.mark.parametrize("coded", [True, False], ids=["coded", "sets"])
+@pytest.mark.parametrize("case", sorted(FRONTIER_CASES))
+def test_layers_image_only_new_states_when_they_hold_the_last(case, coded, monkeypatch):
+    moves, imaged = FRONTIER_CASES[case]
+    p = one_agent_product(moves)
+    want = [len(layer) for layer in expand_layers(p, len(imaged))]
+    sizes = []
+    if coded:
+        image = synthesis._image
+        monkeypatch.setattr(
+            synthesis, "_image", lambda *a: sizes.append(int(a[-1].sum())) or image(*a)
+        )
+    else:
+        monkeypatch.setattr(synthesis, "_BITMAP_CAP", 0)
+        successors = p.successors
+        monkeypatch.setattr(p, "successors", lambda joint: sizes.append(1) or successors(joint))
+    assert reachable_layers(p, len(imaged)).counts == tuple(want)
+    assert sizes == imaged if coded else len(sizes) == sum(imaged)
+
+
+def test_coded_layers_call_no_successors(monkeypatch):
+    """Layers read the agents' posts as batched rows, never one action at
+    a time."""
+    from timedplan import abstraction
+
+    calls = []
+    successors = abstraction.successors
+    monkeypatch.setattr(abstraction, "successors", lambda *a: calls.append(a) or successors(*a))
+    p = shipped_product("path_three_fast")
+    calls.clear()
+    assert reachable_layers(p, 10).counts[-1] == 15625
+    assert calls == []
+
+
 WORKLOADS = Path(__file__).parent.parent / "perfbench" / "workloads.py"
 
 
