@@ -1,8 +1,13 @@
 """Lazy acceptance product of a weighted transition system with a timed
 automaton.
 
-Product nodes are (system state, automaton location, clock tuple) where a
-move dwells in the source for one transition weight, so the clocks advance
+A product node is one int, ``sid << 32 | cid``: ``sid`` numbers system
+states and ``cid`` (automaton location, clock tuple) configurations in the
+order they are first met, the initial ones first and sorted, so initial nodes
+sort as their tuples do.  ``BuchiWTS.node`` reads a node back as (system
+state, location, clock tuple), and runs hold such tuples.
+
+A move dwells in the source for one transition weight, so the clocks advance
 by exactly that weight before the guard is read.  Clocks count integer
 ticks of ``unit``, the largest rational that divides the system's quantum
 and every guard and invariant constant, so every reachable value is a whole
@@ -14,8 +19,8 @@ whose observation word the automaton accepts, and the durations along the
 lasso are genuine transition weights.
 
 Guards are read on the automaton in ticks (``TBA.in_ticks``) with int clocks,
-once per distinct (location, clocks, delay, letter) step; a node's
-successors are the system moves of its state crossed with those steps.
+once per distinct (configuration, delay, letter) step; a node's successors
+are the system moves of its state crossed with those steps.
 """
 
 from __future__ import annotations
@@ -27,6 +32,8 @@ from .rational import frac_gcd
 from .search import bfs_order, nested_dfs, on_cycle, shortest_cycle, tree_path
 from .tba import TBA, eval_guard
 from .wts import TimedRun
+
+_CID = (1 << 32) - 1  # the configuration bits of a node
 
 
 class BuchiWTS:
@@ -47,31 +54,39 @@ class BuchiWTS:
         self.unit: Fraction = frac_gcd([wts.dt, *tba.constants])
         self.tba = tba = tba.in_ticks(self.unit)
         self.cap: int = int(tba.c_max) + 1
-        self._memo: dict = {}
-        self._moves: dict = {}
         self._dt_ticks = int(wts.dt / self.unit)  # the weight of most moves
+        self._states: list = []  # sid -> system state
+        self._sids: dict = {}
+        self._letters: list = []  # sid -> label
+        self._moves: dict = {}  # sid -> (moves, keys), see _moves_of
+        self._confs: list = []  # cid -> (location, clocks)
+        self._cids: dict = {}
+        self._accepting: set = set()  # cids at accepting locations
         self._steps: dict = {}
+        self._memo: dict = {}
         self._seen: set = set()
         self._anchors = None
         zeros = (0,) * len(tba.clocks)
-        initial = []
-        for s in sorted(wts.initial):
-            for q in tba.initial:
-                if wts.label(s) != tba.labels[q]:
-                    continue
-                if not eval_guard(tba.valuation(zeros), tba.invariants[q]):
-                    continue
-                node = (s, q, zeros)
-                initial.append(node)
-                self._note(node)
-        self.initial = tuple(initial)
+        sids = [self._sid(s) for s in sorted(wts.initial)]
+        cids = {q: self._cid((q, zeros)) for q in sorted(tba.initial)}
+        self.initial = tuple(
+            sid << 32 | cids[q]
+            for sid in sids
+            for q in tba.initial
+            if self._letters[sid] == tba.labels[q]
+            and eval_guard(tba.valuation(zeros), tba.invariants[q])
+        )
+        self._note(self.initial)
 
     @property
     def n_explored(self) -> int:
         return len(self._seen)
 
-    def accepting(self, node) -> bool:
-        return node[1] in self.tba.accepting
+    def accepting(self, code) -> bool:
+        return code & _CID in self._accepting
+
+    def node(self, code) -> tuple:
+        return (self._states[code >> 32], *self._confs[code & _CID])
 
     def anchors(self):
         """Accepting nodes that lie on a cycle, in breadth-first discovery
@@ -86,21 +101,38 @@ class BuchiWTS:
             self._anchors = (hits, parent)
         return self._anchors
 
-    def _note(self, node):
-        if node not in self._seen:
-            self._seen.add(node)
-            if self.max_states is not None and len(self._seen) > self.max_states:
-                raise BudgetExceeded(
-                    f"acceptance product passed {self.max_states} states",
-                    count=len(self._seen),
-                )
+    def _note(self, codes):
+        self._seen.update(codes)
+        if self.max_states is not None and len(self._seen) > self.max_states:
+            raise BudgetExceeded(
+                f"acceptance product passed {self.max_states} states",
+                count=len(self._seen),
+            )
 
-    def _moves_from(self, s):
-        """``(successor, weight in ticks, weight, successor's label)`` per
-        system move of ``s``: lightest first, then staying put, then by state.
+    def _sid(self, s) -> int:
+        sid = self._sids.setdefault(s, len(self._states))
+        if sid == len(self._states):
+            self._states.append(s)
+            self._letters.append(self.wts.label(s))
+        return sid
+
+    def _cid(self, conf) -> int:
+        cid = self._cids.setdefault(conf, len(self._confs))
+        if cid == len(self._confs):
+            self._confs.append(conf)
+            if conf[0] in self.tba.accepting:
+                self._accepting.add(cid)
+        return cid
+
+    def _moves_of(self, sid):
+        """``(moves, keys)`` of system state ``sid``: ``keys`` are its moves'
+        distinct (weight in ticks, successor's label) pairs and ``moves`` has
+        one ``(successor sid << 32, key index, weight)`` per move, lightest
+        first, then staying put, then by state.
         """
-        got = self._moves.get(s)
+        got = self._moves.get(sid)
         if got is None:
+            s = self._states[sid]
             keyed = []
             dt = self.wts.dt
             for s2, w in self.wts.succ_weighted(s):
@@ -118,22 +150,26 @@ class BuchiWTS:
                 keyed.append((ticks, s2 != s, s2, w))
             # staying put first keeps enumerated lassos compact, which makes
             # the per-agent route's combination step far more likely to succeed
-            keyed.sort(key=lambda m: m[:3])
-            got = tuple(
-                (s2, ticks, w, self.wts.label(s2)) for ticks, _, s2, w in keyed
-            )
-            self._moves[s] = got
+            keyed.sort()  # ties on (ticks, s2) are ties on the weight too
+            keys: dict = {}
+            moves = []
+            for ticks, _, s2, w in keyed:
+                sid2 = self._sid(s2)
+                k = keys.setdefault((ticks, self._letters[sid2]), len(keys))
+                moves.append((sid2 << 32, k, w))
+            got = self._moves[sid] = (tuple(moves), tuple(keys))
         return got
 
-    def _step(self, q, nu, ticks, letter):
-        """Automaton moves after dwelling ``ticks`` at (q, nu) and then
-        reading ``letter``: distinct (target, clocks) pairs in edge order.
+    def _step(self, cid, ticks, letter):
+        """Automaton moves after dwelling ``ticks`` in configuration ``cid``
+        and then reading ``letter``: distinct target cids in edge order.
         """
-        key = (q, nu, ticks, letter)
+        key = (cid, ticks, letter)
         got = self._steps.get(key)
         if got is None:
             tba = self.tba
             cap = self.cap
+            q, nu = self._confs[cid]
             moved = tuple(min(v + ticks, cap) for v in nu)
             moved_map = tba.valuation(moved)
             out = {}
@@ -145,29 +181,21 @@ class BuchiWTS:
                         0 if c in e.resets else v for c, v in zip(tba.clocks, moved)
                     )
                     if eval_guard(tba.valuation(after), tba.invariants[e.dst]):
-                        out[(e.dst, after)] = None
+                        out[self._cid((e.dst, after))] = None
             got = tuple(out)
             self._steps[key] = got
         return got
 
-    def succ(self, node):
-        got = self._memo.get(node)
+    def succ(self, code):
+        got = self._memo.get(code)
         if got is not None:
             return got
-        s, q, nu = node
-        step = self._step
-        out = []
-        emitted = set()
-        for s2, ticks, _, letter in self._moves_from(s):
-            for dst, after in step(q, nu, ticks, letter):
-                nxt = (s2, dst, after)
-                if nxt in emitted:
-                    continue
-                emitted.add(nxt)
-                out.append(nxt)
-                self._note(nxt)
-        got = tuple(out)
-        self._memo[node] = got
+        moves, keys = self._moves_of(code >> 32)
+        cid = code & _CID
+        steps = [self._step(cid, ticks, letter) for ticks, letter in keys]
+        got = tuple(dict.fromkeys([base | c for base, k, _ in moves for c in steps[k]]))
+        self._note(got)
+        self._memo[code] = got
         return got
 
     def delta(self, src, dst) -> Fraction:
@@ -175,23 +203,18 @@ class BuchiWTS:
         makes it.
         """
         if dst in self._memo.get(src, ()):
-            s, q, nu = src
-            for s2, ticks, w, letter in self._moves_from(s):
-                if s2 == dst[0] and dst[1:] in self._step(q, nu, ticks, letter):
+            moves, keys = self._moves_of(src >> 32)
+            for base, k, w in moves:
+                if base == dst & ~_CID and dst & _CID in self._step(src & _CID, *keys[k]):
                     return w
         raise RuntimeError(f"no explored product move {src} -> {dst}")
 
 
 def _to_run(b: BuchiWTS, prefix, cycle) -> TimedRun:
-    states = list(prefix) + list(cycle)
-    stem = len(prefix)
-    for node in states:
-        b.succ(node)
-    durations = []
-    for j, node in enumerate(states):
-        nxt = states[j + 1] if j + 1 < len(states) else states[stem]
-        durations.append(b.delta(node, nxt))
-    return TimedRun(tuple(states), tuple(durations), stem)
+    codes = [*prefix, *cycle]
+    nxt = codes[1:] + codes[len(prefix):len(prefix) + 1]
+    durations = tuple(b.delta(u, v) for u, v in zip(codes, nxt))
+    return TimedRun(tuple(map(b.node, codes)), durations, len(prefix))
 
 
 def find_accepting(b: BuchiWTS) -> TimedRun | None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from operator import itemgetter
 
@@ -58,8 +59,14 @@ class TimedRun:
         object.__setattr__(self, "durations", durations)
         object.__setattr__(self, "stem_len", stem_len)
         object.__setattr__(self, "cycle_len", len(states) - stem_len)
-        object.__setattr__(self, "_times", _prefix_times(durations))
-        object.__setattr__(self, "_cycle_duration", sum(durations[stem_len:], Fraction(0)))
+
+    @cached_property  # stamped on first use: most runs are never timed
+    def _times(self):
+        return _prefix_times(self.durations)
+
+    @cached_property
+    def _cycle_duration(self):
+        return sum(self.durations[self.stem_len:], Fraction(0))
 
     def __len__(self):
         return len(self.states)

@@ -465,11 +465,11 @@ def probe_every_accepting(b, limit):
         cyc = shortest_cycle(node, b.succ)
         if cyc is None:
             continue
-        states = tuple(tree_path(parent, node)[:-1]) + tuple(cyc)
-        stem = len(states) - len(cyc)
-        nxt = states[1:] + (states[stem],)
-        durations = tuple(b.delta(u, v) for u, v in zip(states, nxt))
-        out.append((states, durations, stem))
+        codes = tuple(tree_path(parent, node)[:-1]) + tuple(cyc)
+        stem = len(codes) - len(cyc)
+        nxt = codes[1:] + (codes[stem],)
+        durations = tuple(b.delta(u, v) for u, v in zip(codes, nxt))
+        out.append((tuple(map(b.node, codes)), durations, stem))
     return out
 
 

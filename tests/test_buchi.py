@@ -13,6 +13,7 @@ from timedplan.errors import AlphabetMismatch, BudgetExceeded, MismatchedTimeSte
 from timedplan.mitl import parse, sat
 from timedplan.rational import INF, frac_gcd
 from timedplan.scenario import build, load_scenario
+from timedplan.search import nested_dfs
 from timedplan.tba import TBA, TOP, Edge, atoms, eval_guard, intersect, mitl_to_tba
 from timedplan.wts import timed_word
 
@@ -95,6 +96,17 @@ def test_delta_only_answers_recorded_pairs():
     b = BuchiWTS(w, universal_tba(w.alphabet))
     with pytest.raises(RuntimeError):
         b.delta(("s0", "x", ()), ("s1", "x", ()))
+    with pytest.raises(RuntimeError):  # a real node, not yet expanded
+        b.delta(b.initial[0], b.initial[0])
+
+
+def test_budget_counts_the_initial_nodes():
+    w = reference_wts()
+    w.initial = frozenset({"s0", "s1", "s2"})
+    a = universal_tba(w.alphabet)
+    assert len(BuchiWTS(w, a, max_states=3).initial) == 3
+    with pytest.raises(BudgetExceeded, match=r"^acceptance product passed 2 states$"):
+        BuchiWTS(w, a, max_states=2)
 
 
 def test_enumerate_returns_distinct_accepted_lassos():
@@ -193,8 +205,8 @@ def test_anchors_decide_emptiness_on_random_products():
 # -- tick clocks against rational clocks ------------------------------------------
 
 
-def _rational(b, node):
-    s, q, ticks = node
+def _rational(b, code):
+    s, q, ticks = b.node(code)
     return (s, q, tuple(INF if v == b.cap else v * b.unit for v in ticks))
 
 
@@ -248,6 +260,69 @@ def test_ticks_match_rational_clocks_on_the_grid(left, right):
         mitl_to_tba(parse(right), alphabet=w.alphabet),
     )
     assert assert_same_as_rational(w, a) > 100
+
+
+def assert_same_lasso_as_rational(w, a):
+    """Nested DFS over the tick product and over the rational one, whose
+    tuple nodes come in the same order: the same lasso node for node, and
+    ``find_accepting`` keeps its nodes and reads the rational sojourns.
+    Returns whether there is a lasso.
+    """
+    b = BuchiWTS(w, a)
+    ref = RationalProduct(w, a)
+    got = nested_dfs(b.initial, b.succ, b.accepting)
+    want = nested_dfs(ref.initial, ref.succ, lambda n: n[1] in a.accepting)
+    run = find_accepting(BuchiWTS(w, a))
+    if want is None:
+        assert got is None and run is None
+        return False
+    assert [[_rational(b, n) for n in part] for part in got] == [list(part) for part in want]
+    codes = [*got[0], *got[1]]
+    assert run.states == tuple(map(b.node, codes)) and run.stem_len == len(got[0])
+    nodes = [*want[0], *want[1]]
+    nxt = nodes[1:] + nodes[len(want[0]):len(want[0]) + 1]
+    assert run.durations == tuple(ref.delta(u, v) for u, v in zip(nodes, nxt))
+    return True
+
+
+def test_lasso_matches_rational_product_on_random_products():
+    # the products of test_ticks_match_rational_clocks_on_random_products
+    found = sum(assert_same_lasso_as_rational(w, a) for w, a in _rand_products(53, 60))
+    assert found >= 5
+
+
+@pytest.mark.parametrize(
+    "left,right",
+    [
+        ("F[1/30, 1/7] p1", "!p1 U[0, 3/10] p1"),
+        ("G[1/20, 1/5] !p1", "F[1/3, 1/2] p1"),
+        ("F[1/20, 1/4] p1", "G[0, 3/20] !p1"),
+    ],
+)
+def test_lasso_matches_rational_product_on_the_grid(left, right):
+    w = build(load_scenario("scenarios/two_agent_services.cfg")).wts_list[0]
+    a = intersect(
+        mitl_to_tba(parse(left), alphabet=w.alphabet),
+        mitl_to_tba(parse(right), alphabet=w.alphabet),
+    )
+    assert assert_same_lasso_as_rational(w, a)
+
+
+def test_initial_codes_sort_as_their_nodes():
+    rng = np.random.default_rng(71)
+    excluded = 0
+    for w, plain in _rand_products(73, 80):
+        w.initial = frozenset(
+            s for s in w.state_list if rng.random() < 0.6 or s == w.state_list[-1]
+        )
+        # initial locations listed in reverse, so listing order is not sorted
+        a = TBA(plain.locations, plain.locations[::-1], plain.clocks, plain.edges,
+                plain.accepting, plain.labels, plain.ap)
+        b = BuchiWTS(w, a)
+        assert [b.node(c) for c in sorted(b.initial)] == sorted(b.node(c) for c in b.initial)
+        locs = {b.node(c)[1] for c in b.initial}
+        excluded += len(b.initial) < len(w.initial) * len(locs)
+    assert excluded >= 20
 
 
 def test_constants_off_the_quantum_get_their_own_ticks():
@@ -309,7 +384,7 @@ def test_the_product_reads_only_int_clocks(monkeypatch):
     nodes, _ = crawl(b.initial, b.succ)
     assert all(type(v) is int for v in read)
     assert b.cap in read
-    assert all(type(v) is int for _, _, clocks in nodes for v in clocks)
+    assert all(type(v) is int for _, _, clocks in map(b.node, nodes) for v in clocks)
 
 
 def test_in_ticks_keeps_every_verdict():
