@@ -21,11 +21,20 @@ lasso are genuine transition weights.
 Guards are read on the automaton in ticks (``TBA.in_ticks``) with int clocks,
 once per distinct (configuration, delay, letter) step; a node's successors
 are the system moves of its state crossed with those steps.
+
+A product of a joint system with an intersection automaton can be kept to
+its live part: given the completely explored product of each agent with
+its factor, a node is kept only when each agent's projection of it (cell,
+factor location, factor clocks in the agent's ticks) can reach an
+accepting cycle there (``live``).  A dead node reaches only dead nodes and
+lies on no accepting lasso, so a depth-first search meets the kept nodes
+in the same order with or without the dead ones.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from .errors import AlphabetMismatch, BudgetExceeded, MismatchedTimeStep
 from .rational import frac_gcd
@@ -41,9 +50,16 @@ class BuchiWTS:
 
     The system must expose ``dt``, a quantum every transition weight is a
     whole multiple of.  ``tba`` holds the automaton in ticks of ``unit``.
+
+    ``agents``, when given, holds one completely explored product per
+    factor of ``tba`` (``TBA.factors``): product ``k`` is of coordinate
+    ``k`` of this system's states with factor ``k``.  Then only nodes whose
+    every projection is ``live()`` in its product are kept; other
+    successors and initial nodes are dropped before they are counted, so
+    ``max_states`` and ``n_explored`` see kept nodes only.
     """
 
-    def __init__(self, wts, tba: TBA, max_states: int | None = None):
+    def __init__(self, wts, tba: TBA, max_states: int | None = None, agents=None):
         if wts.alphabet != tba.ap:
             raise AlphabetMismatch(
                 f"system alphabet {sorted(wts.alphabet)} differs from the "
@@ -66,6 +82,7 @@ class BuchiWTS:
         self._memo: dict = {}
         self._seen: set = set()
         self._anchors = None
+        self._keep = None if agents is None else self._projection(agents)
         zeros = (0,) * len(tba.clocks)
         sids = [self._sid(s) for s in sorted(wts.initial)]
         cids = {q: self._cid((q, zeros)) for q in sorted(tba.initial)}
@@ -76,6 +93,8 @@ class BuchiWTS:
             if self._letters[sid] == tba.labels[q]
             and eval_guard(tba.valuation(zeros), tba.invariants[q])
         )
+        if self._keep is not None:
+            self.initial = tuple(filter(self._keep, self.initial))
         self._note(self.initial)
 
     @property
@@ -100,6 +119,79 @@ class BuchiWTS:
             hits = [n for n in order if n in cyclic and self.accepting(n)]
             self._anchors = (hits, parent)
         return self._anchors
+
+    def live(self) -> set:
+        """Explored nodes from which an accepting cycle is reachable: the
+        backward closure of ``anchors()`` over the explored product, which
+        the first call explores completely.
+        """
+        live = set(self.anchors()[0])
+        preds: dict = {}
+        for src, dsts in self._memo.items():
+            for dst in dsts:
+                preds.setdefault(dst, []).append(src)
+        todo = list(live)
+        while todo:
+            for src in preds.get(todo.pop(), ()):
+                if src not in live:
+                    live.add(src)
+                    todo.append(src)
+        return live
+
+    def _projection(self, agents):
+        """The test "every projection of this node is live".
+
+        A node projects on product ``k`` to system coordinate ``k``, factor
+        ``k``'s location and factor ``k``'s clocks, each read as ticks times
+        this unit over product ``k``'s unit, or as product ``k``'s cap when
+        it is this cap or above that product's largest constant.
+        Projections are memoized per sid and per cid, so a test is one set
+        lookup per product, and verdicts per node.  Every move here
+        projects to a move of each product, so a projection missing from a
+        completely explored product is a bug, raised as such and never
+        read as dead.
+        """
+        lives = [a.live() for a in agents]
+        where, owners = self.tba.factors, self.tba.clock_factors
+        clocks = []  # per product: (position here, ticks here per tick there)
+        for k, a in enumerate(agents):
+            ratio = a.unit / self.unit
+            if ratio.denominator != 1:
+                raise ValueError(f"unit {a.unit} of agent product {k + 1} is not "
+                                 f"a multiple of {self.unit}")
+            clocks.append([(owners.index((k, c)), int(ratio)) for c in a.tba.clocks])
+        # the closures hold no reference to self, which would make the
+        # product a reference cycle that only the garbage collector frees
+        cap, states, confs = self.cap, self._states, self._confs
+
+        @cache
+        def project_sid(sid):
+            return tuple(a._sids.get(x, -1) << 32 for a, x in zip(agents, states[sid]))
+
+        @cache
+        def project_cid(cid):
+            q, nu = confs[cid]
+            return tuple(
+                a._cids.get((qk, tuple(
+                    a.cap if nu[i] >= cap else min(nu[i] // r, a.cap) for i, r in ck
+                )), -1)
+                for a, qk, ck in zip(agents, where[q], clocks)
+            )
+
+        @cache
+        def keep(code):
+            sids, cids = project_sid(code >> 32), project_cid(code & _CID)
+            for a, live, sid, cid in zip(agents, lives, sids, cids):
+                if sid | cid not in live:
+                    if sid < 0 or cid < 0 or sid | cid not in a._memo:
+                        raise RuntimeError(
+                            f"node {(states[code >> 32], *confs[code & _CID])} projects "
+                            f"outside agent product {agents.index(a) + 1}"
+                        )
+                    return False
+            return True
+
+        return keep
 
     def _note(self, codes):
         self._seen.update(codes)
@@ -193,7 +285,8 @@ class BuchiWTS:
         moves, keys = self._moves_of(code >> 32)
         cid = code & _CID
         steps = [self._step(cid, ticks, letter) for ticks, letter in keys]
-        got = tuple(dict.fromkeys([base | c for base, k, _ in moves for c in steps[k]]))
+        got = dict.fromkeys([base | c for base, k, _ in moves for c in steps[k]])
+        got = tuple(got if self._keep is None else filter(self._keep, got))
         self._note(got)
         self._memo[code] = got
         return got

@@ -22,7 +22,8 @@ def as_fraction(x) -> Fraction:
     Floats are read as the decimal literal they print as, so 0.2 becomes
     exactly 1/5 rather than the binary float nearest to it.
     """
-    if isinstance(x, Fraction):
+    # the exact type first: isinstance goes through the numbers ABCs
+    if type(x) is Fraction or isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)

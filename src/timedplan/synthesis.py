@@ -5,7 +5,12 @@ the agent's own abstraction (with its moves pooled over every neighbor
 configuration, an over-approximation), and test combinations of the found
 lassos for joint consistency.  When no combination zips, the exact route
 builds the synchronized product against the intersection automaton and
-projects its accepting lasso back to the agents.  Tasks outside the
+projects its accepting lasso back to the agents.  Every joint accepting
+lasso projects to an accepting lasso of each agent's own product, which
+the cheap route has already explored, so the exact route keeps only joint
+nodes from which every agent can still reach an accepting cycle; that
+keeps the lasso it finds and its verdict, and its budget counts kept
+nodes only.  Agents must provide disjoint services.  Tasks outside the
 compilable fragment fall back to bounded generate-and-check, which can find
 plans but can never prove their absence.
 """
@@ -153,15 +158,22 @@ def synthesize(g, wts_list, formulas, r_selec: int = 100, max_states=None):
             raise AlphabetMismatch(
                 f"task {i} uses services {sorted(extra)} the agent never provides"
             )
+    for (i, a), (j, b) in itertools.combinations(enumerate(comps, start=1), 2):
+        if a.alphabet & b.alphabet:
+            raise AlphabetMismatch(
+                f"agents {i} and {j} both provide services "
+                f"{sorted(a.alphabet & b.alphabet)}"
+            )
 
     try:
         tbas = [mitl_to_tba(f, alphabet=c.alphabet) for f, c in zip(formulas, comps)]
     except UnsupportedFragment:
         return _generate_and_check(comps, formulas, r_selec, max_states)
 
-    per_agent = []
+    agents, per_agent = [], []
     for i, (c, a) in enumerate(zip(comps, tbas), start=1):
         b = BuchiWTS(c, a, max_states)
+        agents.append(b)
         found = enumerate_accepting(b, r_selec)
         if not b.anchors()[0]:
             # the pooled-moves view over-approximates the agent's behaviour
@@ -182,11 +194,10 @@ def synthesize(g, wts_list, formulas, r_selec: int = 100, max_states=None):
         if check_consistent(aligned, g, comps):
             return Plan(zip_runs(aligned), "independent", combos)
 
-    folded = tbas[0]
-    for a in tbas[1:]:
-        folded = intersect(folded, a)
-    p = product(comps)
-    b = BuchiWTS(p, folded, max_states)
+    # every joint accepting lasso projects to one of each agent's product,
+    # which ``anchors`` explored completely, so the search keeps only the
+    # joint nodes that every agent can still accept from
+    b = BuchiWTS(product(comps), intersect(*tbas), max_states, agents)
     run = find_accepting(b)
     if run is None:
         return Infeasible("no joint run satisfies every task together")

@@ -150,10 +150,16 @@ class Edge:
 
 
 class TBA:
-    """Locations carry the letter read there; acceptance is Buchi."""
+    """Locations carry the letter read there; acceptance is Buchi.
+
+    ``factors`` maps each location to its factor locations and
+    ``clock_factors`` gives each clock's (factor index, factor clock), in
+    clock order; an automaton that ``intersect`` did not build is its own
+    one factor.
+    """
 
     def __init__(self, locations, initial, clocks, edges, accepting, labels,
-                 ap, invariants=None):
+                 ap, invariants=None, factors=None):
         self.locations = tuple(locations)
         loc_set = set(self.locations)
         self.initial = tuple(q for q in initial)
@@ -193,6 +199,9 @@ class TBA:
         self._reading: dict = {}
         self.constants = frozenset(consts)
         self.c_max: Fraction = max(consts, default=Fraction(0))
+        self.factors, self.clock_factors = factors or (
+            {q: (q,) for q in self.locations}, tuple((0, c) for c in self.clocks)
+        )
 
     def in_ticks(self, unit: Fraction) -> TBA:
         """This automaton with every guard and invariant constant divided by
@@ -207,7 +216,7 @@ class TBA:
         edges = [Edge(e.src, _rewrite(e.guard, scale), e.resets, e.dst) for e in self.edges]
         invariants = {q: _rewrite(g, scale) for q, g in self.invariants.items()}
         return TBA(self.locations, self.initial, self.clocks, edges, self.accepting,
-                   self.labels, self.ap, invariants)
+                   self.labels, self.ap, invariants, (self.factors, self.clock_factors))
 
     def out_edges(self, q: str):
         return self._out[q]
@@ -399,14 +408,29 @@ def mitl_to_tba(f, alphabet=None) -> TBA:
 # -- products ---------------------------------------------------------------
 
 
-def intersect(a: TBA, b: TBA) -> TBA:
-    """Language intersection via the two-phase counter construction.
+def intersect(first: TBA, *rest: TBA) -> TBA:
+    """Language intersection of the operands, folded left by the two-phase
+    counter construction.
 
-    Clocks are renamed apart; a pair of locations is kept only when the two
-    labels agree on shared propositions, and the joint label is their union.
-    The counter waits for the first factor's acceptance in phase 1 and the
-    second's in phase 2; accepting = phase-1 visits accepting in the first.
+    At each step clocks are renamed apart (``a.`` the fold so far, ``b.``
+    the next operand); a pair of locations is kept only when the two labels
+    agree on shared propositions, and the joint label is their union.  The
+    counter waits for the fold's acceptance in phase 1 and the operand's in
+    phase 2; accepting = phase-1 visits accepting in the fold.  Each operand
+    is one factor of the result, whatever it was built from, so
+    ``factors`` lists one location per operand and ``clock_factors`` names
+    operands by their index, with no nesting however many are folded.
     """
+    # rebuilt without its record, the first operand is one factor
+    a = TBA(first.locations, first.initial, first.clocks, first.edges, first.accepting,
+            first.labels, first.ap, first.invariants)
+    for k, b in enumerate(rest, start=1):
+        a = _meet(a, b, k)
+    return a
+
+
+def _meet(a: TBA, b: TBA, k: int) -> TBA:
+    """One step of ``intersect``'s fold: ``b`` becomes factor ``k``."""
     map_a = {c: f"a.{c}" for c in a.clocks}
     map_b = {c: f"b.{c}" for c in b.clocks}
     shared_a = {qa: a.labels[qa] & b.ap for qa in a.locations}
@@ -416,7 +440,7 @@ def intersect(a: TBA, b: TBA) -> TBA:
         return gand(_rewrite(ga, lambda x: Atom(map_a[x.clock], x.op, x.const)),
                     _rewrite(gb, lambda x: Atom(map_b[x.clock], x.op, x.const)))
 
-    locations, labels, invariants, edges, accepting = [], {}, {}, [], []
+    locations, labels, invariants, edges, accepting, factors = [], {}, {}, [], [], {}
     for qa in a.locations:
         for qb in b.locations:
             if shared_a[qa] != shared_b[qb]:
@@ -427,6 +451,7 @@ def intersect(a: TBA, b: TBA) -> TBA:
                 locations.append(q)
                 labels[q] = a.labels[qa] | b.labels[qb]
                 invariants[q] = joint(a.invariants[qa], b.invariants[qb])
+                factors[q] = (*a.factors[qa], qb)
                 if phase == 1 and qa in a.accepting:
                     accepting.append(q)
                 edges += [
@@ -440,4 +465,6 @@ def intersect(a: TBA, b: TBA) -> TBA:
     initial = [f"{qa}|{qb}|1" for qa in a.initial for qb in b.initial
                if shared_a[qa] == shared_b[qb]]
     clocks = tuple(map_a.values()) + tuple(map_b.values())
-    return TBA(locations, initial, clocks, edges, accepting, labels, a.ap | b.ap, invariants)
+    clock_factors = a.clock_factors + tuple((k, c) for c in b.clocks)
+    return TBA(locations, initial, clocks, edges, accepting, labels, a.ap | b.ap, invariants,
+               (factors, clock_factors))

@@ -40,7 +40,7 @@ class TimedRun:
 
     def __post_init__(self):
         states = tuple(self.states)
-        durations = tuple(as_fraction(d) for d in self.durations)
+        durations = tuple(map(as_fraction, self.durations))
         stem_len = int(self.stem_len)
         if len(states) != len(durations):
             raise LengthMismatch(
@@ -53,7 +53,7 @@ class TimedRun:
                 f"stem length {stem_len} incompatible with {len(states)} positions"
             )
         for d in durations:
-            if d <= 0:
+            if d.numerator <= 0:  # a Fraction's sign; comparing one to 0 is slow
                 raise ValueError(f"durations must be positive, got {d}")
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "durations", durations)
@@ -223,7 +223,7 @@ def check_consistent(runs, g, wts_list) -> bool:
     for r in runs:
         if len(r) != len(first) or r.stem_len != first.stem_len:
             raise LengthMismatch("runs are not aligned to a common stem and cycle")
-        if any(d != dt for d in r.durations):
+        if any(d is not dt and d != dt for d in r.durations):
             raise LengthMismatch("run stamps do not sit on the shared step quantum")
     for idx, comp in enumerate(comps):
         if comp.agent != idx + 1:
@@ -233,12 +233,9 @@ def check_consistent(runs, g, wts_list) -> bool:
                 f"system {idx + 1} neighbor list disagrees with the graph"
             )
     p = ProductWTS(comps)
-    for j in range(len(first)):
-        src = tuple(r.state(j) for r in runs)
-        dst = tuple(r.state(j + 1) for r in runs)
-        if not p.has_transition(src, dst):
-            return False
-    return True
+    joint = list(zip(*(r.states for r in runs)))
+    nxt = joint[1:] + joint[first.stem_len:first.stem_len + 1]
+    return all(map(p.has_transition, joint, nxt))
 
 
 _BATCH_LANDINGS = 512  # (step, sample) landings per integrate_closed call

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -14,11 +15,12 @@ from timedplan.mitl import parse, sat
 from timedplan.rational import INF, frac_gcd
 from timedplan.scenario import build, load_scenario
 from timedplan.search import nested_dfs
-from timedplan.tba import TBA, TOP, Edge, atoms, eval_guard, intersect, mitl_to_tba
-from timedplan.wts import timed_word
+from timedplan.tba import TBA, TOP, Atom, Edge, atoms, eval_guard, intersect, mitl_to_tba
+from timedplan.wts import product, timed_word
 
 from helpers import (
     RationalProduct,
+    TableAgentWTS,
     WTS,
     _rand_guard,
     accepting_cycle_exists,
@@ -418,3 +420,170 @@ def test_weights_off_the_quantum_are_rejected():
     b = BuchiWTS(Skewed(), universal_tba(Skewed.alphabet))
     with pytest.raises(MismatchedTimeStep):
         b.succ(b.initial[0])
+
+
+# -- the joint product kept to live nodes -------------------------------------------
+
+
+def _rand_team(rng, n_agents):
+    """Agents on a path with random moves, disjoint alphabets and random
+    tasks, some of them two-factor automata."""
+    cells = (1, 2, 3)
+    dt = Fraction(1, int(rng.integers(1, 3)))
+    systems, tbas = [], []
+    for agent in range(1, n_agents + 1):
+        nbs = tuple(j for j in (agent - 1, agent + 1) if 1 <= j <= n_agents)
+        table = {
+            (action[0], action): {int(c) for c in rng.choice(cells, int(rng.integers(1, 3)))}
+            for action in itertools.product(cells, repeat=1 + len(nbs))
+        }
+        roll = rng.random() if n_agents == 2 else 1.0
+        props = (f"p{agent}", f"q{agent}") if roll < 0.3 else (f"p{agent}",)
+        labels = {c: {x for x in props if rng.random() < 0.5} for c in cells}
+        start = [int(rng.integers(1, 4))]
+        systems.append(TableAgentWTS(agent, nbs, dt, table, labels, start, frozenset(props)))
+        a = _rand_task(rng, props, 2 if n_agents == 2 else 1)
+        if 0.3 <= roll < 0.6:
+            a = intersect(a, _rand_task(rng, props, 1))
+        tbas.append(a)
+    return systems, tbas
+
+
+def _rand_task(rng, props, per_letter):
+    """``rand_tba`` with ``per_letter`` locations per letter, one of them
+    initial, so that every letter starts a run (every pair is an edge when
+    there is one per letter), and guards of small constants on
+    a grid of its own (halves, thirds or wholes), so that runs go on."""
+    den = int(rng.integers(1, 4))
+
+    def guard():
+        x = Fraction(int(rng.integers(0, 4)), den)
+        roll = rng.random()
+        return TOP if roll < 0.5 else Atom("c", "<=" if roll < 0.7 else ">=", x)
+
+    letters = [
+        frozenset(x) for k in range(len(props) + 1) for x in itertools.combinations(props, k)
+    ]
+    labels = {f"q{i}{{{','.join(sorted(l))}}}": l for i in range(per_letter) for l in letters}
+    locs = list(labels)
+    edges = [
+        Edge(src, guard(), {"c"} if rng.random() < 0.3 else (), dst)
+        for src in locs
+        for dst in locs
+        if per_letter == 1 or rng.random() < 0.8
+    ]
+    initial = [locs[k + len(letters) * int(rng.integers(per_letter))] for k in range(len(letters))]
+    accepting = [q for q in locs if rng.random() < 0.4] or [locs[int(rng.integers(0, len(locs)))]]
+    return TBA(locs, initial, ("c",), edges, accepting, labels, frozenset(props))
+
+
+def _joint_pair(systems, own, tbas):
+    """The joint product of ``systems`` without and with ``agents``, the
+    products of ``own``, each explored completely first."""
+    agents = [BuchiWTS(c, a) for c, a in zip(own, tbas)]
+    for b in agents:
+        b.anchors()
+    p, folded = product(systems), intersect(*tbas)
+    return BuchiWTS(p, folded), BuchiWTS(p, folded, agents=agents)
+
+
+def _teams(seed, n):
+    rng = np.random.default_rng(seed)
+    for k in range(n):
+        systems, tbas = _rand_team(rng, 2 if k % 3 else 3)
+        yield _joint_pair(systems, systems, tbas)
+
+
+def test_live_is_the_backward_closure_of_the_anchors():
+    for w, a in _rand_products(71, 40):
+        b = BuchiWTS(w, a)
+        live = b.live()
+        nodes, adj = crawl(b.initial, b.succ)
+        for n in nodes:
+            reach, _ = crawl([n], adj.__getitem__)
+            assert (n in live) == accepting_cycle_exists([n], adj.__getitem__, b.accepting)
+            assert (n in live) == any(r in b.anchors()[0] for r in reach)
+
+
+def test_kept_joint_search_finds_the_same_lasso():
+    """Dead nodes reach only dead nodes, so nested DFS meets the kept ones in
+    the same order: the same verdict and the same lasso node for node."""
+    found = pruned = 0
+    for plain, kept in _teams(73, 36):
+        want = nested_dfs(plain.initial, plain.succ, plain.accepting)
+        got = nested_dfs(kept.initial, kept.succ, kept.accepting)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert [list(map(kept.node, part)) for part in got] == [
+                list(map(plain.node, part)) for part in want
+            ]
+            found += 1
+        run, ref = find_accepting(kept), find_accepting(plain)
+        assert (run and (run.states, run.durations, run.stem_len)) == (
+            ref and (ref.states, ref.durations, ref.stem_len)
+        )
+        pruned += kept.n_explored < plain.n_explored
+    assert found >= 5 and pruned >= 15
+
+
+def test_kept_joint_product_holds_every_accepting_cycle():
+    """Exhausted, the kept product has the same anchors and loses only
+    nodes that lie on no accepting lasso."""
+    for plain, kept in _teams(79, 24):
+        anchors = {plain.node(n) for n in plain.anchors()[0]}
+        assert {kept.node(n) for n in kept.anchors()[0]} == anchors
+        assert {plain.node(n) for n in plain.live()} <= {kept.node(n) for n in kept._memo}
+        assert kept.n_explored <= plain.n_explored
+
+
+def test_a_missing_projection_is_an_error_not_a_dead_node():
+    """Agent 1's own product below lacks the move from cell 1 to cell 2
+    that the joint product makes, so it is not the over-approximation that
+    pruning rests on: the joint search raises instead of reading the
+    missing node as dead."""
+    cells = (1, 2, 3)
+
+    def agent(k, cut=()):
+        table = {
+            (c, (c, nb)): {d for d in cells if (c, d) not in cut} for c in cells for nb in cells
+        }
+        return TableAgentWTS(k, (3 - k,), Fraction(1, 4), table, {3: {f"p{k}"}}, [1])
+
+    systems = [agent(1), agent(2)]
+    tbas = [mitl_to_tba(parse(f"F[0, 1] p{k}"), alphabet={f"p{k}"}) for k in (1, 2)]
+    plain, kept = _joint_pair(systems, systems, tbas)
+    assert find_accepting(kept).states == find_accepting(plain).states
+    _, kept = _joint_pair(systems, [agent(1, cut={(1, 2)}), systems[1]], tbas)
+    with pytest.raises(RuntimeError, match="projects outside agent product 1"):
+        find_accepting(kept)
+
+
+def test_factor_record_stays_flat_across_the_fold():
+    tasks = [("F[0, 1/2] p1", "p1"), ("G[1/4, 1/3] p2 & F[0, 1] p2", "p2"), ("p3", "p3")]
+    a, b, c = [mitl_to_tba(parse(f), alphabet={p}) for f, p in tasks]
+    assert {len(x) for x in b.factors.values()} == {2}  # b is an intersection itself
+    abc = intersect(a, b, c)
+    nested = intersect(intersect(a, b), c)
+    for attr in ("locations", "initial", "clocks", "accepting", "labels", "invariants"):
+        assert getattr(abc, attr) == getattr(nested, attr)
+    assert list(map(str, abc.edges)) == list(map(str, nested.edges))
+    assert abc.clocks == ("a.a.c", "a.b.a.c", "a.b.b.c", "b.c")
+    assert abc.clock_factors == ((0, "c"), (1, "a.c"), (1, "b.c"), (2, "c"))
+    assert len(nested.factors[nested.locations[0]]) == 2
+    factors = (a, b, c)
+    for q in abc.locations:
+        parts = abc.factors[q]
+        assert len(parts) == 3
+        assert abc.labels[q] == frozenset().union(*(t.labels[x] for t, x in zip(factors, parts)))
+        if q in abc.accepting:
+            assert parts[0] in a.accepting
+    for q in abc.initial:
+        assert all(x in t.initial for t, x in zip(factors, abc.factors[q]))
+    for e in abc.edges:
+        for t, x, y in zip(factors, abc.factors[e.src], abc.factors[e.dst]):
+            assert any(f.dst == y for f in t.out_edges(x))
+    ticked = abc.in_ticks(Fraction(1, 60))
+    assert (ticked.factors, ticked.clock_factors) == (abc.factors, abc.clock_factors)
+    alone = intersect(b)
+    assert {len(x) for x in alone.factors.values()} == {1}
+    assert alone.clock_factors == tuple((0, x) for x in b.clocks)

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import os
@@ -11,7 +12,8 @@ import numpy as np
 import pytest
 
 from timedplan import synthesis
-from timedplan.errors import BudgetExceeded, LengthMismatch
+from timedplan.buchi import BuchiWTS, find_accepting
+from timedplan.errors import AlphabetMismatch, BudgetExceeded, LengthMismatch
 from timedplan.graphs import build_graph
 from timedplan.mitl import parse, sat
 from timedplan.synthesis import (
@@ -24,6 +26,7 @@ from timedplan.synthesis import (
     synthesize,
     zip_runs,
 )
+from timedplan.tba import intersect, mitl_to_tba
 from timedplan.wts import (
     TimedRun,
     check_consistent,
@@ -34,12 +37,12 @@ from timedplan.wts import (
 from helpers import TableAgentWTS, expand_layers
 
 
-def free_agents(dt=Fraction(1, 4), n_cells=3):
+def free_agents(dt=Fraction(1, 4), n_cells=3, services=("p1", "p2")):
     """Two agents, one edge, every move always enabled."""
     g = build_graph(2, [(1, 2)])
     cells = range(1, n_cells + 1)
     systems = []
-    for agent, service in ((1, "p1"), (2, "p2")):
+    for agent, service in zip((1, 2), services):
         table = {}
         for own in cells:
             for nb in cells:
@@ -143,6 +146,20 @@ def test_zero_lasso_budget_never_reads_as_infeasible():
         g, systems, [parse("F[0,1/4] p1"), parse("F[0,2] p2")], r_selec=0
     )
     assert isinstance(verdict, Infeasible) and verdict.agent == 1
+
+
+def test_overlapping_alphabets_are_rejected_before_any_product(monkeypatch):
+    """Pooled labels are a disjoint union; a shared service would let one
+    agent's visit meet another agent's task."""
+
+    def unreachable(*args, **kw):
+        raise AssertionError("a product was built")
+
+    monkeypatch.setattr(synthesis, "BuchiWTS", unreachable)
+    monkeypatch.setattr(synthesis, "product", unreachable)
+    g, systems = free_agents(services=("p1", "p1"))
+    with pytest.raises(AlphabetMismatch, match=r"^agents 1 and 2 both provide services \['p1'\]$"):
+        synthesize(g, systems, [parse("F[0,2] p1"), parse("F[0,2] p1")])
 
 
 def test_synthesize_budget():
@@ -417,3 +434,59 @@ def test_coded_layers_leave_numpy_ma_unimported():
         capture_output=True, text=True, check=True, timeout=120,
     )
     assert done.stdout.split() == ["False"]
+
+
+def joint_route(name):
+    from timedplan.scenario import build, parse_scenario
+
+    return build(parse_scenario(benchmark_specs()[name]))
+
+
+@pytest.mark.parametrize("name", ["joint-route-feasible", "joint-route-infeasible"])
+def test_kept_joint_search_matches_the_full_one_on_joint_route(name):
+    """The search over joint nodes that every agent can still accept from
+    finds the full search's lasso node for node, and its verdict, while
+    expanding fewer nodes."""
+    b = joint_route(name)
+    tbas = [mitl_to_tba(f, alphabet=c.alphabet) for f, c in zip(b.formulas, b.wts_list)]
+    agents = [BuchiWTS(c, a) for c, a in zip(b.wts_list, tbas)]
+    for a in agents:
+        a.anchors()
+    p, folded = product(b.wts_list), intersect(*tbas)
+    full, kept = BuchiWTS(p, folded), BuchiWTS(p, folded, agents=agents)
+    want, got = find_accepting(full), find_accepting(kept)
+    assert (want is None) == (name == "joint-route-infeasible")
+    assert (got and (got.states, got.durations, got.stem_len)) == (
+        want and (want.states, want.durations, want.stem_len)
+    )
+    assert len(kept._memo) < len(full._memo) / 4
+    plan = synthesize(b.graph, b.wts_list, b.formulas, r_selec=b.scenario.r_selec)
+    assert bool(plan) == (want is not None)
+    if plan:
+        assert plan.route == "joint-product" and len(plan.joint) == len(want) == 1217
+        assert plan.joint.states == tuple(n[0] for n in want.states)
+
+
+def test_budget_counts_live_joint_nodes_on_joint_route():
+    """joint-route-infeasible's joint product has 1,326 nodes, of which 306
+    are live; each agent's product has 173.  A budget of 306 proves the
+    verdict, where one that counted every joint node ran out."""
+    b = joint_route("joint-route-infeasible")
+    verdict = synthesize(b.graph, b.wts_list, b.formulas, max_states=306)
+    assert isinstance(verdict, Infeasible) and verdict.agent is None
+    with pytest.raises(BudgetExceeded, match="^acceptance product passed 305 states$"):
+        synthesize(b.graph, b.wts_list, b.formulas, max_states=305)
+
+
+def test_joint_route_leaves_no_reference_cycles():
+    """The products synthesis builds are freed by reference counting when
+    it returns, not at some later full collection, which would let peak
+    memory grow with every plan."""
+    b = joint_route("joint-route-feasible")
+    gc.collect()
+    gc.disable()
+    try:
+        assert synthesize(b.graph, b.wts_list, b.formulas).route == "joint-product"
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -71,6 +71,12 @@ def test_lasso_validation():
         TimedRun(("a", "b"), (Fraction(1), Fraction(1)), 2)
     with pytest.raises(ValueError):
         TimedRun(("a", "b"), (Fraction(1), Fraction(0)), 0)
+    for bad in (-1, "-1/3", -0.5, 0):
+        with pytest.raises(ValueError, match="^durations must be positive"):
+            TimedRun(("a", "b"), (Fraction(1), bad), 0)
+    r = TimedRun(("a", "b", "c"), (1, "1/3", 0.25), 0)
+    assert r.durations == (Fraction(1), Fraction(1, 3), Fraction(1, 4))
+    assert all(type(d) is Fraction for d in r.durations)
 
 
 def test_timed_word_projection():
@@ -198,6 +204,17 @@ def test_check_consistent_rejects_illegal_joint_step():
     r1 = TimedRun((1, 1), (Fraction(1, 4),) * 2, 0)
     r2 = TimedRun((1, 2), (Fraction(1, 4),) * 2, 0)
     assert not check_consistent([r1, r2], g, [a1, a2])
+
+
+def test_check_consistent_checks_the_closing_move():
+    """The last position steps back to the cycle's first, not the run's:
+    agent 2 may not leave cell 2 while agent 1 sits in cell 1."""
+    a1, a2 = two_table_agents()
+    g = build_graph(2, [(1, 2)])
+    dts = (Fraction(1, 4),) * 3
+    for stem, want in ((1, False), (0, True)):
+        runs = [TimedRun((2, 2, 1), dts, stem), TimedRun((2, 1, 2), dts, stem)]
+        assert check_consistent(runs, g, [a1, a2]) is want
 
 
 def test_check_consistent_validates_alignment():
