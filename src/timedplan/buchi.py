@@ -18,9 +18,10 @@ automaton, so an accepting lasso of this product projects to a system run
 whose observation word the automaton accepts, and the durations along the
 lasso are genuine transition weights.
 
-Guards are read on the automaton in ticks (``TBA.in_ticks``) with int clocks,
-once per distinct (configuration, delay, letter) step; a node's successors
-are the system moves of its state crossed with those steps.
+The automaton's initial and step rules are ``TBA.start`` and ``TBA.step``,
+applied to its copy in ticks (``TBA.in_ticks``), a step once per distinct
+(configuration, delay, letter); a node's successors are the system moves of
+its state crossed with those steps.
 
 A product of a joint system with an intersection automaton can be kept to
 its live part: given the completely explored product of each agent with
@@ -39,7 +40,7 @@ from functools import cache
 from .errors import AlphabetMismatch, BudgetExceeded, MismatchedTimeStep
 from .rational import frac_gcd
 from .search import bfs_order, nested_dfs, on_cycle, shortest_cycle, tree_path
-from .tba import TBA, eval_guard
+from .tba import TBA
 from .wts import TimedRun
 
 _CID = (1 << 32) - 1  # the configuration bits of a node
@@ -87,11 +88,7 @@ class BuchiWTS:
         sids = [self._sid(s) for s in sorted(wts.initial)]
         cids = {q: self._cid((q, zeros)) for q in sorted(tba.initial)}
         self.initial = tuple(
-            sid << 32 | cids[q]
-            for sid in sids
-            for q in tba.initial
-            if self._letters[sid] == tba.labels[q]
-            and eval_guard(tba.valuation(zeros), tba.invariants[q])
+            sid << 32 | cids[q] for sid in sids for q in tba.start(self._letters[sid])
         )
         if self._keep is not None:
             self.initial = tuple(filter(self._keep, self.initial))
@@ -254,28 +251,14 @@ class BuchiWTS:
 
     def _step(self, cid, ticks, letter):
         """Automaton moves after dwelling ``ticks`` in configuration ``cid``
-        and then reading ``letter``: distinct target cids in edge order.
+        and then reading ``letter`` (``TBA.step``), numbered: distinct target
+        cids in edge order.
         """
         key = (cid, ticks, letter)
         got = self._steps.get(key)
         if got is None:
-            tba = self.tba
-            cap = self.cap
-            q, nu = self._confs[cid]
-            moved = tuple(min(v + ticks, cap) for v in nu)
-            moved_map = tba.valuation(moved)
-            out = {}
-            if eval_guard(moved_map, tba.invariants[q]):
-                for e in tba.edges_reading(q, letter):
-                    if not eval_guard(moved_map, e.guard):
-                        continue
-                    after = tuple(
-                        0 if c in e.resets else v for c, v in zip(tba.clocks, moved)
-                    )
-                    if eval_guard(tba.valuation(after), tba.invariants[e.dst]):
-                        out[self._cid((e.dst, after))] = None
-            got = tuple(out)
-            self._steps[key] = got
+            targets = self.tba.step(*self._confs[cid], ticks, letter, self.cap)
+            got = self._steps[key] = tuple(map(self._cid, targets))
         return got
 
     def succ(self, code):

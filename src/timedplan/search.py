@@ -188,11 +188,7 @@ def shortest_cycle(node, succ):
         for cur in frontier:
             for child in succ(cur):
                 if child == node:
-                    back = [cur]
-                    while parent[back[-1]] is not None:
-                        back.append(parent[back[-1]])
-                    back.reverse()
-                    return [node] + back
+                    return [node] + tree_path(parent, cur)
                 if child not in seen:
                     seen.add(child)
                     parent[child] = cur

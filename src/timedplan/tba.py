@@ -7,10 +7,13 @@ an edge (q, guard, resets, q') fires when the post-delay valuation satisfies
 the guard, resets its clocks to 0, and the target invariant must hold.  A
 lasso word is accepted when some run over it (labels matching the word
 letters pointwise) visits an accepting location infinitely often, decided on
-the finite graph of (word position, location, capped valuation) triples:
-values above the largest constant collapse to an infinity sentinel, which is
-sound because every comparison constant lies at or below the cap.  The
-acceptance product reads instead a copy in whole ticks (``TBA.in_ticks``).
+the finite graph of (word position, location, clocks) triples.
+
+``TBA.start`` and ``TBA.step`` state these rules once, for word acceptance
+and for the acceptance product alike.  Both read a copy of the automaton in
+whole ticks (``TBA.in_ticks``) with int clocks, and a clock above the
+largest constant is held at ``cap``, one tick above it: no guard or
+invariant tells such values apart.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from operator import eq, ge, gt, le, lt
 
 from .errors import AlphabetMismatch, UndeclaredClock, UnsupportedFragment
 from .mitl import And, Eventually, Interval, Next, Not, Prop, Until, Always, props
-from .rational import INF, as_fraction
+from .rational import INF, as_fraction, frac_gcd
 from .search import nested_dfs
 from .wts import TimedWord
 
@@ -95,8 +98,7 @@ def window(clock: str, interval: Interval):
 def eval_guard(nu, g) -> bool:
     """Evaluate a constraint against a clock valuation (mapping).
 
-    Values are rationals or the infinity sentinel, which compares above every
-    constant and equals none; int ticks on an automaton from ``TBA.in_ticks``.
+    Values are rationals, or int ticks on an automaton from ``TBA.in_ticks``.
     """
     if isinstance(g, Top):
         return True
@@ -232,57 +234,65 @@ class TBA:
     def valuation(self, values) -> dict:
         return dict(zip(self.clocks, values))
 
+    def start(self, letter: frozenset) -> tuple:
+        """Initial locations a run over a word beginning with ``letter`` can
+        begin at: labelled ``letter``, with the invariant holding at zero.
+        """
+        zeros = self.valuation((0,) * len(self.clocks))
+        return tuple(q for q in self.initial
+                     if self.labels[q] == letter and eval_guard(zeros, self.invariants[q]))
 
-def _cap(v, c_max):
-    return INF if v > c_max else v
+    def step(self, q: str, clocks: tuple, ticks: int, letter: frozenset, cap: int) -> tuple:
+        """Distinct ``(location, clocks)`` targets, in edge order, after
+        dwelling ``ticks`` at ``q`` and then reading ``letter``: the clocks
+        advance, held at ``cap``; the invariant of ``q`` holds on them; an
+        edge into a location labelled ``letter`` passes its guard, resets
+        its clocks, and the target invariant holds after.
+        """
+        moved = tuple(min(v + ticks, cap) for v in clocks)
+        moved_map = self.valuation(moved)
+        if not eval_guard(moved_map, self.invariants[q]):
+            return ()
+        out = {}
+        for e in self.edges_reading(q, letter):
+            if eval_guard(moved_map, e.guard):
+                after = tuple(0 if c in e.resets else v for c, v in zip(self.clocks, moved))
+                if eval_guard(self.valuation(after), self.invariants[e.dst]):
+                    out[(e.dst, after)] = None
+        return tuple(out)
 
 
 def accepts(a: TBA, word: TimedWord, witness: bool = False):
     """Lasso-word membership; optionally also return the accepting lasso.
 
-    Nodes of the decision graph are (canonical position, location, capped
-    valuation); an accepting reachable cycle is searched with nested DFS.
+    Nodes of the decision graph are (canonical position, location, clocks),
+    the clocks in int ticks of the largest rational that divides every
+    duration and constant, held one tick above the largest constant; an
+    accepting reachable cycle is searched with nested DFS.
     """
     for l in word.labels:
         if not l <= a.ap:
             raise AlphabetMismatch(
                 f"letter {set(l)} outside the automaton alphabet {set(a.ap)}"
             )
-    c_max = a.c_max
-    zeros = tuple(Fraction(0) for _ in a.clocks)
-
-    initials = []
-    for q in a.initial:
-        if a.labels[q] == word.label(0) and eval_guard(a.valuation(zeros), a.invariants[q]):
-            initials.append((0, q, zeros))
-
+    unit = frac_gcd([*word.durations, *a.constants])
+    a = a.in_ticks(unit)
+    cap = int(a.c_max) + 1
+    gaps = [int(d / unit) for d in word.durations]
     succ_memo: dict = {}
 
     def succ(node):
         got = succ_memo.get(node)
-        if got is not None:
-            return got
-        pos, q, nu = node
-        delta = word.gap(pos)
-        nxt_pos = word.canon(pos + 1)
-        letter = word.label(pos + 1)
-        moved = tuple(_cap(v + delta, c_max) if v != INF else INF for v in nu)
-        out = []
-        moved_map = a.valuation(moved)
-        if eval_guard(moved_map, a.invariants[q]):
-            for e in a.edges_reading(q, letter):
-                if not eval_guard(moved_map, e.guard):
-                    continue
-                after = tuple(
-                    Fraction(0) if c in e.resets else v
-                    for c, v in zip(a.clocks, moved)
-                )
-                if eval_guard(a.valuation(after), a.invariants[e.dst]):
-                    out.append((nxt_pos, e.dst, after))
-        got = tuple(out)
-        succ_memo[node] = got
+        if got is None:
+            pos, q, nu = node
+            nxt = word.canon(pos + 1)
+            got = succ_memo[node] = tuple(
+                (nxt, *target) for target in a.step(q, nu, gaps[pos], word.label(nxt), cap)
+            )
         return got
 
+    zeros = (0,) * len(a.clocks)
+    initials = [(0, q, zeros) for q in a.start(word.label(0))]
     lasso = nested_dfs(initials, succ, lambda n: n[1] in a.accepting)
     if witness:
         return (lasso is not None), lasso

@@ -15,8 +15,18 @@ from timedplan.mitl import parse, sat
 from timedplan.rational import INF, frac_gcd
 from timedplan.scenario import build, load_scenario
 from timedplan.search import nested_dfs
-from timedplan.tba import TBA, TOP, Atom, Edge, atoms, eval_guard, intersect, mitl_to_tba
-from timedplan.wts import product, timed_word
+from timedplan.tba import (
+    TBA,
+    TOP,
+    Atom,
+    Edge,
+    accepts,
+    atoms,
+    eval_guard,
+    intersect,
+    mitl_to_tba,
+)
+from timedplan.wts import TimedWord, product, timed_word
 
 from helpers import (
     RationalProduct,
@@ -28,7 +38,9 @@ from helpers import (
     locations,
     probe_every_accepting,
     rand_fraction,
+    rand_fragment,
     rand_tba,
+    rand_word,
     rand_wts,
     universal_tba,
 )
@@ -370,23 +382,127 @@ def test_ticks_match_rational_clocks_under_invariants():
     assert pruned >= 10 and joint >= 10
 
 
-def test_the_product_reads_only_int_clocks(monkeypatch):
-    import timedplan.buchi as buchi
+def _spy_on_guards(monkeypatch):
+    """Every clock value the automaton's guards and invariants read."""
+    import timedplan.tba as tba_module
 
     read = []
-    real = buchi.eval_guard
+    real = tba_module.eval_guard
 
     def spy(nu, g):
         read.extend(nu.values())
         return real(nu, g)
 
-    monkeypatch.setattr(buchi, "eval_guard", spy)
+    monkeypatch.setattr(tba_module, "eval_guard", spy)
+    return read
+
+
+def test_the_product_reads_only_int_clocks(monkeypatch):
+    read = _spy_on_guards(monkeypatch)
     w = build(load_scenario("scenarios/two_agent_services.cfg")).wts_list[0]
     b = BuchiWTS(w, mitl_to_tba(parse("F[1/30, 1/7] p1"), alphabet=w.alphabet))
     nodes, _ = crawl(b.initial, b.succ)
     assert all(type(v) is int for v in read)
     assert b.cap in read
     assert all(type(v) is int for _, _, clocks in map(b.node, nodes) for v in clocks)
+
+
+# -- word acceptance in ticks against rational clocks -------------------------------
+
+
+def _visit_word(k):
+    """``p`` at position ``k`` only, every duration 1/20, ending in a cycle
+    of one empty position.
+    """
+    labels = [frozenset()] * k + [frozenset({"p"}), frozenset()]
+    return TimedWord(labels, [Fraction(1, 20)] * (k + 2), k + 1)
+
+
+def assert_accepts_as_rational(a, word):
+    """``accepts`` against nested DFS over the rational-clock product of
+    the word read as a system (position ``j`` moves to the next position
+    after its duration): the same verdict and the same lasso, positions and
+    locations, with each clock ``ticks * unit`` and the cap read as ``INF``.
+    Returns the verdict.
+    """
+    ok, got = accepts(a, word, witness=True)
+    n = len(word)
+    w = WTS(range(n), [0], {j: [(word.canon(j + 1), word.gap(j))] for j in range(n)},
+            dict(enumerate(word.labels)), alphabet=a.ap)
+    ref = RationalProduct(w, a)
+    want = nested_dfs(ref.initial, ref.succ, lambda node: node[1] in a.accepting)
+    assert ok == (want is not None)
+    if ok:
+        unit = frac_gcd([*word.durations, *a.constants])
+        cap = int(a.c_max / unit) + 1
+
+        def rational(node):
+            pos, q, ticks = node
+            return (pos, q, tuple(INF if v == cap else v * unit for v in ticks))
+
+        assert [list(map(rational, part)) for part in got] == [list(part) for part in want]
+    return ok
+
+
+def _along_edges(rng, a, word):
+    """``word`` relabelled along a random path of ``a``'s edges from an
+    initial location, guards unread, so that its letters match a run far
+    more often than random letters do.
+    """
+    q = a.initial[int(rng.integers(0, len(a.initial)))]
+    labels = [a.labels[q]]
+    while len(labels) < len(word) and a.out_edges(q):
+        outs = a.out_edges(q)
+        q = outs[int(rng.integers(0, len(outs)))].dst
+        labels.append(a.labels[q])
+    labels += word.labels[len(labels):]
+    return TimedWord(labels, word.durations, word.stem_len)
+
+
+def test_word_acceptance_matches_rational_clocks_on_random_automata():
+    rng = np.random.default_rng(79)
+    inv_rng = np.random.default_rng(83)
+    accepted = invariants = 0
+    for _ in range(500):
+        props = ("p",) if rng.random() < 0.5 else ("p", "q")
+        a = rand_tba(rng, props, n_locs=int(rng.integers(2, 5)))
+        if rng.random() < 0.5:
+            a = _with_invariants(inv_rng, a)
+            invariants += 1
+        word = rand_word(rng, props)
+        if rng.random() < 0.5:
+            word = _along_edges(rng, a, word)
+        accepted += assert_accepts_as_rational(a, word)
+    assert accepted >= 20 and invariants >= 200
+
+
+def test_word_acceptance_matches_rational_clocks_on_compiled_fragments():
+    rng = np.random.default_rng(89)
+    ap = ("p", "q")
+    accepted = 0
+    for _ in range(500):
+        a = mitl_to_tba(rand_fragment(rng, ap), alphabet=frozenset(ap))
+        accepted += assert_accepts_as_rational(a, rand_word(rng, ap))
+    assert 100 <= accepted <= 400
+
+
+def test_word_acceptance_with_constants_off_the_durations():
+    # F[1/30, 1/7] over durations of 1/20: the unit, 1/420, is finer than
+    # the durations' own gcd, and p at 3/20 comes after the window closes
+    a = mitl_to_tba(parse("F[1/30, 1/7] p"))
+    assert [assert_accepts_as_rational(a, _visit_word(k)) for k in range(5)] == [
+        False, True, True, False, False
+    ]
+
+
+def test_word_acceptance_reads_only_int_clocks(monkeypatch):
+    read = _spy_on_guards(monkeypatch)
+    a = mitl_to_tba(parse("F[1/30, 1/7] p"))
+    ok, (stem, cycle) = accepts(a, _visit_word(2), witness=True)
+    assert ok and read
+    assert all(type(v) is int for v in read)
+    assert 61 in read  # one tick of 1/420 above 1/7
+    assert all(type(v) is int for _, _, clocks in [*stem, *cycle] for v in clocks)
 
 
 def test_in_ticks_keeps_every_verdict():

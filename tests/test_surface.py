@@ -57,3 +57,16 @@ def test_package_root_binds_only_the_version():
         elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             bound.add(node.name)
     assert bound == {"__version__"}
+
+
+def test_only_the_automaton_reads_its_guards():
+    # the initial and step rules live in TBA.start and TBA.step, so no other
+    # module evaluates a clock constraint of its own
+    naming = set()
+    for module, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and node.id == "eval_guard":
+                naming.add(module)
+            elif isinstance(node, ast.ImportFrom):
+                naming.update(module for alias in node.names if alias.name == "eval_guard")
+    assert naming == {"tba"}
