@@ -29,7 +29,8 @@ its factor, a node is kept only when each agent's projection of it (cell,
 factor location, factor clocks in the agent's ticks) can reach an
 accepting cycle there (``live``).  A dead node reaches only dead nodes and
 lies on no accepting lasso, so a depth-first search meets the kept nodes
-in the same order with or without the dead ones.
+in the same order with or without the dead ones, and every path to a kept
+node, breadth-first stems and cycles included, runs through kept nodes.
 """
 
 from __future__ import annotations
@@ -286,33 +287,35 @@ class BuchiWTS:
         raise RuntimeError(f"no explored product move {src} -> {dst}")
 
 
-def _to_run(b: BuchiWTS, prefix, cycle) -> TimedRun:
-    codes = [*prefix, *cycle]
-    nxt = codes[1:] + codes[len(prefix):len(prefix) + 1]
-    durations = tuple(b.delta(u, v) for u, v in zip(codes, nxt))
-    return TimedRun(tuple(map(b.node, codes)), durations, len(prefix))
+def _lasso(b: BuchiWTS, parent, node, succ) -> TimedRun:
+    """The lasso through ``node``: its stem along the breadth-first tree
+    ``parent``, its cycle the shortest one through ``node`` under ``succ``.
+    """
+    stem = tree_path(parent, node)[:-1]
+    codes = [*stem, *shortest_cycle(node, succ)]
+    durations = tuple(b.delta(u, v) for u, v in zip(codes, [*codes[1:], node]))
+    return TimedRun(tuple(map(b.node, codes)), durations, len(stem))
 
 
 def find_accepting(b: BuchiWTS) -> TimedRun | None:
-    """One accepting lasso (or None), found by nested depth-first search."""
-    lasso = nested_dfs(b.initial, b.succ, b.accepting)
-    if lasso is None:
+    """One accepting lasso (or None).  Nested depth-first search decides
+    emptiness and names an accepting node on a cycle; the lasso is
+    ``_lasso`` through that node over the nodes the search expanded, so
+    building it expands no node and leaves ``n_explored`` as it was.
+    """
+    node = nested_dfs(b.initial, b.succ, b.accepting)
+    if node is None:
         return None
-    prefix, cycle = lasso
-    return _to_run(b, prefix, cycle)
+    expanded = lambda code: b._memo.get(code, ())
+    return _lasso(b, bfs_order(b.initial, expanded)[1], node, expanded)
 
 
 def enumerate_accepting(b: BuchiWTS, limit: int) -> list[TimedRun]:
-    """Up to ``limit`` accepting lassos, one per anchor of ``b.anchors()``:
-    stem along the search tree, cycle the shortest one through the anchor.
-    Deterministic for a fixed product.
+    """Up to ``limit`` accepting lassos, ``_lasso`` through each anchor of
+    ``b.anchors()`` in turn.  Deterministic for a fixed product.
     """
     anchors, parent = b.anchors()
-    out = []
-    for node in anchors[:limit]:
-        path = tree_path(parent, node)
-        out.append(_to_run(b, path[:-1], shortest_cycle(node, b.succ)))
-    return out
+    return [_lasso(b, parent, node, b.succ) for node in anchors[:limit]]
 
 
 def project_run(run: TimedRun) -> TimedRun:

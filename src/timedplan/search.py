@@ -1,10 +1,13 @@
 """Lasso emptiness search over lazily expanded graphs.
 
-Classic two-pass nested depth-first search: the outer pass explores in
-deterministic order; at the postorder visit of an accepting node an inner
-pass looks for a path back onto the outer stack, which closes a reachable
-accepting cycle.  The inner coloring persists across seeds, keeping the
-whole search linear in the explored graph.
+Classic two-pass nested depth-first search decides emptiness: the outer
+pass explores in deterministic order; at the postorder visit of an
+accepting node an inner pass looks for a path back onto the outer stack,
+which closes a reachable accepting cycle.  The inner coloring persists
+across seeds, keeping the whole search linear in the explored graph.  It
+returns only that accepting node; callers build the lasso through it from a
+breadth-first stem (``bfs_order``, ``tree_path``) and the shortest cycle
+through it (``shortest_cycle``), which keeps both parts short.
 
 Lasso enumeration instead anchors at nodes that lie on a cycle, which one
 strongly-connected-component pass (``on_cycle``) finds for the whole
@@ -21,10 +24,10 @@ import math
 
 
 def nested_dfs(initials, succ, accepting):
-    """Return (prefix, cycle) node lists, or None when no accepting lasso.
-
-    ``prefix`` leads from an initial node to the cycle entry (excluded);
-    ``cycle`` starts at the entry and its last node closes back on it.
+    """The accepting node whose inner search got back onto the outer stack,
+    or None when no accepting lasso is reachable.  The search expanded every
+    node of some path to it from an initial node and of some cycle through
+    it.
     """
     blue: set = set()
     red: set = set()
@@ -39,60 +42,40 @@ def nested_dfs(initials, succ, accepting):
 
 def _blue_dfs(root, succ, accepting, blue, red):
     blue.add(root)
-    path = [root]
-    on_path = {root: 0}
-    iters = [iter(succ(root))]
-    while iters:
-        advanced = False
-        for child in iters[-1]:
-            if child not in blue:
-                blue.add(child)
-                on_path[child] = len(path)
-                path.append(child)
-                iters.append(iter(succ(child)))
-                advanced = True
-                break
-        if advanced:
-            continue
-        node = path[-1]
-        if accepting(node):
-            hit = _red_dfs(node, succ, red, on_path)
-            if hit is not None:
-                red_path, meet = hit
-                meet_idx = on_path[meet]
-                node_idx = on_path[node]
-                cycle = [node] + red_path + path[meet_idx:node_idx]
-                return path[:node_idx], cycle
-        iters.pop()
-        path.pop()
-        del on_path[node]
-    return None
-
-
-def _red_dfs(seed, succ, red, on_path):
-    """Inner search from an accepting seed; success on touching the outer
-    stack (including the seed itself).  Returns (path after seed, met node).
-    """
-    stack = [(seed, iter(succ(seed)))]
-    trail = []
+    on_stack = {root}
+    stack = [(root, iter(succ(root)))]
     while stack:
         node, it = stack[-1]
-        advanced = False
         for child in it:
-            if child in on_path:
-                return trail, child
+            if child not in blue:
+                blue.add(child)
+                on_stack.add(child)
+                stack.append((child, iter(succ(child))))
+                break
+        else:
+            if accepting(node) and _red_dfs(node, succ, red, on_stack):
+                return node
+            stack.pop()
+            on_stack.remove(node)
+    return None
+
+
+def _red_dfs(seed, succ, red, on_stack) -> bool:
+    """Inner search from an accepting seed: whether it touches the outer
+    stack (the seed itself included).
+    """
+    stack = [iter(succ(seed))]
+    while stack:
+        for child in stack[-1]:
+            if child in on_stack:
+                return True
             if child not in red:
                 red.add(child)
-                trail.append(child)
-                stack.append((child, iter(succ(child))))
-                advanced = True
+                stack.append(iter(succ(child)))
                 break
-        if advanced:
-            continue
-        stack.pop()
-        if trail:
-            trail.pop()
-    return None
+        else:
+            stack.pop()
+    return False
 
 
 def bfs_order(initials, succ):

@@ -263,7 +263,9 @@ class TBA:
 
 
 def accepts(a: TBA, word: TimedWord, witness: bool = False):
-    """Lasso-word membership; optionally also return the accepting lasso.
+    """Lasso-word membership; with ``witness``, ``(verdict, node)``, where
+    ``node`` is an accepting node on a reachable cycle of the decision
+    graph, or None.
 
     Nodes of the decision graph are (canonical position, location, clocks),
     the clocks in int ticks of the largest rational that divides every
@@ -293,10 +295,10 @@ def accepts(a: TBA, word: TimedWord, witness: bool = False):
 
     zeros = (0,) * len(a.clocks)
     initials = [(0, q, zeros) for q in a.start(word.label(0))]
-    lasso = nested_dfs(initials, succ, lambda n: n[1] in a.accepting)
+    node = nested_dfs(initials, succ, lambda n: n[1] in a.accepting)
     if witness:
-        return (lasso is not None), lasso
-    return lasso is not None
+        return node is not None, node
+    return node is not None
 
 
 # -- fragment compiler ---------------------------------------------------------

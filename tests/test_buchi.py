@@ -14,7 +14,7 @@ from timedplan.errors import AlphabetMismatch, BudgetExceeded, MismatchedTimeSte
 from timedplan.mitl import parse, sat
 from timedplan.rational import INF, frac_gcd
 from timedplan.scenario import build, load_scenario
-from timedplan.search import nested_dfs
+from timedplan.search import bfs_order, nested_dfs, shortest_cycle, tree_path
 from timedplan.tba import (
     TBA,
     TOP,
@@ -278,9 +278,11 @@ def test_ticks_match_rational_clocks_on_the_grid(left, right):
 
 def assert_same_lasso_as_rational(w, a):
     """Nested DFS over the tick product and over the rational one, whose
-    tuple nodes come in the same order: the same lasso node for node, and
-    ``find_accepting`` keeps its nodes and reads the rational sojourns.
-    Returns whether there is a lasso.
+    tuple nodes come in the same order, names the same node.  Through it,
+    ``find_accepting``'s run is the rational product's lasso by the same
+    rule, node for node and sojourn for sojourn: the breadth-first stem and
+    the shortest cycle over the nodes the search expanded.  Returns whether
+    there is a lasso.
     """
     b = BuchiWTS(w, a)
     ref = RationalProduct(w, a)
@@ -290,12 +292,16 @@ def assert_same_lasso_as_rational(w, a):
     if want is None:
         assert got is None and run is None
         return False
-    assert [[_rational(b, n) for n in part] for part in got] == [list(part) for part in want]
-    codes = [*got[0], *got[1]]
-    assert run.states == tuple(map(b.node, codes)) and run.stem_len == len(got[0])
-    nodes = [*want[0], *want[1]]
-    nxt = nodes[1:] + nodes[len(want[0]):len(want[0]) + 1]
-    assert run.durations == tuple(ref.delta(u, v) for u, v in zip(nodes, nxt))
+    assert _rational(b, got) == want
+    expanded = lambda n: ref._memo.get(n, ())
+    stem = tree_path(bfs_order(ref.initial, expanded)[1], want)[:-1]
+    nodes = [*stem, *shortest_cycle(want, expanded)]
+    assert [
+        (s, q, tuple(INF if v == b.cap else v * b.unit for v in ticks))
+        for s, q, ticks in run.states
+    ] == nodes
+    assert run.stem_len == len(stem)
+    assert run.durations == tuple(ref._delta[u, v] for u, v in zip(nodes, [*nodes[1:], want]))
     return True
 
 
@@ -421,8 +427,9 @@ def _visit_word(k):
 def assert_accepts_as_rational(a, word):
     """``accepts`` against nested DFS over the rational-clock product of
     the word read as a system (position ``j`` moves to the next position
-    after its duration): the same verdict and the same lasso, positions and
-    locations, with each clock ``ticks * unit`` and the cap read as ``INF``.
+    after its duration): the same verdict and the same accepting node,
+    position and location, with each clock ``ticks * unit`` and the cap read
+    as ``INF``.
     Returns the verdict.
     """
     ok, got = accepts(a, word, witness=True)
@@ -440,7 +447,7 @@ def assert_accepts_as_rational(a, word):
             pos, q, ticks = node
             return (pos, q, tuple(INF if v == cap else v * unit for v in ticks))
 
-        assert [list(map(rational, part)) for part in got] == [list(part) for part in want]
+        assert rational(got) == want
     return ok
 
 
@@ -498,11 +505,11 @@ def test_word_acceptance_with_constants_off_the_durations():
 def test_word_acceptance_reads_only_int_clocks(monkeypatch):
     read = _spy_on_guards(monkeypatch)
     a = mitl_to_tba(parse("F[1/30, 1/7] p"))
-    ok, (stem, cycle) = accepts(a, _visit_word(2), witness=True)
+    ok, (_, _, clocks) = accepts(a, _visit_word(2), witness=True)
     assert ok and read
     assert all(type(v) is int for v in read)
     assert 61 in read  # one tick of 1/420 above 1/7
-    assert all(type(v) is int for _, _, clocks in [*stem, *cycle] for v in clocks)
+    assert all(type(v) is int for v in clocks)
 
 
 def test_in_ticks_keeps_every_verdict():
@@ -593,20 +600,29 @@ def _rand_task(rng, props, per_letter):
     return TBA(locs, initial, ("c",), edges, accepting, labels, frozenset(props))
 
 
-def _joint_pair(systems, own, tbas):
-    """The joint product of ``systems`` without and with ``agents``, the
-    products of ``own``, each explored completely first."""
+def _joint_builds(systems, own, tbas):
+    """Functions of a budget that build the joint product of ``systems``
+    afresh, without and with ``agents``, the products of ``own``, each
+    explored completely first."""
     agents = [BuchiWTS(c, a) for c, a in zip(own, tbas)]
     for b in agents:
         b.anchors()
     p, folded = product(systems), intersect(*tbas)
-    return BuchiWTS(p, folded), BuchiWTS(p, folded, agents=agents)
+    return (lambda m=None: BuchiWTS(p, folded, m)), (lambda m=None: BuchiWTS(p, folded, m, agents))
+
+
+def _joint_pair(systems, own, tbas):
+    return tuple(build() for build in _joint_builds(systems, own, tbas))
+
+
+def _rand_teams(seed, n):
+    rng = np.random.default_rng(seed)
+    for k in range(n):
+        yield _rand_team(rng, 2 if k % 3 else 3)
 
 
 def _teams(seed, n):
-    rng = np.random.default_rng(seed)
-    for k in range(n):
-        systems, tbas = _rand_team(rng, 2 if k % 3 else 3)
+    for systems, tbas in _rand_teams(seed, n):
         yield _joint_pair(systems, systems, tbas)
 
 
@@ -623,16 +639,16 @@ def test_live_is_the_backward_closure_of_the_anchors():
 
 def test_kept_joint_search_finds_the_same_lasso():
     """Dead nodes reach only dead nodes, so nested DFS meets the kept ones in
-    the same order: the same verdict and the same lasso node for node."""
+    the same order and names the same node, and the lasso through it runs
+    through kept nodes only: the same verdict and the same lasso node for
+    node."""
     found = pruned = 0
     for plain, kept in _teams(73, 36):
         want = nested_dfs(plain.initial, plain.succ, plain.accepting)
         got = nested_dfs(kept.initial, kept.succ, kept.accepting)
         assert (got is None) == (want is None)
         if want is not None:
-            assert [list(map(kept.node, part)) for part in got] == [
-                list(map(plain.node, part)) for part in want
-            ]
+            assert kept.node(got) == plain.node(want)
             found += 1
         run, ref = find_accepting(kept), find_accepting(plain)
         assert (run and (run.states, run.durations, run.stem_len)) == (
@@ -640,6 +656,65 @@ def test_kept_joint_search_finds_the_same_lasso():
         )
         pruned += kept.n_explored < plain.n_explored
     assert found >= 5 and pruned >= 15
+
+
+def _lasso_cases(seed, n):
+    """Functions of a budget that build a product afresh: ``n`` random
+    products, then the plain and the kept joint product of ``n`` random
+    teams."""
+    for w, a in _rand_products(seed, n):
+        yield lambda m, w=w, a=a: BuchiWTS(w, a, m)
+    for systems, tbas in _rand_teams(seed, n):
+        yield from _joint_builds(systems, systems, tbas)
+
+
+def _fits(build, max_states, search) -> bool:
+    try:
+        search(build(max_states))
+    except BudgetExceeded:
+        return False
+    return True
+
+
+def test_find_accepting_builds_its_lasso_from_what_nested_dfs_explored():
+    """``find_accepting``'s cycle entry is the node nested DFS names; its
+    stem is a breadth-first shortest path to that node over the nodes the
+    search expanded, and its cycle the shortest one through it there.
+    Building the lasso expands no node: a twin product that ran only nested
+    DFS has the same size, and the smallest budget that suffices is the
+    same for both."""
+    found = 0
+    for build in _lasso_cases(97, 30):
+        twin, b = build(None), build(None)
+        node = nested_dfs(twin.initial, twin.succ, twin.accepting)
+        run = find_accepting(b)
+        assert (b.n_explored, len(b._memo)) == (twin.n_explored, len(twin._memo))
+        alone = lambda x: nested_dfs(x.initial, x.succ, x.accepting)
+        for m in (twin.n_explored - 1, twin.n_explored):
+            assert _fits(build, m, alone) == _fits(build, m, find_accepting) == (
+                m == twin.n_explored
+            )
+        if node is None:
+            assert run is None
+            continue
+        found += 1
+        expanded = lambda x: b._memo.get(x, ())
+        dist, level = dict.fromkeys(b.initial, 0), list(b.initial)
+        while level:
+            nxt = []
+            for x in level:
+                for c in expanded(x):
+                    if c not in dist:
+                        dist[c] = dist[x] + 1
+                        nxt.append(c)
+            level = nxt
+        code = {b.node(x): x for x in b._memo}
+        codes = [code[x] for x in run.states]
+        assert codes[run.stem_len] == node and run.stem_len == dist[node]
+        assert codes[0] in b.initial
+        assert all(v in expanded(u) for u, v in zip(codes, codes[1:]))
+        assert codes[run.stem_len:] == shortest_cycle(node, expanded)
+    assert found >= 15
 
 
 def test_kept_joint_product_holds_every_accepting_cycle():

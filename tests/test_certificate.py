@@ -63,8 +63,8 @@ GENERATED = {
     # a 7-position plan with 60 samples a step, as the smallest grid of
     # the grid-growth benchmark runs it
     "grid-6": two_agent_cfg("grid-6", 14, 22, "[1/20, 1/4]", 60),
-    # p1 and p2 five rows apart, which only the joint product settles;
-    # its 1,217-position plan is cut to its first 40 steps
+    # p1 and p2 five rows apart, which only the joint product settles,
+    # with a plan of 19 positions
     "joint-route": two_agent_cfg("joint-route", 13, 18, "[0, 1/2]", 3),
 }
 CASES = SHIPPED + tuple(GENERATED)
@@ -78,7 +78,7 @@ def planned(case):
         b = build(load_scenario(case))
     plan = synthesize(b.graph, b.wts_list, b.formulas, r_selec=b.scenario.r_selec)
     assert plan
-    return b, plan.steps()[:40] if case == "joint-route" else plan.steps()
+    return b, plan.steps()
 
 
 def aimed_at_cell_1(controller):

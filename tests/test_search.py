@@ -15,19 +15,23 @@ def graph_succ(adj):
     return lambda n: tuple(adj.get(n, ()))
 
 
+def assert_on_reachable_accepting_cycle(node, roots, succ, accepting):
+    """``node`` is accepting, reached from ``roots`` and closed by
+    ``shortest_cycle``, a genuine walk of ``succ`` edges."""
+    assert accepting(node)
+    reach, _ = crawl(roots, succ)
+    assert node in reach
+    cycle = shortest_cycle(node, succ)
+    assert cycle is not None and cycle[0] == node
+    for a, b in zip(cycle, [*cycle[1:], node]):
+        assert b in succ(a)
+
+
 def test_simple_accepting_cycle():
     adj = {0: (1,), 1: (2,), 2: (1,)}
     got = nested_dfs([0], graph_succ(adj), lambda n: n == 2)
-    assert got is not None
-    prefix, cycle = got
-    assert cycle[0] == cycle[-1] or len(cycle) >= 1
-    # the lasso is genuinely a run: consecutive edges exist
-    walk = list(prefix) + list(cycle)
-    for a, b in zip(walk, walk[1:]):
-        assert b in adj[a]
-    # and the cycle closes
-    assert cycle[0] in adj[cycle[-1]]
-    assert any(n == 2 for n in cycle)
+    assert got == 2
+    assert_on_reachable_accepting_cycle(got, [0], graph_succ(adj), lambda n: n == 2)
 
 
 def test_no_cycle_returns_none():
@@ -43,9 +47,8 @@ def test_cycle_without_accepting_state():
 def test_self_loop_is_a_cycle():
     adj = {0: (0,)}
     got = nested_dfs([0], graph_succ(adj), lambda n: True)
-    assert got is not None
-    prefix, cycle = got
-    assert list(cycle) == [0]
+    assert got == 0
+    assert shortest_cycle(got, graph_succ(adj)) == [0]
 
 
 def test_unreachable_accepting_cycle_ignored():
@@ -66,16 +69,9 @@ def test_matches_scc_oracle_on_random_graphs():
         oracle = accepting_cycle_exists([0], graph_succ(adj), lambda x: x in marked)
         assert (verdict is not None) == oracle, (trial, adj, marked)
         if verdict is not None:
-            prefix, cycle = verdict
-            walk = list(prefix) + list(cycle)
-            for a, b in zip(walk, walk[1:]):
-                assert b in adj[a]
-            assert cycle[0] in adj[cycle[-1]]
-            assert any(x in marked for x in cycle)
-            if prefix:
-                assert prefix[0] == 0
-            else:
-                assert cycle[0] == 0
+            assert_on_reachable_accepting_cycle(
+                verdict, [0], graph_succ(adj), lambda x: x in marked
+            )
 
 
 def test_bfs_order_and_tree_path():

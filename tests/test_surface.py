@@ -70,3 +70,15 @@ def test_only_the_automaton_reads_its_guards():
             elif isinstance(node, ast.ImportFrom):
                 naming.update(module for alias in node.names if alias.name == "eval_guard")
     assert naming == {"tba"}
+
+
+def test_one_rule_builds_every_product_lasso():
+    # each lasso of the acceptance product is a breadth-first stem plus the
+    # shortest cycle through its entry, and only buchi._lasso puts them together
+    tree = ast.parse((PACKAGE / "buchi.py").read_text(encoding="utf-8"))
+    naming = set()
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and node.id in ("tree_path", "shortest_cycle"):
+                naming.add(getattr(top, "name", None))
+    assert naming == {"_lasso"}

@@ -170,17 +170,18 @@ def test_synthesize_budget():
 
 
 def test_joint_product_plan_on_shipped_scenario_is_pinned():
-    """The joint-product route's plan on ``two_agent_services``, as found
-    while the product memoized every joint successor."""
+    """The joint-product route's plan on ``two_agent_services``: the
+    breadth-first stem to the node nested DFS names, then the shortest cycle
+    through it."""
     from timedplan.scenario import build, load_scenario
 
     b = build(load_scenario("scenarios/two_agent_services.cfg"))
     plan = synthesize(b.graph, b.wts_list, b.formulas, r_selec=0)
     assert plan.route == "joint-product"
-    assert (plan.stem_len, plan.cycle_len) == (609, 2)
+    assert (plan.stem_len, plan.cycle_len) == (11, 2)
     assert plan.joint.states[plan.stem_len:] == ((6, 24), (6, 24))
     digest = hashlib.sha256(repr(plan.joint.states).encode()).hexdigest()
-    assert digest.startswith("17caf145119b1bca")
+    assert digest.startswith("5f16782386ef0b17")
 
 
 def test_generate_and_check_budget_counts_joint_states():
@@ -463,7 +464,7 @@ def test_kept_joint_search_matches_the_full_one_on_joint_route(name):
     plan = synthesize(b.graph, b.wts_list, b.formulas, r_selec=b.scenario.r_selec)
     assert bool(plan) == (want is not None)
     if plan:
-        assert plan.route == "joint-product" and len(plan.joint) == len(want) == 1217
+        assert plan.route == "joint-product" and len(plan.joint) == len(want) == 19
         assert plan.joint.states == tuple(n[0] for n in want.states)
 
 
