@@ -92,7 +92,7 @@ def _plan_text(b: Built, plan: Plan) -> str:
     lines = [
         f"route: {plan.route}",
         f"quantum: {frac_str(plan.dt)}",
-        f"stem: {plan.stem_len} positions, cycle: {plan.cycle_len} positions",
+        f"stem: {plan.joint.stem_len} positions, cycle: {plan.joint.cycle_len} positions",
         "",
     ]
     for i, run in enumerate(plan.runs, start=1):
@@ -120,7 +120,7 @@ def _self_check(b: Built, plan: Plan) -> tuple[list[bool], bool]:
         for run, comp, f in zip(plan.runs, b.wts_list, b.formulas)
     ]
     try:
-        consistent = check_consistent(plan.runs, b.graph, b.wts_list)
+        consistent = check_consistent(plan.joint, b.graph, b.wts_list)
     except TimedplanError:
         consistent = False
     return tasks_sat, consistent
@@ -159,7 +159,7 @@ def cmd_synthesize(args) -> int:
         what = (
             f"agent {failed[0]}'s run does not satisfy its task (mitl.sat)"
             if failed
-            else "the agents' runs do not zip into one joint run (check_consistent)"
+            else "the joint lasso is not a run of the joint product (check_consistent)"
         )
         print(f"internal error: plan failed its self-check: {what}; nothing written")
         return 1

@@ -42,10 +42,11 @@ _FIXED_KEYS = {
 _START_RE = re.compile(r"^start\.(\d+)$")
 _LABEL_RE = re.compile(r"^(\d+)\.([a-z][a-z0-9_]*)$")
 _PHI_RE = re.compile(r"^phi\.(\d+)$")
-# smallest accepted value of each integer knob: a zero lasso budget disables
-# the independent route, zero samples certify nothing, a zero state budget
-# stops every search before it starts, and random seeds are nonnegative
-MINIMUM = {"agents": 1, "r_selec": 1, "samples": 1, "max_states": 1, "seed": 0}
+# smallest accepted value of each integer knob: the communication graph
+# needs an edge, so two agents; a zero lasso budget disables the independent
+# route; zero samples certify nothing; a zero state budget stops every
+# search before it starts; and random seeds are nonnegative
+MINIMUM = {"agents": 2, "r_selec": 1, "samples": 1, "max_states": 1, "seed": 0}
 
 
 def _fail(msg):
@@ -336,7 +337,7 @@ def plan_dumps(plan: Plan, fingerprint: str) -> str:
         "scenario_sha256": fingerprint,
         "route": plan.route,
         "dt": frac_str(plan.dt),
-        "stem_len": plan.stem_len,
+        "stem_len": plan.joint.stem_len,
         "combos_checked": plan.combos_checked,
         "joint": [list(s) for s in plan.joint.states],
     }
@@ -397,7 +398,7 @@ def plan_loads(text: str, b: Built) -> Plan:
             f"plan starts at {joint_states[0]}, scenario starts occupy {start_cells}"
         )
     plan = Plan(TimedRun(joint_states, (dt,) * len(joint_states), stem), route, combos)
-    if not check_consistent(plan.runs, b.graph, b.wts_list):
+    if not check_consistent(plan.joint, b.graph, b.wts_list):
         raise PlanMismatch(
             "plan key 'joint' takes a step that is not a transition of the "
             "scenario's product (check_consistent)"

@@ -2,10 +2,11 @@
 
 The cheap route works per agent — compile each task to an automaton, search
 the agent's own abstraction (with its moves pooled over every neighbor
-configuration, an over-approximation), and test combinations of the found
-lassos for joint consistency.  When no combination zips, the exact route
-builds the synchronized product against the intersection automaton and
-projects its accepting lasso back to the agents.  Every joint accepting
+configuration, an over-approximation), zip each combination of the found
+lassos into one joint lasso, and keep the first that is a run of the
+product.  When none is, the exact route builds the synchronized product
+against the intersection automaton and projects its accepting lasso back
+to the agents.  Every joint accepting
 lasso projects to an accepting lasso of each agent's own product, which
 the cheap route has already explored, so the exact route keeps only joint
 nodes from which every agent can still reach an accepting cycle; that
@@ -98,14 +99,6 @@ class Plan:
     def dt(self) -> Fraction:
         return self.joint.durations[0]
 
-    @property
-    def stem_len(self) -> int:
-        return self.joint.stem_len
-
-    @property
-    def cycle_len(self) -> int:
-        return self.joint.cycle_len
-
     def steps(self):
         """(source, target) joint moves along stem plus one full cycle."""
         out = []
@@ -114,30 +107,22 @@ class Plan:
         return out
 
 
-def align_runs(runs) -> list[TimedRun]:
-    """Unroll lassos to a shared stem and a common cycle length."""
-    runs = list(runs)
-    stem = max(r.stem_len for r in runs)
-    cyc = 1
-    for r in runs:
-        cyc = math.lcm(cyc, r.cycle_len)
-    out = []
-    for r in runs:
-        m = stem + cyc
-        states = tuple(r.state(j) for j in range(m))
-        durations = tuple(r.durations[r.canon(j)] for j in range(m))
-        out.append(TimedRun(states, durations, stem))
-    return out
-
-
 def zip_runs(runs) -> TimedRun:
-    """Positionwise product of already-aligned runs."""
-    first = runs[0]
-    for r in runs:
-        if len(r) != len(first) or r.stem_len != first.stem_len:
-            raise LengthMismatch("runs are not aligned")
-    states = tuple(tuple(r.state(j) for r in runs) for j in range(len(first)))
-    return TimedRun(states, first.durations, first.stem_len)
+    """The joint lasso of per-agent lassos.
+
+    Each run is unrolled to the longest stem and to the lcm of the cycle
+    lengths, and the runs are zipped position by position.  Raises
+    ``LengthMismatch`` when two runs sojourn differently at some position.
+    """
+    stem = max(r.stem_len for r in runs)
+    span = range(stem + math.lcm(*(r.cycle_len for r in runs)))
+    at = [list(map(r.canon, span)) for r in runs]  # each run's index per position
+    durations = [runs[0].durations[k] for k in at[0]]
+    for i, (r, ks) in enumerate(zip(runs[1:], at[1:]), start=2):
+        if [r.durations[k] for k in ks] != durations:
+            raise LengthMismatch(f"run {i} sojourns differently from run 1")
+    states = zip(*([r.states[k] for k in ks] for r, ks in zip(runs, at)))
+    return TimedRun(tuple(states), tuple(durations), stem)
 
 
 def synthesize(g, wts_list, formulas, r_selec: int = 100, max_states=None):
@@ -190,9 +175,9 @@ def synthesize(g, wts_list, formulas, r_selec: int = 100, max_states=None):
         if combos >= r_selec:
             break
         combos += 1
-        aligned = align_runs(pick)
-        if check_consistent(aligned, g, comps):
-            return Plan(zip_runs(aligned), "independent", combos)
+        joint = zip_runs(pick)
+        if check_consistent(joint, g, comps):
+            return Plan(joint, "independent", combos)
 
     # every joint accepting lasso projects to one of each agent's product,
     # which ``anchors`` explored completely, so the search keeps only the

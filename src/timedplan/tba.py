@@ -18,6 +18,7 @@ invariant tells such values apart.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import eq, ge, gt, le, lt
@@ -215,8 +216,12 @@ class TBA:
                 raise ValueError(f"constant of {x} is not a whole number of {unit}")
             return Atom(x.clock, x.op, ticks)
 
-        edges = [Edge(e.src, _rewrite(e.guard, scale), e.resets, e.dst) for e in self.edges]
-        invariants = {q: _rewrite(g, scale) for q, g in self.invariants.items()}
+        @functools.cache  # the edges repeat a few guards hundreds of times
+        def rewrite(g):
+            return _rewrite(g, scale)
+
+        edges = [Edge(e.src, rewrite(e.guard), e.resets, e.dst) for e in self.edges]
+        invariants = {q: rewrite(g) for q, g in self.invariants.items()}
         return TBA(self.locations, self.initial, self.clocks, edges, self.accepting,
                    self.labels, self.ap, invariants, (self.factors, self.clock_factors))
 

@@ -86,10 +86,6 @@ class TimedRun:
         laps, off = divmod(j - self.stem_len, self.cycle_len)
         return self._times[self.stem_len + off] + laps * self._cycle_duration
 
-    def gap(self, j: int) -> Fraction:
-        """Sojourn at unrolled position j."""
-        return self.durations[self.canon(j)]
-
 
 class TimedWord(TimedRun):
     """Lasso word: a run whose positions are label sets."""
@@ -206,36 +202,31 @@ def product(wts_list) -> ProductWTS:
     return ProductWTS(wts_list)
 
 
-def check_consistent(runs, g, wts_list) -> bool:
-    """Whether per-agent lasso runs zip into one run of the product.
+def check_consistent(joint: TimedRun, g, wts_list) -> bool:
+    """Whether the joint lasso ``joint`` is a run of the product of
+    ``wts_list``: every move, the closing one too, a product transition.
 
-    Runs must already be aligned: identical stem lengths, identical total
-    lengths, every duration equal to the shared quantum (stamps j*dt).
+    Raises ``LengthMismatch`` unless the systems are ``g``'s agents with
+    ``g``'s neighbor lists, every state holds one cell per agent, and every
+    sojourn is the product's quantum; ``ProductWTS`` checks the agent order
+    and the shared quantum of the systems.
     """
-    comps = list(wts_list)
-    runs = list(runs)
-    if len(runs) != len(comps) or len(runs) != g.n_agents:
-        raise LengthMismatch(
-            f"{len(runs)} runs for {g.n_agents} agents / {len(comps)} systems"
-        )
-    first = runs[0]
-    dt = comps[0].dt
-    for r in runs:
-        if len(r) != len(first) or r.stem_len != first.stem_len:
-            raise LengthMismatch("runs are not aligned to a common stem and cycle")
-        if any(d is not dt and d != dt for d in r.durations):
-            raise LengthMismatch("run stamps do not sit on the shared step quantum")
-    for idx, comp in enumerate(comps):
-        if comp.agent != idx + 1:
-            raise LengthMismatch("systems must be ordered by agent number")
+    p = ProductWTS(wts_list)
+    if p.n_agents != g.n_agents:
+        raise LengthMismatch(f"{p.n_agents} systems for {g.n_agents} agents")
+    for idx, comp in enumerate(p.components):
         if tuple(comp.neighbors) != tuple(g.neighbors(idx + 1)):
             raise LengthMismatch(
                 f"system {idx + 1} neighbor list disagrees with the graph"
             )
-    p = ProductWTS(comps)
-    joint = list(zip(*(r.states for r in runs)))
-    nxt = joint[1:] + joint[first.stem_len:first.stem_len + 1]
-    return all(map(p.has_transition, joint, nxt))
+    states = joint.states
+    for s in states:
+        if len(s) != p.n_agents:
+            raise LengthMismatch(f"joint state {s} is not one cell per agent")
+    if any(d is not p.dt and d != p.dt for d in joint.durations):
+        raise LengthMismatch("joint sojourns are not the product's step quantum")
+    stem = joint.stem_len
+    return all(map(p.has_transition, states, states[1:] + states[stem:stem + 1]))
 
 
 _BATCH_LANDINGS = 512  # (step, sample) landings per integrate_closed call

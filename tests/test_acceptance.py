@@ -313,8 +313,8 @@ def test_criterion_8_end_to_end_two_agents():
     # certificate part 1: each agent's own word satisfies its goal
     for run, comp, f in zip(plan.runs, b.wts_list, b.formulas):
         assert sat(timed_word(run, comp.label), 0, f) is True
-    # certificate part 2: the runs zip into one run of the joint system
-    assert check_consistent(plan.runs, b.graph, b.wts_list) is True
+    # certificate part 2: the joint lasso is a run of the joint system
+    assert check_consistent(plan.joint, b.graph, b.wts_list) is True
     # certificate part 3: sampled closed-loop landings, zero misses
     report = simulation_check(
         product(b.wts_list),

@@ -434,7 +434,7 @@ def assert_accepts_as_rational(a, word):
     """
     ok, got = accepts(a, word, witness=True)
     n = len(word)
-    w = WTS(range(n), [0], {j: [(word.canon(j + 1), word.gap(j))] for j in range(n)},
+    w = WTS(range(n), [0], {j: [(word.canon(j + 1), word.durations[word.canon(j)])] for j in range(n)},
             dict(enumerate(word.labels)), alphabet=a.ap)
     ref = RationalProduct(w, a)
     want = nested_dfs(ref.initial, ref.succ, lambda node: node[1] in a.accepting)

@@ -35,6 +35,22 @@ def test_validate_names_failed_property(tmp_path, capsys):
     assert "TimeStepOutOfRange" in out
 
 
+def test_validate_rejects_a_single_agent(tmp_path, capsys):
+    """A well-formed one-agent scenario is refused by name, not by a
+    traceback from the graph builder: the communication graph needs an edge."""
+    lines = Path(SCENARIO).read_text().splitlines()
+    kept = [
+        "agents = 1" if l == "agents = 2" else l
+        for l in lines
+        if not l.startswith(("start.2", "2.", "phi.2"))
+    ]
+    one = tmp_path / "one.cfg"
+    one.write_text("\n".join(kept) + "\n", encoding="utf-8")
+    assert main(["validate", str(one)]) == 1
+    out = capsys.readouterr().out
+    assert "invalid" in out and "agents" in out
+
+
 def test_synthesize_writes_run_dir(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["synthesize", SCENARIO, "--out", str(out)]) == 0

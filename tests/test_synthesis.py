@@ -2,6 +2,7 @@ import gc
 import hashlib
 import itertools
 import os
+import random
 import subprocess
 import sys
 import types
@@ -19,7 +20,6 @@ from timedplan.mitl import parse, sat
 from timedplan.synthesis import (
     Infeasible,
     Plan,
-    align_runs,
     make_controller,
     reachable_layers,
     saturate,
@@ -80,25 +80,34 @@ def test_saturate_batch_rounds_as_single_vectors():
         assert np.array_equal(row, want)
 
 
-def test_align_runs_unrolls_to_common_shape():
-    r1 = TimedRun((1, 2), (Fraction(1, 4),) * 2, 1)  # stem 1, cycle 1
-    r2 = TimedRun((5, 6), (Fraction(1, 4),) * 2, 0)  # cycle 2
-    a1, a2 = align_runs([r1, r2])
-    assert a1.stem_len == a2.stem_len
-    assert len(a1) == len(a2)
-    assert a1.cycle_len == a2.cycle_len
-    # unrolled runs visit the same states at the same stamps
-    for j in range(10):
-        assert a1.state(j) == r1.state(j)
-        assert a2.state(j) == r2.state(j)
-        assert a1.time(j) == r1.time(j)
-
-
-def test_zip_runs():
-    r1 = TimedRun((1, 2), (Fraction(1, 4),) * 2, 0)
-    r2 = TimedRun((7, 8), (Fraction(1, 4),) * 2, 0)
-    j = zip_runs([r1, r2])
-    assert j.states == ((1, 7), (2, 8))
+def test_zip_runs_unrolls_each_combination_to_one_joint_lasso():
+    """Lassos with stems 0-4 and cycles 1-4 zip into one lasso that holds
+    each run's state and stamp at every unrolled position; runs whose
+    sojourns differ somewhere do not zip."""
+    rng = random.Random(24)
+    dt = Fraction(1, 4)
+    cases = [[TimedRun((1, 2), (dt,) * 2, 1), TimedRun((5, 6), (dt,) * 2, 0)]]
+    for _ in range(200):
+        runs = []
+        for _ in range(rng.randint(1, 3)):
+            stem, cycle = rng.randint(0, 4), rng.randint(1, 4)
+            cells = [rng.randint(1, 9) for _ in range(stem + cycle)]
+            runs.append(TimedRun(cells, (dt,) * len(cells), stem))
+        cases.append(runs)
+    for runs in cases:
+        joint = zip_runs(runs)
+        assert joint.stem_len == max(r.stem_len for r in runs)
+        for j in range(3 * len(joint)):
+            assert joint.state(j) == tuple(r.state(j) for r in runs)
+            assert all(joint.time(j) == r.time(j) for r in runs)
+        if len(runs) > 1:  # one run slower at one of its positions
+            i = rng.randrange(len(runs))
+            r = runs[i]
+            durations = list(r.durations)
+            durations[rng.randrange(len(r))] = 2 * dt
+            runs[i] = TimedRun(r.states, durations, r.stem_len)
+            with pytest.raises(LengthMismatch, match="sojourns differently"):
+                zip_runs(runs)
 
 
 def test_synthesize_independent_route():
@@ -111,7 +120,7 @@ def test_synthesize_independent_route():
     # certificate: per-agent words satisfy, and the runs zip consistently
     for i, (r, c, f) in enumerate(zip(plan.runs, systems, formulas)):
         assert sat(timed_word(r, c.label), 0, f)
-    assert check_consistent(plan.runs, g, systems)
+    assert check_consistent(plan.joint, g, systems)
     # the joint run starts at the initial cells
     assert plan.joint.state(0) == (1, 1)
 
@@ -178,8 +187,8 @@ def test_joint_product_plan_on_shipped_scenario_is_pinned():
     b = build(load_scenario("scenarios/two_agent_services.cfg"))
     plan = synthesize(b.graph, b.wts_list, b.formulas, r_selec=0)
     assert plan.route == "joint-product"
-    assert (plan.stem_len, plan.cycle_len) == (11, 2)
-    assert plan.joint.states[plan.stem_len:] == ((6, 24), (6, 24))
+    assert (plan.joint.stem_len, plan.joint.cycle_len) == (11, 2)
+    assert plan.joint.states[plan.joint.stem_len:] == ((6, 24), (6, 24))
     digest = hashlib.sha256(repr(plan.joint.states).encode()).hexdigest()
     assert digest.startswith("5f16782386ef0b17")
 
@@ -204,7 +213,7 @@ def test_generate_and_check_route_on_nested_formula():
     assert plan.route == "generate-and-check"
     for r, c, f in zip(plan.runs, systems, formulas):
         assert sat(timed_word(r, c.label), 0, f)
-    assert check_consistent(plan.runs, g, systems)
+    assert check_consistent(plan.joint, g, systems)
 
 
 def test_plan_steps_cover_cycle():

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from timedplan.errors import LengthMismatch, UnknownState
+from timedplan.errors import LengthMismatch, MismatchedTimeStep, UnknownState
 from timedplan.graphs import build_graph
 from timedplan.wts import (
     SimulationReport,
@@ -189,21 +189,21 @@ def test_product_requires_matching_quanta():
         product([a1, b2])
 
 
+def lasso(states, stem=0, dt=Fraction(1, 4)):
+    return TimedRun(states, (dt,) * len(states), stem)
+
+
 def test_check_consistent_accepts_product_run():
     a1, a2 = two_table_agents()
     g = build_graph(2, [(1, 2)])
-    r1 = TimedRun((1, 2, 2), (Fraction(1, 4),) * 3, 1)
-    r2 = TimedRun((1, 1, 2), (Fraction(1, 4),) * 3, 1)
-    assert check_consistent([r1, r2], g, [a1, a2])
+    assert check_consistent(lasso(((1, 1), (2, 1), (2, 2)), 1), g, [a1, a2])
 
 
 def test_check_consistent_rejects_illegal_joint_step():
     a1, a2 = two_table_agents()
     g = build_graph(2, [(1, 2)])
     # agent 2 stepping out while agent 1 still in cell 1 is not enabled
-    r1 = TimedRun((1, 1), (Fraction(1, 4),) * 2, 0)
-    r2 = TimedRun((1, 2), (Fraction(1, 4),) * 2, 0)
-    assert not check_consistent([r1, r2], g, [a1, a2])
+    assert not check_consistent(lasso(((1, 1), (1, 2))), g, [a1, a2])
 
 
 def test_check_consistent_checks_the_closing_move():
@@ -211,21 +211,34 @@ def test_check_consistent_checks_the_closing_move():
     agent 2 may not leave cell 2 while agent 1 sits in cell 1."""
     a1, a2 = two_table_agents()
     g = build_graph(2, [(1, 2)])
-    dts = (Fraction(1, 4),) * 3
     for stem, want in ((1, False), (0, True)):
-        runs = [TimedRun((2, 2, 1), dts, stem), TimedRun((2, 1, 2), dts, stem)]
-        assert check_consistent(runs, g, [a1, a2]) is want
+        joint = lasso(((2, 2), (2, 1), (1, 2)), stem)
+        assert check_consistent(joint, g, [a1, a2]) is want
 
 
-def test_check_consistent_validates_alignment():
+def test_check_consistent_needs_the_product_quantum():
     a1, a2 = two_table_agents()
     g = build_graph(2, [(1, 2)])
-    r1 = TimedRun((1, 2), (Fraction(1, 4),) * 2, 0)
-    bad = TimedRun((1, 1), (Fraction(1, 2),) * 2, 0)
-    with pytest.raises(LengthMismatch):
-        check_consistent([r1, bad], g, [a1, a2])
-    with pytest.raises(LengthMismatch):
-        check_consistent([r1], g, [a1, a2])
+    with pytest.raises(LengthMismatch, match="quantum"):
+        check_consistent(lasso(((1, 1), (2, 1)), dt=Fraction(1, 2)), g, [a1, a2])
+
+
+def test_check_consistent_needs_one_cell_per_agent():
+    a1, a2 = two_table_agents()
+    g = build_graph(2, [(1, 2)])
+    for joint in (lasso(((1,), (2,))), lasso(((1, 1), (2, 1, 1)))):
+        with pytest.raises(LengthMismatch, match="one cell per agent"):
+            check_consistent(joint, g, [a1, a2])
+
+
+def test_check_consistent_needs_the_graph_neighbors():
+    a1, a2 = two_table_agents()
+    loner = TableAgentWTS(2, (), a2.dt, {}, initial=[1])
+    g = build_graph(2, [(1, 2)])
+    with pytest.raises(LengthMismatch, match="system 2 neighbor list"):
+        check_consistent(lasso(((1, 1), (2, 1))), g, [a1, loner])
+    with pytest.raises(MismatchedTimeStep):  # ProductWTS wants agent order
+        check_consistent(lasso(((1, 1), (2, 1))), g, [a2, a1])
 
 
 def test_certificate_needs_a_sampled_landing():
