@@ -177,7 +177,9 @@ class AxisTable:
     ``sqrt(a) <= reach`` is ``a <= lim``.  ``post`` caches successor sets
     by action and gives equal sets one shared object; ``post_rows`` gives
     many actions' sets at once, caching only the padded rows per arity;
-    ``post_any`` caches its closed form by cell and degree.
+    ``post_any`` caches its closed form by cell and degree, built from each
+    axis's pooled least-gap row, which depends only on the cell's index on
+    that axis and is cached by (axis, index, degree).
     """
 
     def __init__(self, disc: Discretization):
@@ -199,6 +201,7 @@ class AxisTable:
         self._post: dict[tuple[int, ...], frozenset[int]] = {}
         self._sets: dict[frozenset[int], frozenset[int]] = {}
         self._post_any: dict[tuple[int, int], frozenset[int]] = {}
+        self._least_rows: dict[tuple[int, int, int], list[tuple[int, float]]] = {}
         self._padded: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
 
     def indices(self, action) -> list[tuple[int, ...]]:
@@ -279,16 +282,25 @@ class AxisTable:
         """
         got = self._post_any.get((cell, degree))
         if got is None:
-            per_axis = []
             (own,) = self.indices((cell,))
-            for rows, o, side in zip(self.rows, own, self.sides):
-                least: dict[int, float] = {}
-                for nbs in itertools.product(range(side), repeat=degree):
-                    for b, gap in rows[(o,) + nbs]:
-                        if gap < least.get(b, math.inf):
-                            least[b] = gap
-                per_axis.append(sorted(least.items()))
+            per_axis = [self._least(k, o, degree) for k, o in enumerate(own)]
             got = self._post_any[(cell, degree)] = self.within(per_axis)
+        return got
+
+    def _least(self, axis: int, own: int, degree: int) -> list[tuple[int, float]]:
+        """Axis ``axis``'s (share, least gap) pairs over every configuration
+        of ``degree`` neighbors of a cell at index ``own`` on that axis,
+        ascending; the same for every cell with that index there."""
+        key = (axis, own, degree)
+        got = self._least_rows.get(key)
+        if got is None:
+            rows = self.rows[axis]
+            least: dict[int, float] = {}
+            for nbs in itertools.product(range(self.sides[axis]), repeat=degree):
+                for b, gap in rows[(own,) + nbs]:
+                    if gap < least.get(b, math.inf):
+                        least[b] = gap
+            got = self._least_rows[key] = sorted(least.items())
         return got
 
 

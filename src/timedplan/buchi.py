@@ -35,6 +35,7 @@ node, breadth-first stems and cycles included, runs through kept nodes.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cache
 
@@ -113,7 +114,9 @@ class BuchiWTS:
         """
         if self._anchors is None:
             order, parent = bfs_order(self.initial, self.succ)
-            cyclic = on_cycle(order, self.succ)
+            # the search expanded every node it reached, so the rest reads
+            # the memo instead of asking ``succ`` again
+            cyclic = on_cycle(order, self._memo.__getitem__)
             hits = [n for n in order if n in cyclic and self.accepting(n)]
             self._anchors = (hits, parent)
         return self._anchors
@@ -310,12 +313,37 @@ def find_accepting(b: BuchiWTS) -> TimedRun | None:
     return _lasso(b, bfs_order(b.initial, expanded)[1], node, expanded)
 
 
-def enumerate_accepting(b: BuchiWTS, limit: int) -> list[TimedRun]:
+class _Lassos(Sequence):
+    """``_lasso`` through each of ``anchors`` in turn, built the first time
+    its int index is read and kept."""
+
+    def __init__(self, b: BuchiWTS, anchors, parent):
+        self._b = b
+        self._anchors = anchors
+        self._parent = parent
+        self._runs: dict[int, TimedRun] = {}
+
+    def __len__(self):
+        return len(self._anchors)
+
+    def __getitem__(self, i):
+        i = range(len(self._anchors))[i]  # IndexError past the end
+        run = self._runs.get(i)
+        if run is None:
+            b = self._b
+            run = _lasso(b, self._parent, self._anchors[i], b._memo.__getitem__)
+            self._runs[i] = run
+        return run
+
+
+def enumerate_accepting(b: BuchiWTS, limit: int) -> Sequence[TimedRun]:
     """Up to ``limit`` accepting lassos, ``_lasso`` through each anchor of
-    ``b.anchors()`` in turn.  Deterministic for a fixed product.
+    ``b.anchors()`` in turn.  Deterministic for a fixed product.  Explores
+    the product now; each lasso is built when it is first read, so a
+    caller pays one ``shortest_cycle`` only per lasso it reads.
     """
     anchors, parent = b.anchors()
-    return [_lasso(b, parent, node, b.succ) for node in anchors[:limit]]
+    return _Lassos(b, anchors[:limit], parent)
 
 
 def project_run(run: TimedRun) -> TimedRun:

@@ -4,16 +4,18 @@ The cheap route works per agent — compile each task to an automaton, search
 the agent's own abstraction (with its moves pooled over every neighbor
 configuration, an over-approximation), zip each combination of the found
 lassos into one joint lasso, and keep the first that is a run of the
-product.  When none is, the exact route builds the synchronized product
-against the intersection automaton and projects its accepting lasso back
-to the agents.  Every joint accepting
-lasso projects to an accepting lasso of each agent's own product, which
-the cheap route has already explored, so the exact route keeps only joint
-nodes from which every agent can still reach an accepting cycle; that
-keeps the lasso it finds and its verdict, and its budget counts kept
-nodes only.  Agents must provide disjoint services.  Tasks outside the
-compilable fragment fall back to bounded generate-and-check, which can find
-plans but can never prove their absence.
+product.  Combinations are walked by lasso index, so only the lassos some
+combination zips are built and projected.  When no combination is a run,
+the exact route builds the synchronized product against the intersection
+automaton and projects its accepting lasso back to the agents.  Every
+joint accepting lasso projects to an accepting lasso of each agent's own
+product, which the cheap route has already explored, so the exact route
+keeps only joint nodes from which every agent can still reach an
+accepting cycle; that keeps the lasso it finds and its verdict, and its
+budget counts kept nodes only.  Agents must provide disjoint services.
+Tasks outside the compilable fragment fall back to bounded
+generate-and-check, which can find plans but can never prove their
+absence.
 """
 
 from __future__ import annotations
@@ -168,14 +170,22 @@ def synthesize(g, wts_list, formulas, r_selec: int = 100, max_states=None):
                 f"agent {i} has no run satisfying its task even in isolation",
                 agent=i,
             )
-        per_agent.append([project_run(r) for r in found])
+        per_agent.append(found)
 
+    # combinations in ``itertools.product`` order, by index, so that only
+    # the lassos some combination zips are built and projected
+    projected = [{} for _ in per_agent]  # per agent: lasso index -> system run
     combos = 0
-    for pick in itertools.product(*per_agent):
+    for pick in itertools.product(*(range(len(found)) for found in per_agent)):
         if combos >= r_selec:
             break
         combos += 1
-        joint = zip_runs(pick)
+        runs = []
+        for found, done, k in zip(per_agent, projected, pick):
+            if k not in done:
+                done[k] = project_run(found[k])
+            runs.append(done[k])
+        joint = zip_runs(runs)
         if check_consistent(joint, g, comps):
             return Plan(joint, "independent", combos)
 

@@ -473,6 +473,43 @@ def probe_every_accepting(b, limit):
     return out
 
 
+def eager_synthesize(g, comps, formulas, r_selec):
+    """``synthesize`` on the compiled route with every lasso built first:
+    each agent's lassos are ``probe_every_accepting``'s, all of them
+    projected, and the combinations are the product of those lists.
+    Emptiness comes from the SCC oracle.  Returns a ``Plan`` or an
+    ``Infeasible`` as ``synthesize`` words them.
+    """
+    from timedplan.buchi import BuchiWTS, find_accepting, project_run
+    from timedplan.synthesis import Infeasible, Plan, zip_runs
+    from timedplan.tba import intersect, mitl_to_tba
+    from timedplan.wts import TimedRun, check_consistent, product
+
+    tbas = [mitl_to_tba(f, alphabet=c.alphabet) for f, c in zip(formulas, comps)]
+    agents, per_agent = [], []
+    for i, (c, a) in enumerate(zip(comps, tbas), start=1):
+        b = BuchiWTS(c, a)
+        if not accepting_cycle_exists(b.initial, b.succ, b.accepting):
+            return Infeasible(
+                f"agent {i} has no run satisfying its task even in isolation", agent=i
+            )
+        agents.append(b)
+        lassos = probe_every_accepting(b, r_selec)
+        per_agent.append([project_run(TimedRun(*lasso)) for lasso in lassos])
+    combos = 0
+    for pick in itertools.product(*per_agent):
+        if combos >= r_selec:
+            break
+        combos += 1
+        joint = zip_runs(pick)
+        if check_consistent(joint, g, comps):
+            return Plan(joint, "independent", combos)
+    run = find_accepting(BuchiWTS(product(comps), intersect(*tbas), None, agents))
+    if run is None:
+        return Infeasible("no joint run satisfies every task together")
+    return Plan(project_run(run), "joint-product", combos)
+
+
 # -- acceptance product with rational clocks -------------------------------------
 
 

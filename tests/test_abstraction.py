@@ -296,6 +296,35 @@ def test_post_any_is_union_of_scans(name):
         assert middle.post_any(cell) == enumerate_post_any(scan, cell, n, 2)
 
 
+def test_post_any_pools_each_axis_once_on_random_grids():
+    """The closed form built from per-axis least-gap rows, cached by
+    (axis, index on that axis, degree), against the union of ``post`` over
+    every neighbor configuration: random 2-D and 3-D grids, degrees 0 to 2,
+    and two agents of each degree asking one shared table in turn."""
+    rng = np.random.default_rng(29)
+    for trial in range(12):
+        dim = 2 if trial % 3 else 3
+        lo = rng.uniform(-0.05, 0.05, dim)
+        extent = 0.012 * rng.integers(2, 6 if dim == 2 else 4, dim) + rng.uniform(0, 0.011, dim)
+        dec = grid(Box(tuple(lo), tuple(lo + extent)), 0.012)
+        disc = loose_disc(dec, (Fraction(1, 20), Fraction(1, 2), Fraction(2))[trial % 3])
+        n = dec.n_cells
+        table = disc.axes
+        for degree in (0, 1, 2):
+            pair = [agent_of_arity(disc, 1 + degree) for _ in range(2)]
+            assert pair[0]._table is pair[1]._table is table
+            cells = range(1, n + 1) if degree < 2 else [int(c) for c in rng.integers(1, n + 1, 4)]
+            for k, cell in enumerate(cells):
+                first, second = pair if k % 2 else pair[::-1]
+                got = first.post_any(cell)
+                assert got == enumerate_post_any(first.post, cell, n, degree)
+                assert second.post_any(cell) is got
+        # one pooled row per axis, own index on it and degree asked: every
+        # index at degrees 0 and 1, those of the sampled cells at degree 2
+        sampled = {(k, i) for c in cells for k, i in enumerate(table.index[c])}
+        assert len(table._least_rows) == 2 * sum(table.sides) + len(sampled)
+
+
 def test_post_any_at_degree_three_reaches_outside():
     """Endpoints pushed out of the workspace add nothing to the union."""
     g, dec, disc = tiny_setup()

@@ -203,8 +203,11 @@ def test_enumeration_probes_one_cycle_per_lasso(monkeypatch):
     monkeypatch.setattr(buchi, "shortest_cycle", counted)
     lassos = 0
     for w, a in _rand_products(43, 60):
-        lassos += len(enumerate_accepting(BuchiWTS(w, a), 100))
-        assert len(calls) == lassos
+        runs = enumerate_accepting(BuchiWTS(w, a), 100)
+        assert len(calls) == lassos  # nothing is probed before a lasso is read
+        assert list(runs) == list(runs)  # every lasso read, twice
+        lassos += len(runs)
+        assert len(calls) == lassos  # one probe per lasso built
     assert lassos > 0
 
 

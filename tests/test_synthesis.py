@@ -34,7 +34,7 @@ from timedplan.wts import (
     timed_word,
 )
 
-from helpers import TableAgentWTS, expand_layers
+from helpers import TableAgentWTS, eager_synthesize, expand_layers
 
 
 def free_agents(dt=Fraction(1, 4), n_cells=3, services=("p1", "p2")):
@@ -155,6 +155,56 @@ def test_zero_lasso_budget_never_reads_as_infeasible():
         g, systems, [parse("F[0,1/4] p1"), parse("F[0,2] p2")], r_selec=0
     )
     assert isinstance(verdict, Infeasible) and verdict.agent == 1
+
+
+def _rand_team(rng, n_agents):
+    """Agents on a path over three cells, each action's successors random
+    (staying put more often than not), one service per agent and a random
+    ``F`` or ``G`` window over it."""
+    g = build_graph(n_agents, [(k, k + 1) for k in range(1, n_agents)])
+    cells = (1, 2, 3)
+    systems, formulas = [], []
+    for agent in range(1, n_agents + 1):
+        nbs = g.neighbors(agent)
+        table = {
+            (action[0], action): {int(c) for c in rng.choice(cells, int(rng.integers(1, 3)))}
+            | ({action[0]} if rng.random() < 0.6 else set())
+            for action in itertools.product(cells, repeat=1 + len(nbs))
+        }
+        service = f"p{agent}"
+        labels = {c: {service} for c in cells if rng.random() < 0.5}
+        start = [int(rng.integers(1, 4))]
+        systems.append(
+            TableAgentWTS(agent, nbs, Fraction(1, 4), table, labels, start, {service})
+        )
+        lo, width = (Fraction(int(x), 4) for x in rng.integers(0, 3, 2))
+        op = "G" if rng.random() < 0.3 else "F"
+        formulas.append(parse(f"{op}[{lo}, {lo + width + Fraction(1, 4)}] {service}"))
+    return g, systems, formulas
+
+
+@pytest.mark.parametrize("r_selec", [0, 1, 2, 100])
+def test_lazy_route_matches_the_eager_one_on_random_teams(r_selec):
+    """Building only the lassos a combination zips changes nothing: the
+    verdict, the joint lasso, the route and ``combos_checked`` are those of
+    the route that builds and projects every lasso first."""
+    rng = np.random.default_rng(6)
+    kinds = set()
+    for k in range(24):
+        g, systems, formulas = _rand_team(rng, 2 if k % 3 else 3)
+        got = synthesize(g, systems, formulas, r_selec=r_selec)
+        want = eager_synthesize(g, systems, formulas, r_selec)
+        assert type(got) is type(want)
+        assert got == want
+        if isinstance(got, Plan):
+            kinds.add((got.route, got.combos_checked > 1))
+        else:
+            kinds.add(("infeasible", got.agent is None))
+    assert {("infeasible", True), ("infeasible", False), ("joint-product", r_selec > 1)} <= kinds
+    if r_selec:
+        assert ("independent", False) in kinds
+    if r_selec == 100:
+        assert ("independent", True) in kinds
 
 
 def test_overlapping_alphabets_are_rejected_before_any_product(monkeypatch):
@@ -394,6 +444,28 @@ def benchmark_specs():
     exec(compile(WORKLOADS.read_text(encoding="utf-8"), str(WORKLOADS), "exec"), module.__dict__)
     specs = [module.grid_growth_spec(side) for side in (6, 10, 16)]
     return {spec.name: spec.text for spec in specs + list(module.joint_route_specs())}
+
+
+def test_per_agent_route_builds_only_the_lassos_it_zips(monkeypatch):
+    """The first combination is a run of the product on the per-agent
+    scenarios, so each agent builds one lasso: 3 probes on path-three where
+    building every enumerated lasso took 75, 2 on each grid-growth
+    scenario."""
+    from timedplan import buchi
+    from timedplan.scenario import build, load_scenario, parse_scenario
+
+    calls = []
+    real = buchi.shortest_cycle
+    monkeypatch.setattr(buchi, "shortest_cycle", lambda *a: calls.append(a) or real(*a))
+    cases = [(load_scenario("scenarios/path_three_fast.cfg"), 3)] + [
+        (parse_scenario(benchmark_specs()[f"grid-growth-{side}"]), 2) for side in (6, 10, 16)
+    ]
+    for s, probes in cases:
+        b = build(s)
+        calls.clear()
+        plan = synthesize(b.graph, b.wts_list, b.formulas, r_selec=s.r_selec)
+        assert plan.route == "independent" and plan.combos_checked == 1
+        assert len(calls) == probes
 
 
 @pytest.mark.parametrize("name", sorted(benchmark_specs()))
