@@ -302,9 +302,10 @@ def _lasso(b: BuchiWTS, parent, node, succ) -> TimedRun:
 
 def find_accepting(b: BuchiWTS) -> TimedRun | None:
     """One accepting lasso (or None).  Nested depth-first search decides
-    emptiness and names an accepting node on a cycle; the lasso is
-    ``_lasso`` through that node over the nodes the search expanded, so
-    building it expands no node and leaves ``n_explored`` as it was.
+    emptiness and names an accepting node on a cycle, stopping at the first
+    back edge that closes one; the lasso is ``_lasso`` through that node
+    over the nodes the search expanded, so building it expands no node and
+    leaves ``n_explored`` as it was.
     """
     node = nested_dfs(b.initial, b.succ, b.accepting)
     if node is None:

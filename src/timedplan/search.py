@@ -1,13 +1,16 @@
 """Lasso emptiness search over lazily expanded graphs.
 
-Classic two-pass nested depth-first search decides emptiness: the outer
-pass explores in deterministic order; at the postorder visit of an
-accepting node an inner pass looks for a path back onto the outer stack,
-which closes a reachable accepting cycle.  The inner coloring persists
-across seeds, keeping the whole search linear in the explored graph.  It
-returns only that accepting node; callers build the lasso through it from a
-breadth-first stem (``bfs_order``, ``tree_path``) and the shortest cycle
-through it (``shortest_cycle``), which keeps both parts short.
+Two-pass nested depth-first search decides emptiness.  The outer pass
+explores in deterministic order and stops at the first edge back onto its
+own stack that has an accepting end: that edge closes a reachable accepting
+cycle (the early check of Schwoon & Esparza, "A note on on-the-fly
+verification algorithms", TACAS 2005).  Failing that, at the postorder
+visit of an accepting node an inner pass looks for a path back onto the
+outer stack.  The inner coloring persists across seeds, keeping the whole
+search linear in the explored graph.  It returns only the accepting node;
+callers build the lasso through it from a breadth-first stem
+(``bfs_order``, ``tree_path``) and the shortest cycle through it
+(``shortest_cycle``), which keeps both parts short.
 
 Lasso enumeration instead anchors at nodes that lie on a cycle, which one
 strongly-connected-component pass (``on_cycle``) finds for the whole
@@ -24,10 +27,12 @@ import math
 
 
 def nested_dfs(initials, succ, accepting):
-    """The accepting node whose inner search got back onto the outer stack,
-    or None when no accepting lasso is reachable.  The search expanded every
-    node of some path to it from an initial node and of some cycle through
-    it.
+    """An accepting node on a reachable cycle, or None when no accepting
+    lasso is reachable: an accepting end of the first edge back onto the
+    outer stack that has one (the edge's source first), else the accepting
+    node whose inner search got back onto the outer stack.  The search
+    expanded every node of some path to it from an initial node and of some
+    cycle through it.
     """
     blue: set = set()
     red: set = set()
@@ -52,6 +57,12 @@ def _blue_dfs(root, succ, accepting, blue, red):
                 on_stack.add(child)
                 stack.append((child, iter(succ(child))))
                 break
+            if child in on_stack:
+                # a back edge: node -> child -> ... -> node is a cycle
+                if accepting(node):
+                    return node
+                if accepting(child):
+                    return child
         else:
             if accepting(node) and _red_dfs(node, succ, red, on_stack):
                 return node

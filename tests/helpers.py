@@ -687,3 +687,97 @@ def expand_layers(p, steps):
     for _ in range(steps):
         layers.append(set(itertools.chain.from_iterable(map(succ, layers[-1]))))
     return layers
+
+
+# -- verdicts without an automaton ------------------------------------------------
+
+
+def window_tasks(formulas, dt):
+    """Each task ``F[a,b] q`` or ``G[a,b] q`` as (is_f, first, last, q), where
+    positions first..last are the j with a <= j*dt <= b: the windows
+    ``mitl.sat`` reads on a word of dt-spaced positions."""
+    out = []
+    for f in formulas:
+        if not (isinstance(f, (Eventually, Always)) and isinstance(f.sub, Prop)
+                and f.interval.hi != INF):
+            raise ValueError(f"not a bounded F or G task on one service: {f}")
+        first, last = math.ceil(f.interval.lo / dt), math.floor(f.interval.hi / dt)
+        out.append((isinstance(f, Eventually), first, last, f.sub.name))
+    return out
+
+
+def windows_met(joint, comps, formulas) -> list:
+    """Per agent, whether its cells along the joint lasso ``joint`` meet
+    its window, read position by position; every sojourn must be the
+    quantum, so position j lies at j*dt."""
+    dt = comps[0].dt
+    assert all(d == dt for d in joint.durations)
+    met = []
+    for i, (is_f, first, last, q) in enumerate(window_tasks(formulas, dt)):
+        hits = [q in comps[i].label(joint.state(j)[i]) for j in range(first, last + 1)]
+        met.append(any(hits) if is_f else all(hits))
+    return met
+
+
+def infinite_paths(roots, succ) -> set:
+    """The states reachable from ``roots`` that start an infinite path: the
+    greatest fixpoint of Z = {s : some successor of s lies in Z}, from Z =
+    every reachable state."""
+    z = set(roots)
+    todo = list(z)
+    while todo:
+        for t in succ(todo.pop()):
+            if t not in z:
+                z.add(t)
+                todo.append(t)
+    while True:
+        kept = {s for s in z if not z.isdisjoint(succ(s))}
+        if len(kept) == len(z):
+            return z
+        z = kept
+
+
+def oracle_plan_exists(p, formulas) -> bool:
+    """Whether some infinite run of the joint product ``p`` meets every
+    agent's ``F[a,b] q`` or ``G[a,b] q`` window, read point-wise at the
+    positions j*dt; no automaton, acceptance product or search of the
+    package takes part.  Layer j holds, per status (one bit per agent: its
+    F window met, its G window not yet missed), the joint states that a
+    path of j steps reaches with that status; a G miss drops the path.  A
+    plan exists exactly when a state of the last window's layer with every
+    bit set starts an infinite path (``infinite_paths``).
+    """
+    tasks = window_tasks(formulas, p.dt)
+    labels = [c.label for c in p.components]
+    succ = functools.cache(p.successors)
+
+    def status(bits, j, state):
+        out = list(bits)
+        for i, (is_f, first, last, q) in enumerate(tasks):
+            if first <= j <= last:
+                holds = q in labels[i](state[i])
+                if is_f:
+                    out[i] = out[i] or holds
+                elif not holds:
+                    return None
+        return tuple(out)
+
+    layer: dict = {}
+    start = tuple(not is_f for is_f, *_ in tasks)
+    for s in p.initial:
+        bits = status(start, 0, s)
+        if bits is not None:
+            layer.setdefault(bits, set()).add(s)
+    for j in range(1, max(last for _, _, last, _ in tasks) + 1):
+        nxt: dict = {}
+        for bits, states in layer.items():
+            image = set()
+            for s in states:
+                image.update(succ(s))
+            for t in image:
+                got = status(bits, j, t)
+                if got is not None:
+                    nxt.setdefault(got, set()).add(t)
+        layer = nxt
+    ends = set().union(*(states for bits, states in layer.items() if all(bits)))
+    return not ends.isdisjoint(infinite_paths(ends, succ))

@@ -64,7 +64,7 @@ GENERATED = {
     # the grid-growth benchmark runs it
     "grid-6": two_agent_cfg("grid-6", 14, 22, "[1/20, 1/4]", 60),
     # p1 and p2 five rows apart, which only the joint product settles,
-    # with a plan of 19 positions
+    # with a plan of 13 positions
     "joint-route": two_agent_cfg("joint-route", 13, 18, "[0, 1/2]", 3),
 }
 CASES = SHIPPED + tuple(GENERATED)

@@ -56,7 +56,22 @@ def test_unreachable_accepting_cycle_ignored():
     assert nested_dfs([0], graph_succ(adj), lambda n: n >= 5) is None
 
 
+def test_stops_at_the_first_back_edge_that_closes_an_accepting_cycle():
+    """0 is accepting and 0 -> 2 -> 0 closes a cycle: the search returns 0
+    without expanding the 1,000-node chain behind 1."""
+    chain = [1, *range(3, 1002)]
+    adj = {0: (2, 1), 2: (0,), **{u: (v,) for u, v in zip(chain, chain[1:])}}
+    expanded = []
+    succ = graph_succ(adj)
+    got = nested_dfs([0], lambda n: expanded.append(n) or succ(n), lambda n: n == 0)
+    assert got == 0
+    assert len(expanded) <= 2
+
+
 def test_matches_scc_oracle_on_random_graphs():
+    """The verdict is the SCC oracle's, and the node returned lies on a
+    cycle, and is reached from the root, through nodes whose successors the
+    search asked for: ``find_accepting`` builds its lasso over those alone."""
     rng = np.random.default_rng(31)
     for trial in range(300):
         n = int(rng.integers(2, 12))
@@ -65,13 +80,16 @@ def test_matches_scc_oracle_on_random_graphs():
             k = int(rng.integers(0, 4))
             adj[v] = tuple(int(rng.integers(0, n)) for _ in range(k))
         marked = {v for v in range(n) if rng.random() < 0.3}
-        verdict = nested_dfs([0], graph_succ(adj), lambda x: x in marked)
-        oracle = accepting_cycle_exists([0], graph_succ(adj), lambda x: x in marked)
+        succ = graph_succ(adj)
+        called = set()
+        verdict = nested_dfs([0], lambda x: called.add(x) or succ(x), lambda x: x in marked)
+        oracle = accepting_cycle_exists([0], succ, lambda x: x in marked)
         assert (verdict is not None) == oracle, (trial, adj, marked)
         if verdict is not None:
-            assert_on_reachable_accepting_cycle(
-                verdict, [0], graph_succ(adj), lambda x: x in marked
-            )
+            assert_on_reachable_accepting_cycle(verdict, [0], succ, lambda x: x in marked)
+            expanded = lambda x: succ(x) if x in called else ()
+            assert shortest_cycle(verdict, expanded) is not None, (trial, adj, marked)
+            assert verdict in bfs_order([0], expanded)[1], (trial, adj, marked)
 
 
 def test_bfs_order_and_tree_path():

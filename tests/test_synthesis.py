@@ -3,9 +3,11 @@ import hashlib
 import itertools
 import os
 import random
+import re
 import subprocess
 import sys
 import types
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -34,7 +36,13 @@ from timedplan.wts import (
     timed_word,
 )
 
-from helpers import TableAgentWTS, eager_synthesize, expand_layers
+from helpers import (
+    TableAgentWTS,
+    eager_synthesize,
+    expand_layers,
+    oracle_plan_exists,
+    windows_met,
+)
 
 
 def free_agents(dt=Fraction(1, 4), n_cells=3, services=("p1", "p2")):
@@ -231,16 +239,17 @@ def test_synthesize_budget():
 def test_joint_product_plan_on_shipped_scenario_is_pinned():
     """The joint-product route's plan on ``two_agent_services``: the
     breadth-first stem to the node nested DFS names, then the shortest cycle
-    through it."""
+    through it.  The search stops at the first back edge that closes an
+    accepting cycle."""
     from timedplan.scenario import build, load_scenario
 
     b = build(load_scenario("scenarios/two_agent_services.cfg"))
     plan = synthesize(b.graph, b.wts_list, b.formulas, r_selec=0)
     assert plan.route == "joint-product"
-    assert (plan.joint.stem_len, plan.joint.cycle_len) == (11, 2)
-    assert plan.joint.states[plan.joint.stem_len:] == ((6, 24), (6, 24))
+    assert (plan.joint.stem_len, plan.joint.cycle_len) == (7, 2)
+    assert plan.joint.states[plan.joint.stem_len:] == ((14, 22), (14, 22))
     digest = hashlib.sha256(repr(plan.joint.states).encode()).hexdigest()
-    assert digest.startswith("5f16782386ef0b17")
+    assert digest.startswith("ff4723512a3fa3b7")
 
 
 def test_generate_and_check_budget_counts_joint_states():
@@ -347,10 +356,14 @@ def random_path_product(seed, n_cells=4):
     return product(systems)
 
 
-def shipped_product(name):
+def shipped(name):
     from timedplan.scenario import build, load_scenario
 
-    return product(build(load_scenario(f"scenarios/{name}.cfg")).wts_list)
+    return build(load_scenario(f"scenarios/{name}.cfg"))
+
+
+def shipped_product(name):
+    return product(shipped(name).wts_list)
 
 
 LAYER_CASES = ["path_three_fast", "two_agent_services"] + [f"random-{s}" for s in range(12)]
@@ -545,7 +558,7 @@ def test_kept_joint_search_matches_the_full_one_on_joint_route(name):
     plan = synthesize(b.graph, b.wts_list, b.formulas, r_selec=b.scenario.r_selec)
     assert bool(plan) == (want is not None)
     if plan:
-        assert plan.route == "joint-product" and len(plan.joint) == len(want) == 19
+        assert plan.route == "joint-product" and len(plan.joint) == len(want) == 13
         assert plan.joint.states == tuple(n[0] for n in want.states)
 
 
@@ -558,6 +571,103 @@ def test_budget_counts_live_joint_nodes_on_joint_route():
     assert isinstance(verdict, Infeasible) and verdict.agent is None
     with pytest.raises(BudgetExceeded, match="^acceptance product passed 305 states$"):
         synthesize(b.graph, b.wts_list, b.formulas, max_states=305)
+
+
+@pytest.mark.parametrize("case, r_selec, expands", [
+    ("joint-route-feasible", 100, range(421, 422)),
+    ("two_agent_services", 0, range(8, 9)),
+    ("path_three_fast", 0, range(1, 51)),
+])
+def test_joint_search_stops_at_the_first_accepting_back_edge(monkeypatch, case, r_selec, expands):
+    """Nested DFS returns at the first back edge that closes an accepting
+    cycle, so the kept joint product expands only a few nodes: before that
+    stop it expanded 1,625, 610 and 31,175 (about 5 s) here."""
+    expanded = []
+    real = synthesis.find_accepting
+    monkeypatch.setattr(
+        synthesis, "find_accepting", lambda b: (real(b), expanded.append(len(b._memo)))[0]
+    )
+    b = joint_route(case) if case.startswith("joint-route") else shipped(case)
+    plan = synthesize(b.graph, b.wts_list, b.formulas, r_selec=r_selec)
+    assert plan.route == "joint-product"
+    assert len(expanded) == 1 and expanded[0] in expands
+    for r, c, f in zip(plan.runs, b.wts_list, b.formulas):
+        assert sat(timed_word(r, c.label), 0, f)
+    assert check_consistent(plan.joint, b.graph, b.wts_list)
+
+
+def edited(stem, values):
+    """The text of ``scenarios/<stem>.cfg`` with each key's value replaced."""
+    text = (Path(__file__).parent.parent / "scenarios" / f"{stem}.cfg").read_text()
+    for key, value in values.items():
+        text, n = re.subn(rf"(?m)^{re.escape(key)} = .*$", f"{key} = {value}", text)
+        assert n == 1, key
+    return text
+
+
+def random_cells(rng, n_cells):
+    lo = rng.randint(1, n_cells)
+    hi = min(n_cells, lo + rng.randrange(n_cells // 3 + 1))
+    return f"{lo}-{hi}" if hi > lo else str(lo)
+
+
+def random_window(rng, service, steps, dt):
+    """``F`` or ``G`` over a window of whole quanta within ``steps``."""
+    a = rng.randrange(steps)
+    return f"{rng.choice('FG')}[{a * dt}, {rng.randint(a + 1, steps) * dt}] {service}"
+
+
+def oracle_scenarios():
+    """40 two-agent scenarios in the geometry of ``two_agent_services.cfg``
+    (sides 4 to 6, windows within 6 quanta) and 4 three-agent ones in that
+    of ``path_three_fast.cfg`` (sides 4 and 5, windows within 6 quanta),
+    with random service cell ranges."""
+    rng = random.Random(6)
+    for _ in range(40):
+        side = rng.randint(4, 6)
+        yield edited("two_agent_services", {
+            "bounds": f"0.0, 0.0 ; {0.012 * side:.3f}, {0.012 * side:.3f}",
+            "1.p1": random_cells(rng, side * side),
+            "2.p2": random_cells(rng, side * side),
+            "phi.1": random_window(rng, "p1", 6, Fraction(1, 20)),
+            "phi.2": random_window(rng, "p2", 6, Fraction(1, 20)),
+        })
+    for _ in range(4):
+        side = rng.randint(4, 5)
+        yield edited("path_three_fast", {
+            "bounds": f"0.0, 0.0 ; {0.006 * side:.3f}, {0.006 * side:.3f}",
+            **{f"{i}.{q}": random_cells(rng, side * side) for i, q in enumerate("abc", 1)},
+            **{f"phi.{i}": random_window(rng, q, 6, Fraction(1, 400))
+               for i, q in enumerate("abc", 1)},
+        })
+
+
+def test_synthesize_agrees_with_the_automaton_free_oracle():
+    """At ``r_selec`` 0, 1 and 100, ``synthesize`` finds a plan exactly
+    when ``helpers.oracle_plan_exists`` does, which reads the windows on
+    the joint product with no automaton; every plan meets every window and
+    is a run of the product.  The scenarios meet each verdict and route."""
+    from timedplan.scenario import build, parse_scenario
+
+    seen = Counter()
+    for text in oracle_scenarios():
+        b = build(parse_scenario(text))
+        want = oracle_plan_exists(product(b.wts_list), b.formulas)
+        for r_selec in (0, 1, 100):
+            got = synthesize(b.graph, b.wts_list, b.formulas, r_selec=r_selec)
+            assert bool(got) == want, (text, r_selec, got)
+            if want:
+                assert all(windows_met(got.joint, b.wts_list, b.formulas)), (text, r_selec)
+                assert check_consistent(got.joint, b.graph, b.wts_list)
+                seen[len(b.wts_list), got.route] += 1
+            else:
+                seen[len(b.wts_list), "alone" if got.agent else "together"] += 1
+    # runs (scenarios x r_selec values) per agent count and outcome: a
+    # route, or infeasible for one agent alone or only for the team
+    assert seen[2, "independent"] >= 9 and seen[2, "joint-product"] >= 75
+    assert seen[2, "alone"] >= 21 and seen[2, "together"] >= 15
+    assert seen[3, "independent"] >= 4 and seen[3, "joint-product"] >= 2
+    assert seen[3, "alone"] >= 6
 
 
 def test_joint_route_leaves_no_reference_cycles():
