@@ -12,11 +12,14 @@ by exactly that weight before the guard is read.  Clocks count integer
 ticks of ``unit``, the largest rational that divides the system's quantum
 and every guard and invariant constant, so every reachable value is a whole
 number of ticks.  Values above the automaton's largest constant collapse to
-the sentinel ``cap``, one tick above it, which keeps the node set finite
-without changing any guard verdict.  Acceptance is inherited from the
-automaton, so an accepting lasso of this product projects to a system run
-whose observation word the automaton accepts, and the durations along the
-lasso are genuine transition weights.
+the sentinel ``cap``, one tick above it, and a clock that no guard or
+invariant can read before it is reset (``TBA.active``) is stored as 0.
+Neither changes any guard verdict, so the product is bisimilar to the one
+with exact clocks; together they keep it finite, and let a lasso close as
+soon as nothing left to read tells its nodes apart.  Acceptance is
+inherited from the automaton, so an accepting lasso of this product
+projects to a system run whose observation word the automaton accepts,
+and the durations along the lasso are genuine transition weights.
 
 The automaton's initial and step rules are ``TBA.start`` and ``TBA.step``,
 applied to its copy in ticks (``TBA.in_ticks``), a step once per distinct
@@ -145,7 +148,12 @@ class BuchiWTS:
         A node projects on product ``k`` to system coordinate ``k``, factor
         ``k``'s location and factor ``k``'s clocks, each read as ticks times
         this unit over product ``k``'s unit, or as product ``k``'s cap when
-        it is this cap or above that product's largest constant.
+        it is this cap or above that product's largest constant.  Agents
+        have disjoint alphabets, so every pair of factor edges is a joint
+        edge; where no factor location is a dead end, a factor's clock is
+        therefore active at a joint location exactly when it is active at
+        the factor's own location, and a clock stored as 0 here is stored
+        as 0 there.
         Projections are memoized per sid and per cid, so a test is one set
         lookup per product, and verdicts per node.  Every move here
         projects to a move of each product, so a projection missing from a

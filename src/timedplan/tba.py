@@ -13,7 +13,10 @@ the finite graph of (word position, location, clocks) triples.
 and for the acceptance product alike.  Both read a copy of the automaton in
 whole ticks (``TBA.in_ticks``) with int clocks, and a clock above the
 largest constant is held at ``cap``, one tick above it: no guard or
-invariant tells such values apart.
+invariant tells such values apart.  A clock that no guard or invariant can
+read before it is reset (``TBA.active``) is stored as 0, so that
+configurations that differ only in such clocks are one (Daws & Yovine,
+RTSS 1996).
 """
 
 from __future__ import annotations
@@ -152,6 +155,27 @@ class Edge:
         object.__setattr__(self, "resets", frozenset(self.resets))
 
 
+def _active(reads, edges) -> dict:
+    """The least sets ``active[q] ⊇ reads[q]`` closed under "active at an
+    edge's target and not reset by it is active at its source", by one
+    backward worklist: a location is pushed each time its set grows.
+    Grows the sets of ``reads`` in place.
+    """
+    active = reads
+    preds = {q: [] for q in active}
+    for e in edges:
+        preds[e.dst].append((e.src, e.resets))
+    todo = [q for q, got in active.items() if got]
+    while todo:
+        q = todo.pop()
+        for src, resets in preds[q]:
+            new = active[q] - resets - active[src]
+            if new:
+                active[src] |= new
+                todo.append(src)
+    return {q: frozenset(got) for q, got in active.items()}
+
+
 class TBA:
     """Locations carry the letter read there; acceptance is Buchi.
 
@@ -159,10 +183,15 @@ class TBA:
     ``clock_factors`` gives each clock's (factor index, factor clock), in
     clock order; an automaton that ``intersect`` did not build is its own
     one factor.
+
+    ``active`` maps each location to the clocks it can still read: those
+    its invariant or an out-edge's guard reads, and those active at an
+    edge's target that the edge does not reset.  It is computed once, when
+    not given, by one backward worklist pass over the edges.
     """
 
     def __init__(self, locations, initial, clocks, edges, accepting, labels,
-                 ap, invariants=None, factors=None):
+                 ap, invariants=None, factors=None, active=None):
         self.locations = tuple(locations)
         loc_set = set(self.locations)
         self.initial = tuple(q for q in initial)
@@ -187,14 +216,16 @@ class TBA:
                 raise ValueError(f"edge {e} references undeclared locations")
             if not e.resets <= clock_set:
                 raise UndeclaredClock(f"edge {e} resets undeclared clocks")
-        guarded = [(e, e.guard) for e in self.edges]
-        guarded += [(f"invariant of {q!r}", g) for q, g in self.invariants.items()]
+        guarded = [(e, e.src, e.guard) for e in self.edges]
+        guarded += [(f"invariant of {q!r}", q, g) for q, g in self.invariants.items()]
         consts = []
-        for where, g in guarded:
+        reads = {q: set() for q in self.locations}
+        for where, q, g in guarded:
             for x in atoms(g):
                 if x.clock not in clock_set:
                     raise UndeclaredClock(f"{where} guards undeclared clock {x.clock!r}")
                 consts.append(x.const)
+                reads[q].add(x.clock)
         by_src = {q: [] for q in self.locations}
         for e in self.edges:
             by_src[e.src].append(e)
@@ -205,6 +236,7 @@ class TBA:
         self.factors, self.clock_factors = factors or (
             {q: (q,) for q in self.locations}, tuple((0, c) for c in self.clocks)
         )
+        self.active = active or _active(reads, self.edges)
 
     def in_ticks(self, unit: Fraction) -> TBA:
         """This automaton with every guard and invariant constant divided by
@@ -223,7 +255,8 @@ class TBA:
         edges = [Edge(e.src, rewrite(e.guard), e.resets, e.dst) for e in self.edges]
         invariants = {q: rewrite(g) for q, g in self.invariants.items()}
         return TBA(self.locations, self.initial, self.clocks, edges, self.accepting,
-                   self.labels, self.ap, invariants, (self.factors, self.clock_factors))
+                   self.labels, self.ap, invariants, (self.factors, self.clock_factors),
+                   self.active)
 
     def out_edges(self, q: str):
         return self._out[q]
@@ -252,7 +285,8 @@ class TBA:
         dwelling ``ticks`` at ``q`` and then reading ``letter``: the clocks
         advance, held at ``cap``; the invariant of ``q`` holds on them; an
         edge into a location labelled ``letter`` passes its guard, resets
-        its clocks, and the target invariant holds after.
+        its clocks and every clock not ``active`` at its target to 0, and
+        the target invariant holds after.
         """
         moved = tuple(min(v + ticks, cap) for v in clocks)
         moved_map = self.valuation(moved)
@@ -261,7 +295,8 @@ class TBA:
         out = {}
         for e in self.edges_reading(q, letter):
             if eval_guard(moved_map, e.guard):
-                after = tuple(0 if c in e.resets else v for c, v in zip(self.clocks, moved))
+                live = self.active[e.dst] - e.resets
+                after = tuple(v if c in live else 0 for c, v in zip(self.clocks, moved))
                 if eval_guard(self.valuation(after), self.invariants[e.dst]):
                     out[(e.dst, after)] = None
         return tuple(out)
@@ -391,8 +426,11 @@ def mitl_to_tba(f, alphabet=None) -> TBA:
     top-level conjunctions of these, where l is a propositional combination.
     Locations are phase x letter pairs so every word over the alphabet has
     matching runs; the single clock is never reset and therefore reads the
-    absolute stamp of the position under evaluation.  Each location's
-    out-edges go by target letter, then by the table's moves in order.
+    absolute stamp of the position under evaluation while a guard can still
+    read it.  Where none can (``done`` of F and U, ``next`` and ``tail`` of
+    X), ``TBA.step`` stores it as 0, so the stamp stops counting there.
+    Each location's out-edges go by target letter, then by the table's
+    moves in order.
     """
     if isinstance(f, And) and not _is_prop_combo(f):
         left = mitl_to_tba(f.left, alphabet)
@@ -440,7 +478,7 @@ def intersect(first: TBA, *rest: TBA) -> TBA:
     """
     # rebuilt without its record, the first operand is one factor
     a = TBA(first.locations, first.initial, first.clocks, first.edges, first.accepting,
-            first.labels, first.ap, first.invariants)
+            first.labels, first.ap, first.invariants, None, first.active)
     for k, b in enumerate(rest, start=1):
         a = _meet(a, b, k)
     return a

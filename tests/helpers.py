@@ -513,17 +513,56 @@ def eager_synthesize(g, comps, formulas, r_selec):
 # -- acceptance product with rational clocks -------------------------------------
 
 
+def _clocks_in(g) -> set:
+    """The clocks a constraint compares."""
+    if isinstance(g, Atom):
+        return {g.clock}
+    if isinstance(g, GNot):
+        return _clocks_in(g.sub)
+    if isinstance(g, GAnd):
+        return _clocks_in(g.left) | _clocks_in(g.right)
+    return set()
+
+
+def readable_clocks(tba) -> dict:
+    """Per location ``q``, the clocks ``c`` that some guard or invariant can
+    still read: a location that reads ``c`` in its invariant or an out-edge
+    guard is reachable from ``q`` along edges that do not reset ``c``.  One
+    depth-first search per (location, clock), forward from ``q``.
+    """
+    out = {}
+    for q in tba.locations:
+        out[q] = set()
+        for c in tba.clocks:
+            seen, todo = {q}, [q]
+            while todo:
+                r = todo.pop()
+                guards = [tba.invariants[r], *(e.guard for e in tba.out_edges(r))]
+                if any(c in _clocks_in(g) for g in guards):
+                    out[q].add(c)
+                    break
+                for e in tba.out_edges(r):
+                    if c not in e.resets and e.dst not in seen:
+                        seen.add(e.dst)
+                        todo.append(e.dst)
+    return out
+
+
 class RationalProduct:
     """The acceptance product read with exact rational clocks: values above
     the automaton's largest constant become ``INF``, every guard is walked on
     every move, and each move's weight is recorded as it is discovered.
-    Same nodes, successor order and sojourns as ``BuchiWTS``, with clocks as
+    A clock that no guard or invariant can read any more at the target
+    (``readable_clocks``) becomes 0, unless ``reduce`` is false.  Same
+    nodes, successor order and sojourns as ``BuchiWTS``, with clocks as
     Fractions instead of ticks.
     """
 
-    def __init__(self, wts, tba):
+    def __init__(self, wts, tba, reduce=True):
         self.wts = wts
         self.tba = tba
+        self._readable = (readable_clocks(tba) if reduce
+                          else dict.fromkeys(tba.locations, set(tba.clocks)))
         self._memo = {}
         self._delta = {}
         zeros = tuple(Fraction(0) for _ in tba.clocks)
@@ -561,7 +600,7 @@ class RationalProduct:
                 if not eval_guard(moved_map, e.guard):
                     continue
                 after = tuple(
-                    Fraction(0) if c in e.resets else v
+                    Fraction(0) if c in e.resets or c not in self._readable[e.dst] else v
                     for c, v in zip(tba.clocks, moved)
                 )
                 if not eval_guard(tba.valuation(after), tba.invariants[e.dst]):

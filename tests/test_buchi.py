@@ -42,6 +42,7 @@ from helpers import (
     rand_tba,
     rand_word,
     rand_wts,
+    readable_clocks,
     universal_tba,
 )
 
@@ -427,6 +428,14 @@ def _visit_word(k):
     return TimedWord(labels, [Fraction(1, 20)] * (k + 2), k + 1)
 
 
+def _word_system(word, ap):
+    """``word`` read as a system: position ``j`` moves to the next position
+    after its duration."""
+    n = len(word)
+    moves = {j: [(word.canon(j + 1), word.durations[word.canon(j)])] for j in range(n)}
+    return WTS(range(n), [0], moves, dict(enumerate(word.labels)), alphabet=ap)
+
+
 def assert_accepts_as_rational(a, word):
     """``accepts`` against nested DFS over the rational-clock product of
     the word read as a system (position ``j`` moves to the next position
@@ -436,10 +445,7 @@ def assert_accepts_as_rational(a, word):
     Returns the verdict.
     """
     ok, got = accepts(a, word, witness=True)
-    n = len(word)
-    w = WTS(range(n), [0], {j: [(word.canon(j + 1), word.durations[word.canon(j)])] for j in range(n)},
-            dict(enumerate(word.labels)), alphabet=a.ap)
-    ref = RationalProduct(w, a)
+    ref = RationalProduct(_word_system(word, a.ap), a)
     want = nested_dfs(ref.initial, ref.succ, lambda node: node[1] in a.accepting)
     assert ok == (want is not None)
     if ok:
@@ -513,6 +519,72 @@ def test_word_acceptance_reads_only_int_clocks(monkeypatch):
     assert all(type(v) is int for v in read)
     assert 61 in read  # one tick of 1/420 above 1/7
     assert all(type(v) is int for v in clocks)
+
+
+def _unguarded(rng, a):
+    """``a`` with about 70 % of its edge guards dropped to ``TOP``, its
+    resets kept, so that its clock falls inactive at more locations."""
+    edges = [Edge(e.src, TOP if rng.random() < 0.7 else e.guard, e.resets, e.dst)
+             for e in a.edges]
+    return TBA(a.locations, a.initial, a.clocks, edges, a.accepting, a.labels, a.ap,
+               a.invariants)
+
+
+def assert_quotient_of_unreduced(w, a):
+    """``BuchiWTS`` is the rational product that keeps every clock
+    (``reduce=False``) with each node mapped to its clocks readable at its
+    location (``helpers.readable_clocks``), and every other clock 0: the
+    mapped nodes are its nodes, and each mapped node's successors are its
+    successors, so the two are bisimilar.  Returns (verdict of the
+    unreduced product, whether the map merged nodes).
+    """
+    b, full = BuchiWTS(w, a), RationalProduct(w, a, reduce=False)
+    readable = readable_clocks(a)
+
+    def mapped(node):
+        s, q, nu = node
+        return (s, q, tuple(v if c in readable[q] else 0 for c, v in zip(a.clocks, nu)))
+
+    nodes, adj = crawl(b.initial, b.succ)
+    code = {_rational(b, n): n for n in nodes}
+    full_nodes, full_adj = crawl(full.initial, full.succ)
+    assert set(map(mapped, full_nodes)) == set(code)
+    for n in full_nodes:
+        kids = adj[code[mapped(n)]]
+        assert set(map(mapped, full_adj[n])) == {_rational(b, k) for k in kids}
+    verdict = accepting_cycle_exists(full.initial, full.succ, lambda n: n[1] in a.accepting)
+    assert verdict == accepting_cycle_exists(b.initial, b.succ, b.accepting)
+    return verdict, len(nodes) < len(full_nodes)
+
+
+def test_zeroing_inactive_clocks_keeps_every_verdict():
+    """The product and word acceptance, which store a clock no guard or
+    invariant can read any more as 0, are bisimilar to the rational product
+    that keeps every clock and give its verdicts, on random systems, words
+    and automata with resets, some with their guards thinned, some with
+    invariants; many of the reduced products are smaller."""
+    rng = np.random.default_rng(107)
+    inv_rng = np.random.default_rng(109)
+    found = accepted = merged = 0
+    for k in range(300):
+        props = ("p",) if rng.random() < 0.5 else ("p", "q")
+        w = rand_wts(rng, props, n_states=int(rng.integers(2, 7)))
+        a = rand_tba(rng, props, n_locs=int(rng.integers(2, 5)))
+        if k % 3:
+            a = _unguarded(rng, a)
+        if k % 2:
+            a = _with_invariants(inv_rng, a)
+        verdict, fewer = assert_quotient_of_unreduced(w, a)
+        found += verdict
+        merged += fewer
+        word = rand_word(rng, props)
+        if rng.random() < 0.5:
+            word = _along_edges(rng, a, word)
+        verdict, fewer = assert_quotient_of_unreduced(_word_system(word, a.ap), a)
+        assert accepts(a, word) == verdict
+        accepted += verdict
+        merged += fewer
+    assert found >= 20 and accepted >= 30 and merged >= 40
 
 
 def test_in_ticks_keeps_every_verdict():

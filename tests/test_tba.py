@@ -336,3 +336,74 @@ def test_intersect_against_separate_checks():
         assert accepts(both, w) == want, (str(fa), str(fb), w)
         hits += 1
     assert hits > 60
+
+
+# -- the clocks each location can still read -------------------------------------
+
+
+def _phase(q):
+    return q.split(":")[0]
+
+
+@pytest.mark.parametrize("text", ["F[1/2,4] q", "F[0,2] p", "p U[1,3] q", "p U[1,inf] q"])
+def test_reach_tasks_read_their_clock_only_while_waiting(text):
+    a = mitl_to_tba(parse(text), alphabet={"p", "q"})
+    assert {_phase(q) for q in a.locations} == {"wait", "done"}
+    for q in a.locations:
+        assert a.active[q] == (frozenset({"c"}) if _phase(q) == "wait" else frozenset())
+
+
+def test_safety_tasks_read_their_clock_everywhere():
+    a = mitl_to_tba(parse("G[1,3] p"), alphabet={"p"})
+    assert {_phase(q) for q in a.locations} == {"hold"}
+    assert all(a.active[q] == {"c"} for q in a.locations)
+
+
+def test_next_reads_its_clock_only_before_the_step():
+    a = mitl_to_tba(parse("X[1,2] p"), alphabet={"p", "q"})
+    phases = {q: _phase(q) for q in a.locations}
+    assert set(phases.values()) == {"init", "next", "tail"}
+    for q, phase in phases.items():
+        assert a.active[q] == (frozenset({"c"}) if phase == "init" else frozenset())
+
+
+def test_a_clock_reset_before_it_is_read_is_inactive():
+    """``c`` is read at ``q1`` and reset on the edges from ``q0`` and to
+    ``q3``, so ``q1`` and ``q2``, which enters ``q1`` without a reset,
+    carry it; ``d`` is read at ``q0``'s invariant and reset on the one edge
+    into ``q0``."""
+    edges = (
+        Edge("q0", TOP, {"c"}, "q1"),
+        Edge("q1", Atom("c", ">=", 1), (), "q1"),
+        Edge("q2", TOP, (), "q1"),
+        Edge("q1", TOP, {"c"}, "q3"),
+        Edge("q3", TOP, {"d"}, "q0"),
+    )
+    a = TBA(("q0", "q1", "q2", "q3"), ("q0",), ("c", "d"), edges, ("q1",), {},
+            frozenset(), {"q0": Atom("d", "<=", 2)})
+    assert a.active == {"q0": {"d"}, "q1": {"c"}, "q2": {"c"}, "q3": set()}
+
+
+def test_intersect_reads_each_clock_where_its_factor_does():
+    """With disjoint alphabets, a joint clock is active exactly where its
+    factor's own location reads it: ``a.c`` is inactive exactly where factor
+    1 is done."""
+    f1 = mitl_to_tba(parse("F[0,1] p1"), alphabet={"p1"})
+    f2 = mitl_to_tba(parse("F[1/2,2] p2"), alphabet={"p2"})
+    both = intersect(f1, f2)
+    assert both.clocks == ("a.c", "b.c")
+    for q in both.locations:
+        q1, q2 = both.factors[q]
+        assert ("a.c" in both.active[q]) == (_phase(q1) != "done")
+        for (k, c), joint in zip(both.clock_factors, both.clocks):
+            assert (joint in both.active[q]) == (c in (f1, f2)[k].active[both.factors[q][k]])
+    assert any(_phase(both.factors[q][0]) == "done" for q in both.locations)
+
+
+def test_in_ticks_keeps_the_activity_sets(monkeypatch):
+    import timedplan.tba as tba_module
+
+    a = intersect(mitl_to_tba(parse("F[1/20,1/4] p"), alphabet={"p"}),
+                  mitl_to_tba(parse("G[0,3/20] q"), alphabet={"q"}))
+    monkeypatch.setattr(tba_module, "_active", None)  # not computed again
+    assert a.in_ticks(Fraction(1, 20)).active == a.active
