@@ -28,12 +28,13 @@ its state crossed with those steps.
 
 A product of a joint system with an intersection automaton can be kept to
 its live part: given the completely explored product of each agent with
-its factor, a node is kept only when each agent's projection of it (cell,
-factor location, factor clocks in the agent's ticks) can reach an
-accepting cycle there (``live``).  A dead node reaches only dead nodes and
-lies on no accepting lasso, so a depth-first search meets the kept nodes
-in the same order with or without the dead ones, and every path to a kept
-node, breadth-first stems and cycles included, runs through kept nodes.
+its operand of ``intersect``, a node is kept only when each agent's
+projection of it (cell, the operand's location and clocks, read off the
+joint names and in the agent's ticks) can reach an accepting cycle there
+(``live``).  A dead node reaches only dead nodes and lies on no accepting
+lasso, so a depth-first search meets the kept nodes in the same order
+with or without the dead ones, and every path to a kept node,
+breadth-first stems and cycles included, runs through kept nodes.
 """
 
 from __future__ import annotations
@@ -58,8 +59,8 @@ class BuchiWTS:
     whole multiple of.  ``tba`` holds the automaton in ticks of ``unit``.
 
     ``agents``, when given, holds one completely explored product per
-    factor of ``tba`` (``TBA.factors``): product ``k`` is of coordinate
-    ``k`` of this system's states with factor ``k``.  Then only nodes whose
+    operand of ``tba``, an ``intersect``: product ``k`` is of coordinate
+    ``k`` of this system's states with operand ``k``.  Then only nodes whose
     every projection is ``live()`` in its product are kept; other
     successors and initial nodes are dropped before they are counted, so
     ``max_states`` and ``n_explored`` see kept nodes only.
@@ -145,15 +146,16 @@ class BuchiWTS:
     def _projection(self, agents):
         """The test "every projection of this node is live".
 
-        A node projects on product ``k`` to system coordinate ``k``, factor
-        ``k``'s location and factor ``k``'s clocks, each read as ticks times
-        this unit over product ``k``'s unit, or as product ``k``'s cap when
-        it is this cap or above that product's largest constant.  Agents
-        have disjoint alphabets, so every pair of factor edges is a joint
-        edge; where no factor location is a dead end, a factor's clock is
-        therefore active at a joint location exactly when it is active at
-        the factor's own location, and a clock stored as 0 here is stored
-        as 0 there.
+        A node at location ``(qs, ps)`` projects on product ``k`` to system
+        coordinate ``k``, operand ``k``'s location ``qs[k]`` and its clocks
+        ``(k, c)``, each read as ticks times this unit over product ``k``'s
+        unit, or as product ``k``'s cap when it is this cap or above that
+        product's largest constant.  Agents have disjoint alphabets, so
+        every combination of operand edges is a joint edge; where no
+        operand location is a dead end, an operand's clock is therefore
+        active at a joint location exactly when it is active at the
+        operand's own location, and a clock stored as 0 here is stored as 0
+        there.
         Projections are memoized per sid and per cid, so a test is one set
         lookup per product, and verdicts per node.  Every move here
         projects to a move of each product, so a projection missing from a
@@ -161,14 +163,13 @@ class BuchiWTS:
         read as dead.
         """
         lives = [a.live() for a in agents]
-        where, owners = self.tba.factors, self.tba.clock_factors
         clocks = []  # per product: (position here, ticks here per tick there)
         for k, a in enumerate(agents):
             ratio = a.unit / self.unit
             if ratio.denominator != 1:
                 raise ValueError(f"unit {a.unit} of agent product {k + 1} is not "
                                  f"a multiple of {self.unit}")
-            clocks.append([(owners.index((k, c)), int(ratio)) for c in a.tba.clocks])
+            clocks.append([(self.tba.clocks.index((k, c)), int(ratio)) for c in a.tba.clocks])
         # the closures hold no reference to self, which would make the
         # product a reference cycle that only the garbage collector frees
         cap, states, confs = self.cap, self._states, self._confs
@@ -184,7 +185,7 @@ class BuchiWTS:
                 a._cids.get((qk, tuple(
                     a.cap if nu[i] >= cap else min(nu[i] // r, a.cap) for i, r in ck
                 )), -1)
-                for a, qk, ck in zip(agents, where[q], clocks)
+                for a, qk, ck in zip(agents, q[0], clocks)
             )
 
         @cache

@@ -22,6 +22,8 @@ RTSS 1996).
 from __future__ import annotations
 
 import functools
+import itertools
+from collections.abc import Hashable
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import eq, ge, gt, le, lt
@@ -47,7 +49,7 @@ _COMPARE = {"<": lt, ">": gt, "<=": le, ">=": ge, "=": eq}
 
 @dataclass(frozen=True)
 class Atom:
-    clock: str
+    clock: Hashable  # a name: ``intersect`` names operand k's clock c (k, c)
     op: str  # one of < > <= >= =
     const: Fraction | int  # int ticks on an automaton from TBA.in_ticks
 
@@ -85,10 +87,6 @@ def gand(*parts):
             continue
         out = p if out is None else GAnd(out, p)
     return TOP if out is None else out
-
-
-def gor(a, b):
-    return GNot(GAnd(GNot(a), GNot(b)))
 
 
 def window(clock: str, interval: Interval):
@@ -146,10 +144,10 @@ def _rewrite(g, atom):
 
 @dataclass(frozen=True)
 class Edge:
-    src: str
+    src: Hashable
     guard: object
-    resets: frozenset[str]
-    dst: str
+    resets: frozenset
+    dst: Hashable
 
     def __post_init__(self):
         object.__setattr__(self, "resets", frozenset(self.resets))
@@ -178,11 +176,7 @@ def _active(reads, edges) -> dict:
 
 class TBA:
     """Locations carry the letter read there; acceptance is Buchi.
-
-    ``factors`` maps each location to its factor locations and
-    ``clock_factors`` gives each clock's (factor index, factor clock), in
-    clock order; an automaton that ``intersect`` did not build is its own
-    one factor.
+    Locations and clocks may be any hashable names.
 
     ``active`` maps each location to the clocks it can still read: those
     its invariant or an out-edge's guard reads, and those active at an
@@ -191,7 +185,7 @@ class TBA:
     """
 
     def __init__(self, locations, initial, clocks, edges, accepting, labels,
-                 ap, invariants=None, factors=None, active=None):
+                 ap, invariants=None, active=None):
         self.locations = tuple(locations)
         loc_set = set(self.locations)
         self.initial = tuple(q for q in initial)
@@ -233,9 +227,6 @@ class TBA:
         self._reading: dict = {}
         self.constants = frozenset(consts)
         self.c_max: Fraction = max(consts, default=Fraction(0))
-        self.factors, self.clock_factors = factors or (
-            {q: (q,) for q in self.locations}, tuple((0, c) for c in self.clocks)
-        )
         self.active = active or _active(reads, self.edges)
 
     def in_ticks(self, unit: Fraction) -> TBA:
@@ -255,13 +246,12 @@ class TBA:
         edges = [Edge(e.src, rewrite(e.guard), e.resets, e.dst) for e in self.edges]
         invariants = {q: rewrite(g) for q, g in self.invariants.items()}
         return TBA(self.locations, self.initial, self.clocks, edges, self.accepting,
-                   self.labels, self.ap, invariants, (self.factors, self.clock_factors),
-                   self.active)
+                   self.labels, self.ap, invariants, self.active)
 
-    def out_edges(self, q: str):
+    def out_edges(self, q: Hashable):
         return self._out[q]
 
-    def edges_reading(self, q: str, letter: frozenset):
+    def edges_reading(self, q: Hashable, letter: frozenset):
         """Out-edges of q whose target reads the given letter (memoized)."""
         got = self._reading.get((q, letter))
         if got is None:
@@ -280,7 +270,7 @@ class TBA:
         return tuple(q for q in self.initial
                      if self.labels[q] == letter and eval_guard(zeros, self.invariants[q]))
 
-    def step(self, q: str, clocks: tuple, ticks: int, letter: frozenset, cap: int) -> tuple:
+    def step(self, q: Hashable, clocks: tuple, ticks: int, letter: frozenset, cap: int) -> tuple:
         """Distinct ``(location, clocks)`` targets, in edge order, after
         dwelling ``ticks`` at ``q`` and then reading ``letter``: the clocks
         advance, held at ``cap``; the invariant of ``q`` holds on them; an
@@ -464,62 +454,59 @@ def mitl_to_tba(f, alphabet=None) -> TBA:
 
 
 def intersect(first: TBA, *rest: TBA) -> TBA:
-    """Language intersection of the operands, folded left by the two-phase
-    counter construction.
+    """Language intersection of the operands: the left fold of binary
+    products by the two-phase counter (Courcoubetis, Vardi, Wolper &
+    Yannakakis, FMSD 1992), built in one pass.
 
-    At each step clocks are renamed apart (``a.`` the fold so far, ``b.``
-    the next operand); a pair of locations is kept only when the two labels
-    agree on shared propositions, and the joint label is their union.  The
-    counter waits for the fold's acceptance in phase 1 and the operand's in
-    phase 2; accepting = phase-1 visits accepting in the fold.  Each operand
-    is one factor of the result, whatever it was built from, so
-    ``factors`` lists one location per operand and ``clock_factors`` names
-    operands by their index, with no nesting however many are folded.
+    A location is ``(qs, ps)``: ``qs`` holds one location per operand,
+    kept when their labels agree on shared propositions, and the label is
+    their union; ``ps`` holds one phase per fold step.  Step ``k`` waits in
+    phase 1 for the fold of the operands before ``k`` to accept and in
+    phase 2 for operand ``k``; a location accepts when every phase is 1 and
+    operand 0 accepts.  Operand ``k``'s clock ``c`` is the clock
+    ``(k, c)``.  Out-edges are the product of the operands' out-edges, in
+    operand order, that lead to a kept location.
     """
-    # rebuilt without its record, the first operand is one factor
-    a = TBA(first.locations, first.initial, first.clocks, first.edges, first.accepting,
-            first.labels, first.ap, first.invariants, None, first.active)
-    for k, b in enumerate(rest, start=1):
-        a = _meet(a, b, k)
-    return a
+    ops = (first, *rest)
+    labels = {(q,): first.labels[q] for q in first.locations}  # kept qs -> label
+    locations = [((q,), ()) for q in first.locations]
+    ap = first.ap
+    for b in rest:
+        shared = {qb: b.labels[qb] & ap for qb in b.locations}
+        fits = {qs: [qb for qb in b.locations if got & b.ap == shared[qb]]
+                for qs, got in labels.items()}
+        labels = {qs + (qb,): got | b.labels[qb] for qs, got in labels.items() for qb in fits[qs]}
+        locations = [(qs + (qb,), ps + (p,))
+                     for qs, ps in locations for qb in fits[qs] for p in (1, 2)]
+        ap |= b.ap
 
+    outs, invs = [], []  # per operand: location -> renamed out-edges, invariant
+    for k, a in enumerate(ops):
+        rename = functools.cache(
+            lambda g, k=k: _rewrite(g, lambda x: Atom((k, x.clock), x.op, x.const)))
+        outs.append({q: [(e.dst, rename(e.guard), frozenset((k, c) for c in e.resets))
+                         for e in a.out_edges(q)] for q in a.locations})
+        invs.append({q: rename(g) for q, g in a.invariants.items()})
 
-def _meet(a: TBA, b: TBA, k: int) -> TBA:
-    """One step of ``intersect``'s fold: ``b`` becomes factor ``k``."""
-    map_a = {c: f"a.{c}" for c in a.clocks}
-    map_b = {c: f"b.{c}" for c in b.clocks}
-    shared_a = {qa: a.labels[qa] & b.ap for qa in a.locations}
-    shared_b = {qb: b.labels[qb] & a.ap for qb in b.locations}
-
-    def joint(ga, gb):
-        return gand(_rewrite(ga, lambda x: Atom(map_a[x.clock], x.op, x.const)),
-                    _rewrite(gb, lambda x: Atom(map_b[x.clock], x.op, x.const)))
-
-    locations, labels, invariants, edges, accepting, factors = [], {}, {}, [], [], {}
-    for qa in a.locations:
-        for qb in b.locations:
-            if shared_a[qa] != shared_b[qb]:
-                continue
-            turns = ((1, 2 if qa in a.accepting else 1), (2, 1 if qb in b.accepting else 2))
-            for phase, nxt_phase in turns:
-                q = f"{qa}|{qb}|{phase}"
-                locations.append(q)
-                labels[q] = a.labels[qa] | b.labels[qb]
-                invariants[q] = joint(a.invariants[qa], b.invariants[qb])
-                factors[q] = (*a.factors[qa], qb)
-                if phase == 1 and qa in a.accepting:
-                    accepting.append(q)
-                edges += [
-                    Edge(q, joint(ea.guard, eb.guard),
-                         {map_a[c] for c in ea.resets} | {map_b[c] for c in eb.resets},
-                         f"{ea.dst}|{eb.dst}|{nxt_phase}")
-                    for ea in a.out_edges(qa)
-                    for eb in b.out_edges(qb)
-                    if shared_a[ea.dst] == shared_b[eb.dst]
-                ]
-    initial = [f"{qa}|{qb}|1" for qa in a.initial for qb in b.initial
-               if shared_a[qa] == shared_b[qb]]
-    clocks = tuple(map_a.values()) + tuple(map_b.values())
-    clock_factors = a.clock_factors + tuple((k, c) for c in b.clocks)
-    return TBA(locations, initial, clocks, edges, accepting, labels, a.ap | b.ap, invariants,
-               (factors, clock_factors))
+    edges, invariants, accepting = [], {}, []
+    for q in locations:
+        qs, ps = q
+        invariants[q] = gand(*(inv[x] for inv, x in zip(invs, qs)))
+        done = qs[0] in first.accepting  # the fold so far accepts
+        nxt = []
+        for b, x, p in zip(rest, qs[1:], ps):
+            nxt.append((2 if done else 1) if p == 1 else (1 if x in b.accepting else 2))
+            done = done and p == 1
+        if done:
+            accepting.append(q)
+        nxt = tuple(nxt)
+        for combo in itertools.product(*(out[x] for out, x in zip(outs, qs))):
+            dst = tuple(d for d, _, _ in combo)
+            if dst in labels:
+                edges.append(Edge(q, gand(*(g for _, g, _ in combo)),
+                                  frozenset().union(*(r for _, _, r in combo)), (dst, nxt)))
+    ones = (1,) * len(rest)
+    initial = [(qs, ones) for qs in itertools.product(*(a.initial for a in ops)) if qs in labels]
+    clocks = [(k, c) for k, a in enumerate(ops) for c in a.clocks]
+    return TBA(locations, initial, clocks, edges, accepting,
+               {q: labels[q[0]] for q in locations}, ap, invariants)

@@ -107,9 +107,6 @@ class CellDecomposition:
             raise OutOfBounds(f"cell index {index} not in 1..{len(self.cells)}")
         return self.cells[index - 1]
 
-    def center(self, index: int) -> tuple[float, ...]:
-        return self.cell(index).center
-
     @cached_property
     def _corner_rows(self) -> tuple[np.ndarray, np.ndarray]:
         lo = np.array([c.lo for c in self.cells], dtype=float)

@@ -29,7 +29,7 @@ from timedplan.mitl import (
     Until,
 )
 from timedplan.rational import INF, as_fraction, frac_gcd
-from timedplan.tba import TBA, Atom, Edge, GAnd, GNot, TOP, eval_guard, gand
+from timedplan.tba import TBA, Atom, Edge, GAnd, GNot, TOP, _rewrite, eval_guard, gand
 from timedplan.workspace import EPS_GEO
 from timedplan.wts import SimulationReport, StepReport, TimedWord
 
@@ -313,6 +313,62 @@ def _rand_guard(rng):
     return GNot(g)
 
 
+def gor(a, b):
+    """Guard disjunction, for hand-built automata."""
+    return GNot(GAnd(GNot(a), GNot(b)))
+
+
+def fold_intersect(first: TBA, *rest: TBA) -> TBA:
+    """The reference intersection: a left fold of binary products by the
+    two-phase counter, with string names.  At each step the clocks are
+    renamed apart (``a.`` the fold so far, ``b.`` the next operand), a pair
+    of locations ``qa|qb|phase`` is kept when the two labels agree on shared
+    propositions, phase 1 waits for the fold's acceptance and phase 2 for
+    the operand's, and accepting = phase 1 at an accepting fold location.
+    """
+    a = first
+    for b in rest:
+        a = _fold_meet(a, b)
+    return a
+
+
+def _fold_meet(a: TBA, b: TBA) -> TBA:
+    map_a = {c: f"a.{c}" for c in a.clocks}
+    map_b = {c: f"b.{c}" for c in b.clocks}
+    shared_a = {qa: a.labels[qa] & b.ap for qa in a.locations}
+    shared_b = {qb: b.labels[qb] & a.ap for qb in b.locations}
+
+    def joint(ga, gb):
+        return gand(_rewrite(ga, lambda x: Atom(map_a[x.clock], x.op, x.const)),
+                    _rewrite(gb, lambda x: Atom(map_b[x.clock], x.op, x.const)))
+
+    locations, labels, invariants, edges, accepting = [], {}, {}, [], []
+    for qa in a.locations:
+        for qb in b.locations:
+            if shared_a[qa] != shared_b[qb]:
+                continue
+            turns = ((1, 2 if qa in a.accepting else 1), (2, 1 if qb in b.accepting else 2))
+            for phase, nxt_phase in turns:
+                q = f"{qa}|{qb}|{phase}"
+                locations.append(q)
+                labels[q] = a.labels[qa] | b.labels[qb]
+                invariants[q] = joint(a.invariants[qa], b.invariants[qb])
+                if phase == 1 and qa in a.accepting:
+                    accepting.append(q)
+                edges += [
+                    Edge(q, joint(ea.guard, eb.guard),
+                         {map_a[c] for c in ea.resets} | {map_b[c] for c in eb.resets},
+                         f"{ea.dst}|{eb.dst}|{nxt_phase}")
+                    for ea in a.out_edges(qa)
+                    for eb in b.out_edges(qb)
+                    if shared_a[ea.dst] == shared_b[eb.dst]
+                ]
+    initial = [f"{qa}|{qb}|1" for qa in a.initial for qb in b.initial
+               if shared_a[qa] == shared_b[qb]]
+    clocks = tuple(map_a.values()) + tuple(map_b.values())
+    return TBA(locations, initial, clocks, edges, accepting, labels, a.ap | b.ap, invariants)
+
+
 def rand_tba(rng, props, n_locs=4) -> TBA:
     locs = [f"q{i}" for i in range(n_locs)]
     labels = {q: frozenset(p for p in props if rng.random() < 0.4) for q in locs}
@@ -325,6 +381,15 @@ def rand_tba(rng, props, n_locs=4) -> TBA:
     initial = [q for q in locs if rng.random() < 0.5] or [locs[0]]
     accepting = [q for q in locs if rng.random() < 0.4]
     return TBA(locs, initial, ("c",), edges, accepting, labels, frozenset(props))
+
+
+def with_invariants(rng, a: TBA) -> TBA:
+    """``a`` with a random invariant at every location (``TOP`` at about 30 %
+    of them), drawn from ``rng``.
+    """
+    invariants = {q: _rand_guard(rng) for q in a.locations}
+    return TBA(a.locations, a.initial, a.clocks, a.edges, a.accepting, a.labels, a.ap,
+               invariants)
 
 
 # -- exhaustive emptiness oracle -------------------------------------------------
@@ -627,10 +692,10 @@ def scan_successors(disc, action):
     set when the ball misses the workspace bounds.
     """
     dec = disc.dec
-    own = dec.center(action[0])
+    own = dec.cell(action[0]).center
     h = float(disc.dt)
     x_hat = tuple(
-        own[k] + h * sum(dec.center(nb)[k] - own[k] for nb in action[1:])
+        own[k] + h * sum(dec.cell(nb).center[k] - own[k] for nb in action[1:])
         for k in range(dec.dim)
     )
     reach = disc.radius + EPS_GEO
@@ -661,7 +726,7 @@ def reference_controller(disc, g):
     """
 
     def controller(dst):
-        targets = [np.array(disc.dec.center(c), dtype=float) for c in dst]
+        targets = [np.array(disc.dec.cell(c).center, dtype=float) for c in dst]
 
         def law(t, x):
             remain = float(disc.dt - t)

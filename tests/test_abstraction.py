@@ -138,14 +138,14 @@ def test_endpoint_stationary_when_neighbors_coincide():
     g, dec, disc = tiny_setup()
     # neighbor in the same cell: zero drift, endpoint = own center
     hit = successors(disc, (5, 5))
-    assert locate(dec, dec.center(5)) in hit
+    assert locate(dec, dec.cell(5).center) in hit
 
 
 def test_endpoint_drifts_toward_neighbor():
     disc = shipped_disc()
     dec = disc.dec
-    own = np.array(dec.center(1))
-    nb = np.array(dec.center(dec.n_cells))
+    own = np.array(dec.cell(1).center)
+    nb = np.array(dec.cell(dec.n_cells).center)
     expect = own + float(disc.dt) * (nb - own)
     hit = successors(disc, (1, dec.n_cells))
     assert locate(dec, tuple(expect)) in hit
@@ -157,7 +157,7 @@ def test_endpoint_drifts_toward_neighbor():
 def test_successor_ball_is_distance_disk():
     g, dec, disc = tiny_setup()
     hit = successors(disc, (5, 5))
-    x = np.array(dec.center(5))
+    x = np.array(dec.cell(5).center)
     for i in range(1, dec.n_cells + 1):
         inside = dec.cell(i).distance(x) <= disc.radius + 1e-12
         assert (i in hit) == inside
@@ -166,7 +166,7 @@ def test_successor_ball_is_distance_disk():
 def test_agent_wts_protocol():
     g, dec, disc = tiny_setup()
     lab = ServiceLabeling({1: {3: frozenset({"a"})}, 2: {}})
-    w = build_wts(disc, g, 1, dec.center(5), lab)
+    w = build_wts(disc, g, 1, dec.cell(5).center, lab)
     assert w.initial == {5}
     assert w.agent == 1 and w.neighbors == (2,)
     assert w.label(3) == {"a"} and w.label(5) == frozenset()

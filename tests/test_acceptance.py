@@ -19,7 +19,7 @@ from timedplan.graphs import build_graph, theorem1_constants
 from timedplan.mitl import parse, sat
 from timedplan.scenario import build, load_scenario
 from timedplan.synthesis import make_controller, reachable_layers, synthesize
-from timedplan.tba import TBA, Atom, Edge, TOP, accepts, gand, gor, mitl_to_tba
+from timedplan.tba import TBA, Atom, Edge, TOP, accepts, gand, mitl_to_tba
 from timedplan.wts import (
     TimedRun,
     TimedWord,
@@ -31,6 +31,7 @@ from timedplan.wts import (
 
 from helpers import (
     accepting_cycle_exists,
+    gor,
     locations,
     rand_fraction,
     rand_fragment,

@@ -44,6 +44,7 @@ from helpers import (
     rand_wts,
     readable_clocks,
     universal_tba,
+    with_invariants,
 )
 
 
@@ -364,15 +365,6 @@ def test_constants_off_the_quantum_get_their_own_ticks():
     assert assert_same_as_rational(w, a) > 0
 
 
-def _with_invariants(rng, a):
-    """``a`` with a random invariant at every location (``TOP`` at about 30 %
-    of them), drawn from ``rng``.
-    """
-    invariants = {q: _rand_guard(rng) for q in a.locations}
-    return TBA(a.locations, a.initial, a.clocks, a.edges, a.accepting, a.labels, a.ap,
-               invariants)
-
-
 def test_ticks_match_rational_clocks_under_invariants():
     rng = np.random.default_rng(59)
     inv_rng = np.random.default_rng(61)  # rand_tba's stream stays as it was
@@ -381,11 +373,11 @@ def test_ticks_match_rational_clocks_under_invariants():
         props = ("p",) if rng.random() < 0.5 else ("p", "q")
         w = rand_wts(rng, props, n_states=int(rng.integers(2, 7)))
         plain = rand_tba(rng, props, n_locs=int(rng.integers(2, 5)))
-        a = _with_invariants(inv_rng, plain)
+        a = with_invariants(inv_rng, plain)
         b = BuchiWTS(w, plain)
         pruned += 1 < assert_same_as_rational(w, a) < len(crawl(b.initial, b.succ)[0])
         # intersect renames both factors' invariants apart
-        both = intersect(a, _with_invariants(inv_rng, plain))
+        both = intersect(a, with_invariants(inv_rng, plain))
         b = BuchiWTS(w, intersect(plain, plain))
         joint += 1 < assert_same_as_rational(w, both) < len(crawl(b.initial, b.succ)[0])
     # products that invariants cut without emptying
@@ -483,7 +475,7 @@ def test_word_acceptance_matches_rational_clocks_on_random_automata():
         props = ("p",) if rng.random() < 0.5 else ("p", "q")
         a = rand_tba(rng, props, n_locs=int(rng.integers(2, 5)))
         if rng.random() < 0.5:
-            a = _with_invariants(inv_rng, a)
+            a = with_invariants(inv_rng, a)
             invariants += 1
         word = rand_word(rng, props)
         if rng.random() < 0.5:
@@ -573,7 +565,7 @@ def test_zeroing_inactive_clocks_keeps_every_verdict():
         if k % 3:
             a = _unguarded(rng, a)
         if k % 2:
-            a = _with_invariants(inv_rng, a)
+            a = with_invariants(inv_rng, a)
         verdict, fewer = assert_quotient_of_unreduced(w, a)
         found += verdict
         merged += fewer
@@ -822,34 +814,3 @@ def test_a_missing_projection_is_an_error_not_a_dead_node():
     _, kept = _joint_pair(systems, [agent(1, cut={(1, 2)}), systems[1]], tbas)
     with pytest.raises(RuntimeError, match="projects outside agent product 1"):
         find_accepting(kept)
-
-
-def test_factor_record_stays_flat_across_the_fold():
-    tasks = [("F[0, 1/2] p1", "p1"), ("G[1/4, 1/3] p2 & F[0, 1] p2", "p2"), ("p3", "p3")]
-    a, b, c = [mitl_to_tba(parse(f), alphabet={p}) for f, p in tasks]
-    assert {len(x) for x in b.factors.values()} == {2}  # b is an intersection itself
-    abc = intersect(a, b, c)
-    nested = intersect(intersect(a, b), c)
-    for attr in ("locations", "initial", "clocks", "accepting", "labels", "invariants"):
-        assert getattr(abc, attr) == getattr(nested, attr)
-    assert list(map(str, abc.edges)) == list(map(str, nested.edges))
-    assert abc.clocks == ("a.a.c", "a.b.a.c", "a.b.b.c", "b.c")
-    assert abc.clock_factors == ((0, "c"), (1, "a.c"), (1, "b.c"), (2, "c"))
-    assert len(nested.factors[nested.locations[0]]) == 2
-    factors = (a, b, c)
-    for q in abc.locations:
-        parts = abc.factors[q]
-        assert len(parts) == 3
-        assert abc.labels[q] == frozenset().union(*(t.labels[x] for t, x in zip(factors, parts)))
-        if q in abc.accepting:
-            assert parts[0] in a.accepting
-    for q in abc.initial:
-        assert all(x in t.initial for t, x in zip(factors, abc.factors[q]))
-    for e in abc.edges:
-        for t, x, y in zip(factors, abc.factors[e.src], abc.factors[e.dst]):
-            assert any(f.dst == y for f in t.out_edges(x))
-    ticked = abc.in_ticks(Fraction(1, 60))
-    assert (ticked.factors, ticked.clock_factors) == (abc.factors, abc.clock_factors)
-    alone = intersect(b)
-    assert {len(x) for x in alone.factors.values()} == {1}
-    assert alone.clock_factors == tuple((0, x) for x in b.clocks)

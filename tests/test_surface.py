@@ -4,9 +4,11 @@ its own module names it outside the name's own definition, so a recursive
 call does not count.  An attribute of the same name (``a.locations``) or a
 same-named local in another module is not a use.  Every public method and
 property of a class is read as an attribute (``p.has_transition``) by some
-module of the package.  A name only the tests reach is dead surface; move
-it to ``tests/helpers.py`` or delete it.  Callers import from the modules:
-the package root binds ``__version__`` alone.
+module of the package outside the member's own body.  A name only the
+tests reach is dead surface; move it to ``tests/helpers.py`` or delete it.
+Every name a module imports at its top level is read by that module, so no
+import is kept only for others to reach through it.  Callers import from
+the modules: the package root binds ``__version__`` alone.
 """
 
 import ast
@@ -17,7 +19,6 @@ PACKAGE = Path(__file__).parent.parent / "src" / "timedplan"
 # names kept although no module refers to them, each for a stated reason
 ALLOWED = {
     "accepts": "exact lasso-word membership, the reference of criteria 1, 3 and 7",
-    "gor": "guard disjunction for hand-built automata in the acceptance tests",
     "lemma2_check": "the paper's Lemma 2 bound, checked by the tests",
 }
 
@@ -28,6 +29,9 @@ ALLOWED_MEMBERS = {
     "the budget tests read",
     "Box.distance": "the scalar reference that boxes_distance and the "
     "successor tables are tested against",
+    "CellDecomposition.cell": "the bounds-checked reference box that the "
+    "array corners are tested against",
+    "Box.center": "the scalar reference for make_controller's target arithmetic",
 }
 
 
@@ -58,22 +62,43 @@ def test_no_public_name_is_unused_by_the_package():
 
 def test_no_public_method_is_unused_by_the_package():
     defined = set()  # (class, member)
-    read = set()
+    read = set()  # (attribute, the (class, member) whose body reads it, or None)
     for _, tree in _modules():
+        owner = {}  # id(node) -> the (class, member) whose body holds the node
         for top in tree.body:
             if isinstance(top, ast.ClassDef):
-                defined.update(
-                    (top.name, item.name)
-                    for item in top.body
-                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
-                )
+                for item in top.body:
+                    if isinstance(item, ast.FunctionDef):
+                        if not item.name.startswith("_"):
+                            defined.add((top.name, item.name))
+                        owner.update((id(node), (top.name, item.name)) for node in ast.walk(item))
         read.update(
-            node.attr
+            (node.attr, owner.get(id(node)))
             for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
         )
-    unused = {f"{c}.{m}" for c, m in defined if m not in read}
+    unused = {
+        f"{c}.{m}" for c, m in defined
+        if not any(attr == m and where != (c, m) for attr, where in read)
+    }
     assert unused == set(ALLOWED_MEMBERS)
+
+
+def test_every_module_reads_what_it_imports():
+    unread = set()
+    for module, tree in _modules():
+        imported = set()
+        for top in tree.body:
+            if isinstance(top, ast.Import):
+                imported.update((a.asname or a.name).split(".")[0] for a in top.names)
+            elif isinstance(top, ast.ImportFrom) and top.module != "__future__":
+                imported.update(a.asname or a.name for a in top.names)
+        read = {
+            node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        unread.update(f"{module}.{name}" for name in imported if name not in read)
+    assert unread == set()
 
 
 def test_package_root_binds_only_the_version():

@@ -296,7 +296,7 @@ def test_make_controller_drives_to_target_cell():
     # agents hold their start cells
     starts = (15, 21)
     law = ctrl(starts)
-    x = np.array([dec.center(c) for c in starts])
+    x = np.array([dec.cell(c).center for c in starts])
     from timedplan.dynamics import integrate_closed
 
     traj = integrate_closed(

@@ -9,24 +9,24 @@ from timedplan.errors import (
     UndeclaredClock,
     UnsupportedFragment,
 )
-from timedplan.mitl import parse
+from timedplan.mitl import And, parse
 from timedplan.rational import INF
 from timedplan.tba import (
     TBA,
     Atom,
     Edge,
     TOP,
+    _rewrite,
     accepts,
     eval_guard,
     gand,
-    gor,
     intersect,
     mitl_to_tba,
     window,
 )
 from timedplan.wts import TimedWord
 
-from helpers import rand_fragment, rand_word
+from helpers import fold_intersect, gor, rand_fragment, rand_tba, rand_word, with_invariants
 
 
 def visit_window_tba(c1=Fraction(2), c2=Fraction(5)):
@@ -215,9 +215,9 @@ def test_compile_eventually_golden(text, p, lo, hi, done_initial):
 def _render(a):
     """Every location with its label, invariant and out-edges in order."""
     lines = [
-        "locations " + " ".join(a.locations),
-        "initial " + " ".join(a.initial),
-        "accepting " + " ".join(sorted(a.accepting)),
+        "locations " + " ".join(map(str, a.locations)),
+        "initial " + " ".join(map(str, a.initial)),
+        "accepting " + " ".join(map(str, sorted(a.accepting))),
     ]
     for q in a.locations:
         lines.append(f"{q} label {sorted(a.labels[q])} invariant {a.invariants[q]}")
@@ -235,8 +235,8 @@ def _render(a):
      ("F[1/2,4] q", 8, 40, "1edc940ca754b020"),
      ("X[1,2] p", 10, 32, "99ce9d10dea641eb"),
      ("p & !q", 8, 32, "0698ee383f906e02"),
-     ("F[0,2] p & G[1,inf] !q", 16, 120, "318e32801b5ec262"),
-     ("(F[0,2] p & G[1,3] q) & X[0,1] p", 80, 504, "c628cf65e71f4703")],
+     ("F[0,2] p & G[1,inf] !q", 16, 120, "e4e47839f54a77b4"),
+     ("(F[0,2] p & G[1,3] q) & X[0,1] p", 80, 504, "eb81e0db983f9bfd")],
 )
 def test_compiled_automata_are_pinned(text, n_locations, n_edges, digest):
     # the per-source edge order is part of the pin: it fixes the acceptance
@@ -386,18 +386,124 @@ def test_a_clock_reset_before_it_is_read_is_inactive():
 
 def test_intersect_reads_each_clock_where_its_factor_does():
     """With disjoint alphabets, a joint clock is active exactly where its
-    factor's own location reads it: ``a.c`` is inactive exactly where factor
-    1 is done."""
+    factor's own location reads it: ``(0, "c")`` is inactive exactly where
+    factor 0 is done."""
     f1 = mitl_to_tba(parse("F[0,1] p1"), alphabet={"p1"})
     f2 = mitl_to_tba(parse("F[1/2,2] p2"), alphabet={"p2"})
     both = intersect(f1, f2)
-    assert both.clocks == ("a.c", "b.c")
+    assert both.clocks == ((0, "c"), (1, "c"))
     for q in both.locations:
-        q1, q2 = both.factors[q]
-        assert ("a.c" in both.active[q]) == (_phase(q1) != "done")
-        for (k, c), joint in zip(both.clock_factors, both.clocks):
-            assert (joint in both.active[q]) == (c in (f1, f2)[k].active[both.factors[q][k]])
-    assert any(_phase(both.factors[q][0]) == "done" for q in both.locations)
+        q1, q2 = q[0]
+        assert ((0, "c") in both.active[q]) == (_phase(q1) != "done")
+        for k, c in both.clocks:
+            assert ((k, c) in both.active[q]) == (c in (f1, f2)[k].active[q[0][k]])
+    assert any(_phase(q[0][0]) == "done" for q in both.locations)
+
+
+# -- intersect against the fold of binary products ---------------------------------
+
+
+def _assert_isomorphic(a, b):
+    """A paired traversal of ``a`` and ``b`` from their initial lists, out-edge
+    by out-edge in order, meets the same labels, acceptance, invariants,
+    guards, resets and active clocks, with clocks matched by position."""
+    assert (len(a.locations), len(a.edges)) == (len(b.locations), len(b.edges))
+    assert len(a.clocks) == len(b.clocks) and len(a.initial) == len(b.initial)
+    clock = dict(zip(a.clocks, b.clocks))
+
+    def rename(g):
+        return _rewrite(g, lambda x: Atom(clock[x.clock], x.op, x.const))
+
+    match = {}
+    todo = list(zip(a.initial, b.initial))
+    while todo:
+        qa, qb = todo.pop()
+        if qa in match:
+            assert match[qa] == qb
+            continue
+        match[qa] = qb
+        assert a.labels[qa] == b.labels[qb]
+        assert (qa in a.accepting) == (qb in b.accepting)
+        assert rename(a.invariants[qa]) == b.invariants[qb]
+        assert {clock[c] for c in a.active[qa]} == b.active[qb]
+        out_a, out_b = a.out_edges(qa), b.out_edges(qb)
+        assert len(out_a) == len(out_b)
+        for ea, eb in zip(out_a, out_b):
+            assert rename(ea.guard) == eb.guard
+            assert {clock[c] for c in ea.resets} == eb.resets
+            todo.append((ea.dst, eb.dst))
+    assert len(set(match.values())) == len(match)
+
+
+def _assert_names_its_operands(joint, ops):
+    """Locations are ``(qs, ps)`` with ``qs[k]`` a location of operand ``k``
+    and one phase per fold step; clocks are ``(k, c)``; each part of a
+    location, an initial location or an edge is one of its operand's."""
+    assert joint.clocks == tuple((k, c) for k, a in enumerate(ops) for c in a.clocks)
+    for q in joint.locations:
+        qs, ps = q
+        assert len(qs) == len(ops) and len(ps) == len(ops) - 1
+        assert all(x in a.labels for a, x in zip(ops, qs))
+        assert joint.labels[q] == frozenset().union(*(a.labels[x] for a, x in zip(ops, qs)))
+        if q in joint.accepting:
+            assert qs[0] in ops[0].accepting and set(ps) <= {1}
+    for qs, ps in joint.initial:
+        assert all(x in a.initial for a, x in zip(ops, qs)) and set(ps) <= {1}
+    for e in joint.edges:
+        for a, x, y in zip(ops, e.src[0], e.dst[0]):
+            assert any(f.dst == y for f in a.out_edges(x))
+    ticked = joint.in_ticks(Fraction(1, 2520))
+    assert (ticked.locations, ticked.clocks) == (joint.locations, joint.clocks)
+
+
+def _rand_operands(rng):
+    """One to three operands over one shared or disjoint alphabets: compiled
+    single-operator tasks, random automata with resets and invariants, and
+    among one or two operands at most one conjunction task."""
+    n = int(rng.integers(1, 4))
+    shared = rng.random() < 0.5
+    conj = n < 3 and rng.random() < 0.4
+    ops = []
+    for k in range(n):
+        ap = ("p", "q") if shared else (f"p{k}",)
+        roll = rng.random()
+        if conj and k == 0:
+            f = And(rand_fragment(rng, ap, depth=1), rand_fragment(rng, ap, depth=1))
+            ops.append(mitl_to_tba(f, alphabet=frozenset(ap)))
+        elif roll < 0.5:
+            ops.append(mitl_to_tba(rand_fragment(rng, ap, depth=1), alphabet=frozenset(ap)))
+        else:
+            plain = rand_tba(rng, ap, n_locs=int(rng.integers(2, 5)))
+            ops.append(with_invariants(rng, plain) if rng.random() < 0.7 else plain)
+    return ops
+
+
+def test_intersect_is_the_fold_of_binary_products():
+    rng = np.random.default_rng(28)
+    sizes = set()
+    for _ in range(60):
+        ops = _rand_operands(rng)
+        joint = intersect(*ops)
+        _assert_isomorphic(joint, fold_intersect(*ops))
+        _assert_names_its_operands(joint, ops)
+        if len(ops) == 3:
+            _assert_isomorphic(joint, intersect(intersect(*ops[:2]), ops[2]))
+        sizes.add(len(ops))
+    assert sizes == {1, 2, 3}
+
+
+def test_intersect_of_a_conjunction_is_flat_in_operands():
+    tasks = [("F[0, 1/2] p1", "p1"), ("G[1/4, 1/3] p2 & F[0, 1] p2", "p2"), ("p3", "p3")]
+    a, b, c = [mitl_to_tba(parse(f), alphabet={p}) for f, p in tasks]
+    assert b.clocks == ((0, "c"), (1, "c"))  # b is an intersection itself
+    abc = intersect(a, b, c)
+    assert abc.clocks == ((0, "c"), (1, (0, "c")), (1, (1, "c")), (2, "c"))
+    _assert_names_its_operands(abc, (a, b, c))
+    _assert_isomorphic(abc, intersect(intersect(a, b), c))
+    _assert_isomorphic(abc, fold_intersect(a, b, c))
+    alone = intersect(b)
+    assert alone.clocks == tuple((0, x) for x in b.clocks)
+    assert {q[1] for q in alone.locations} == {()}
 
 
 def test_in_ticks_keeps_the_activity_sets(monkeypatch):

@@ -115,7 +115,7 @@ def test_cell_index_is_one_based():
     with pytest.raises(Exception):
         d.cell(0)
     assert d.cell(1).lo == (0.0, 0.0)
-    assert d.center(d.n_cells) == (0.75, 0.75)
+    assert d.cell(d.n_cells).center == (0.75, 0.75)
 
 
 def test_corner_arrays_match_cell_boxes():
@@ -127,7 +127,7 @@ def test_corner_arrays_match_cell_boxes():
         for c, a, b in zip(cells[:, 0], lo[:, 0], up[:, 0]):
             assert tuple(a) == d.cell(c).lo and tuple(b) == d.cell(c).hi
             # the controller's targets: Box.center's arithmetic, bit for bit
-            assert tuple(0.5 * (a + b)) == d.center(c)
+            assert tuple(0.5 * (a + b)) == d.cell(c).center
 
 
 @pytest.mark.parametrize("bad", [0, -1, 10])
