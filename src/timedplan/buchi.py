@@ -26,22 +26,28 @@ applied to its copy in ticks (``TBA.in_ticks``), a step once per distinct
 (configuration, delay, letter); a node's successors are the system moves of
 its state crossed with those steps.
 
-A product of a joint system with an intersection automaton can be kept to
-its live part: given the completely explored product of each agent with
-its operand of ``intersect``, a node is kept only when each agent's
-projection of it (cell, the operand's location and clocks, read off the
-joint names and in the agent's ticks) can reach an accepting cycle there
-(``live``).  A dead node reaches only dead nodes and lies on no accepting
-lasso, so a depth-first search meets the kept nodes in the same order
-with or without the dead ones, and every path to a kept node,
-breadth-first stems and cycles included, runs through kept nodes.
+The product of a joint system with the ``intersect`` of its agents'
+automata is synchronized from the agents' own completely explored
+products (``SyncProduct``, after Tumova & Dimarogonas, Automatica 2016).
+Agents provide disjoint services, so each operand reads only its own
+agent's letter and a joint move is one move of each agent's product; the
+fold's phases and acceptance are read off ``intersect``, which states the
+counter once.  A joint node is kept only when each agent's node in it can
+reach an accepting cycle in the agent's product (``live``).  A dead node
+reaches only dead nodes and lies on no accepting lasso, so a depth-first
+search meets the kept nodes in the same order with or without the dead
+ones, and every path to a kept node, breadth-first stems and cycles
+included, runs through kept nodes.  Each agent's clocks count its own
+ticks up to its own cap, so where those differ from the ones the whole
+intersection would use, the product is a quotient of the unpruned one,
+with the same verdict.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Sequence
 from fractions import Fraction
-from functools import cache
 
 from .errors import AlphabetMismatch, BudgetExceeded, MismatchedTimeStep
 from .rational import frac_gcd
@@ -52,21 +58,31 @@ from .wts import TimedRun
 _CID = (1 << 32) - 1  # the configuration bits of a node
 
 
-class BuchiWTS:
+class _Counted:
+    """A product that keeps every node it discovers in ``_seen`` and stops
+    past ``max_states`` of them."""
+
+    @property
+    def n_explored(self) -> int:
+        return len(self._seen)
+
+    def _note(self, codes):
+        self._seen.update(codes)
+        if self.max_states is not None and len(self._seen) > self.max_states:
+            raise BudgetExceeded(
+                f"acceptance product passed {self.max_states} states",
+                count=len(self._seen),
+            )
+
+
+class BuchiWTS(_Counted):
     """Explored on demand; keeps every discovered node for budget control.
 
     The system must expose ``dt``, a quantum every transition weight is a
     whole multiple of.  ``tba`` holds the automaton in ticks of ``unit``.
-
-    ``agents``, when given, holds one completely explored product per
-    operand of ``tba``, an ``intersect``: product ``k`` is of coordinate
-    ``k`` of this system's states with operand ``k``.  Then only nodes whose
-    every projection is ``live()`` in its product are kept; other
-    successors and initial nodes are dropped before they are counted, so
-    ``max_states`` and ``n_explored`` see kept nodes only.
     """
 
-    def __init__(self, wts, tba: TBA, max_states: int | None = None, agents=None):
+    def __init__(self, wts, tba: TBA, max_states: int | None = None):
         if wts.alphabet != tba.ap:
             raise AlphabetMismatch(
                 f"system alphabet {sorted(wts.alphabet)} differs from the "
@@ -82,6 +98,7 @@ class BuchiWTS:
         self._sids: dict = {}
         self._letters: list = []  # sid -> label
         self._moves: dict = {}  # sid -> (moves, keys), see _moves_of
+        self._reaches: dict = {}  # sid -> the sids its moves reach
         self._confs: list = []  # cid -> (location, clocks)
         self._cids: dict = {}
         self._accepting: set = set()  # cids at accepting locations
@@ -89,20 +106,13 @@ class BuchiWTS:
         self._memo: dict = {}
         self._seen: set = set()
         self._anchors = None
-        self._keep = None if agents is None else self._projection(agents)
         zeros = (0,) * len(tba.clocks)
         sids = [self._sid(s) for s in sorted(wts.initial)]
         cids = {q: self._cid((q, zeros)) for q in sorted(tba.initial)}
         self.initial = tuple(
             sid << 32 | cids[q] for sid in sids for q in tba.start(self._letters[sid])
         )
-        if self._keep is not None:
-            self.initial = tuple(filter(self._keep, self.initial))
         self._note(self.initial)
-
-    @property
-    def n_explored(self) -> int:
-        return len(self._seen)
 
     def accepting(self, code) -> bool:
         return code & _CID in self._accepting
@@ -119,8 +129,10 @@ class BuchiWTS:
         if self._anchors is None:
             order, parent = bfs_order(self.initial, self.succ)
             # the search expanded every node it reached, so the rest reads
-            # the memo instead of asking ``succ`` again
-            cyclic = on_cycle(order, self._memo.__getitem__)
+            # the memo instead of asking ``succ`` again; an accepting node's
+            # component lies in its own forward closure, so the cycle pass
+            # starts from the accepting nodes alone
+            cyclic = on_cycle(filter(self.accepting, order), self._memo.__getitem__)
             hits = [n for n in order if n in cyclic and self.accepting(n)]
             self._anchors = (hits, parent)
         return self._anchors
@@ -142,74 +154,6 @@ class BuchiWTS:
                     live.add(src)
                     todo.append(src)
         return live
-
-    def _projection(self, agents):
-        """The test "every projection of this node is live".
-
-        A node at location ``(qs, ps)`` projects on product ``k`` to system
-        coordinate ``k``, operand ``k``'s location ``qs[k]`` and its clocks
-        ``(k, c)``, each read as ticks times this unit over product ``k``'s
-        unit, or as product ``k``'s cap when it is this cap or above that
-        product's largest constant.  Agents have disjoint alphabets, so
-        every combination of operand edges is a joint edge; where no
-        operand location is a dead end, an operand's clock is therefore
-        active at a joint location exactly when it is active at the
-        operand's own location, and a clock stored as 0 here is stored as 0
-        there.
-        Projections are memoized per sid and per cid, so a test is one set
-        lookup per product, and verdicts per node.  Every move here
-        projects to a move of each product, so a projection missing from a
-        completely explored product is a bug, raised as such and never
-        read as dead.
-        """
-        lives = [a.live() for a in agents]
-        clocks = []  # per product: (position here, ticks here per tick there)
-        for k, a in enumerate(agents):
-            ratio = a.unit / self.unit
-            if ratio.denominator != 1:
-                raise ValueError(f"unit {a.unit} of agent product {k + 1} is not "
-                                 f"a multiple of {self.unit}")
-            clocks.append([(self.tba.clocks.index((k, c)), int(ratio)) for c in a.tba.clocks])
-        # the closures hold no reference to self, which would make the
-        # product a reference cycle that only the garbage collector frees
-        cap, states, confs = self.cap, self._states, self._confs
-
-        @cache
-        def project_sid(sid):
-            return tuple(a._sids.get(x, -1) << 32 for a, x in zip(agents, states[sid]))
-
-        @cache
-        def project_cid(cid):
-            q, nu = confs[cid]
-            return tuple(
-                a._cids.get((qk, tuple(
-                    a.cap if nu[i] >= cap else min(nu[i] // r, a.cap) for i, r in ck
-                )), -1)
-                for a, qk, ck in zip(agents, q[0], clocks)
-            )
-
-        @cache
-        def keep(code):
-            sids, cids = project_sid(code >> 32), project_cid(code & _CID)
-            for a, live, sid, cid in zip(agents, lives, sids, cids):
-                if sid | cid not in live:
-                    if sid < 0 or cid < 0 or sid | cid not in a._memo:
-                        raise RuntimeError(
-                            f"node {(states[code >> 32], *confs[code & _CID])} projects "
-                            f"outside agent product {agents.index(a) + 1}"
-                        )
-                    return False
-            return True
-
-        return keep
-
-    def _note(self, codes):
-        self._seen.update(codes)
-        if self.max_states is not None and len(self._seen) > self.max_states:
-            raise BudgetExceeded(
-                f"acceptance product passed {self.max_states} states",
-                count=len(self._seen),
-            )
 
     def _sid(self, s) -> int:
         sid = self._sids.setdefault(s, len(self._states))
@@ -262,6 +206,13 @@ class BuchiWTS:
             got = self._moves[sid] = (tuple(moves), tuple(keys))
         return got
 
+    def _reach(self, sid) -> set:
+        """The sids the moves of system state ``sid`` reach (memoized)."""
+        got = self._reaches.get(sid)
+        if got is None:
+            got = self._reaches[sid] = {m >> 32 for m, _, _ in self._moves_of(sid)[0]}
+        return got
+
     def _step(self, cid, ticks, letter):
         """Automaton moves after dwelling ``ticks`` in configuration ``cid``
         and then reading ``letter`` (``TBA.step``), numbered: distinct target
@@ -281,8 +232,7 @@ class BuchiWTS:
         moves, keys = self._moves_of(code >> 32)
         cid = code & _CID
         steps = [self._step(cid, ticks, letter) for ticks, letter in keys]
-        got = dict.fromkeys([base | c for base, k, _ in moves for c in steps[k]])
-        got = tuple(got if self._keep is None else filter(self._keep, got))
+        got = tuple(dict.fromkeys([base | c for base, k, _ in moves for c in steps[k]]))
         self._note(got)
         self._memo[code] = got
         return got
@@ -299,7 +249,148 @@ class BuchiWTS:
         raise RuntimeError(f"no explored product move {src} -> {dst}")
 
 
-def _lasso(b: BuchiWTS, parent, node, succ) -> TimedRun:
+class SyncProduct(_Counted):
+    """The product of the ``ProductWTS`` ``wts`` with ``tba``, the
+    ``intersect`` of its agents' automata, synchronized from ``agents``:
+    product ``k`` of agent ``k``'s system with operand ``k``, each explored
+    completely.  A node is (joint state, one live node of each agent's
+    product, the fold's phases), one int ``sid << 32 | cid`` where ``cid``
+    numbers (agent cids, phases), so that initial nodes sort as their
+    tuples do.  Its successors are, for each joint move in
+    ``ProductWTS.successors`` order with staying put first, the product,
+    agent 1 outermost, of each agent's live successors that land on the
+    agent's cell; ``max_states`` and ``n_explored`` count these nodes.
+    """
+
+    def __init__(self, wts, tba: TBA, agents, max_states: int | None = None):
+        self.wts = wts
+        self.tba = tba
+        self.agents = tuple(agents)
+        self.max_states = max_states
+        self._lives = [a.live() for a in self.agents]
+        self._states: list = []  # sid -> joint state
+        self._asids: list = []  # sid -> the agents' sids
+        self._sids: dict = {}  # the agents' sids -> sid
+        self._posts: dict = {}  # sid -> the agents' posts, see _posts_of
+        self._confs: list = []  # cid -> (the agents' cids, phases)
+        self._cids: dict = {}
+        self._nexts: list = []  # cid -> phases after a move
+        self._accepting: set = set()  # cids at accepting locations
+        self._steps = [{} for _ in self.agents]  # per agent: node -> live steps
+        self._memo: dict = {}
+        self._seen: set = set()
+        ones = (1,) * (len(self.agents) - 1)
+        starts = {}
+        for s in sorted(wts.initial):
+            asids = tuple(a._sids[x] for a, x in zip(self.agents, s))
+            starts[self._sid(asids)] = list(itertools.product(*(
+                [c & _CID for c in a.initial if c >> 32 == x and c in live]
+                for a, x, live in zip(self.agents, asids, self._lives)
+            )))
+        # each product numbers its initial configurations in sorted order,
+        # so numbering these in sorted order sorts initial nodes as tuples
+        for conf in sorted(set(itertools.chain(*starts.values()))):
+            self._cid((conf, ones))
+        self.initial = tuple(
+            sid << 32 | self._cids[(conf, ones)] for sid, confs in starts.items() for conf in confs
+        )
+        self._note(self.initial)
+
+    def accepting(self, code) -> bool:
+        return code & _CID in self._accepting
+
+    def node(self, code) -> tuple:
+        """(joint state, location of ``tba``, clocks): the agents' clocks in
+        turn, each in its own product's ticks."""
+        acids, ps = self._confs[code & _CID]
+        confs = [a._confs[c] for a, c in zip(self.agents, acids)]
+        return (self._states[code >> 32], (tuple(q for q, _ in confs), ps),
+                tuple(itertools.chain.from_iterable(nu for _, nu in confs)))
+
+    def _sid(self, asids) -> int:
+        sid = self._sids.setdefault(asids, len(self._asids))
+        if sid == len(self._asids):
+            self._asids.append(asids)
+            self._states.append(tuple(a._states[x] for a, x in zip(self.agents, asids)))
+        return sid
+
+    def _cid(self, conf) -> int:
+        cid = self._cids.setdefault(conf, len(self._confs))
+        if cid == len(self._confs):
+            self._confs.append(conf)
+            acids, ps = conf
+            q = (tuple(a._confs[c][0] for a, c in zip(self.agents, acids)), ps)
+            # every out-edge of a location of the fold sets the same phases;
+            # no move leaves a location without one
+            out = self.tba.out_edges(q)
+            self._nexts.append(out[0].dst[1] if out else None)
+            if q in self.tba.accepting:
+                self._accepting.add(cid)
+        return cid
+
+    def _posts_of(self, sid):
+        """Each agent's post under the joint action of ``sid``, as sids of
+        its product.  Every joint move is a move of each agent's system, so
+        a post outside those moves is a bug, raised as such."""
+        got = self._posts.get(sid)
+        if got is None:
+            got = []
+            s = self._states[sid]
+            for k, (a, x, post) in enumerate(zip(self.agents, self._asids[sid], self.wts.posts(s)), 1):
+                post = [a._sids.get(c, -1) for c in post]
+                if not a._reach(x).issuperset(post):
+                    raise RuntimeError(f"a joint move from {s} projects outside agent product {k}")
+                got.append(post)
+            self._posts[sid] = got
+        return got
+
+    def _live_steps(self, k, code) -> dict:
+        """Agent ``k``'s live successors of its node ``code``, grouped by
+        sid: sid -> cids, in its product's order."""
+        got = self._steps[k].get(code)
+        if got is None:
+            got = self._steps[k][code] = {}
+            live = self._lives[k]
+            for n in self.agents[k]._memo[code]:
+                if n in live:
+                    got.setdefault(n >> 32, []).append(n & _CID)
+        return got
+
+    def succ(self, code):
+        got = self._memo.get(code)
+        if got is not None:
+            return got
+        sid, cid = code >> 32, code & _CID
+        here = self._asids[sid]
+        steps = [self._live_steps(k, x << 32 | c)
+                 for k, (x, c) in enumerate(zip(here, self._confs[cid][0]))]
+        # posts cut to where some live agent node goes, before any product
+        posts = [[x for x in post if x in step] for post, step in zip(self._posts_of(sid), steps)]
+        moves = list(itertools.product(*posts))
+        if here in moves:
+            moves.remove(here)  # staying put first, as in BuchiWTS
+            moves.insert(0, here)
+        nxt = self._nexts[cid]
+        sids, cids = self._sids, self._cids
+        got = []
+        for move in moves:  # number 0 reads as missing and is looked up again
+            base = (sids.get(move) or self._sid(move)) << 32
+            for conf in itertools.product(*map(dict.__getitem__, steps, move)):
+                key = (conf, nxt)
+                got.append(base | (cids.get(key) or self._cid(key)))
+        got = tuple(got)
+        self._note(got)
+        self._memo[code] = got
+        return got
+
+    def delta(self, src, dst) -> Fraction:
+        """Sojourn of an explored product move: one quantum."""
+        if dst in self._memo.get(src, ()):
+            return self.wts.dt
+        raise RuntimeError(f"no explored product move {src} -> {dst}")
+
+
+def _lasso(b: BuchiWTS | SyncProduct, parent, node, succ) -> TimedRun:
     """The lasso through ``node``: its stem along the breadth-first tree
     ``parent``, its cycle the shortest one through ``node`` under ``succ``.
     """
@@ -309,7 +400,7 @@ def _lasso(b: BuchiWTS, parent, node, succ) -> TimedRun:
     return TimedRun(tuple(map(b.node, codes)), durations, len(stem))
 
 
-def find_accepting(b: BuchiWTS) -> TimedRun | None:
+def find_accepting(b: BuchiWTS | SyncProduct) -> TimedRun | None:
     """One accepting lasso (or None).  Nested depth-first search decides
     emptiness and names an accepting node on a cycle, stopping at the first
     back edge that closes one; the lasso is ``_lasso`` through that node

@@ -6,14 +6,15 @@ configuration, an over-approximation), zip each combination of the found
 lassos into one joint lasso, and keep the first that is a run of the
 product.  Combinations are walked by lasso index, so only the lassos some
 combination zips are built and projected.  When no combination is a run,
-the exact route builds the synchronized product against the intersection
+the exact route searches the joint product against the intersection
 automaton and projects its accepting lasso back to the agents.  Every
 joint accepting lasso projects to an accepting lasso of each agent's own
 product, which the cheap route has already explored, so the exact route
-keeps only joint nodes from which every agent can still reach an
-accepting cycle; that keeps the lasso it finds and its verdict, and its
-budget counts kept nodes only.  Agents must provide disjoint services.
-Tasks outside the compilable fragment fall back to bounded
+synchronizes the joint product from those products, kept to joint nodes
+from which every agent can still reach an accepting cycle; that keeps its
+verdict, and its budget counts kept nodes only.  Agents must provide
+disjoint services, so that a joint move is one move of each agent's
+product.  Tasks outside the compilable fragment fall back to bounded
 generate-and-check, which can find plans but can never prove their
 absence.
 """
@@ -30,7 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .buchi import BuchiWTS, enumerate_accepting, find_accepting, project_run
+from .buchi import BuchiWTS, SyncProduct, enumerate_accepting, find_accepting, project_run
 from .dynamics import coupling
 from .errors import (
     AlphabetMismatch,
@@ -190,9 +191,9 @@ def synthesize(g, wts_list, formulas, r_selec: int = 100, max_states=None):
             return Plan(joint, "independent", combos)
 
     # every joint accepting lasso projects to one of each agent's product,
-    # which ``anchors`` explored completely, so the search keeps only the
-    # joint nodes that every agent can still accept from
-    b = BuchiWTS(product(comps), intersect(*tbas), max_states, agents)
+    # which ``anchors`` explored completely, so the joint product is
+    # synchronized from those, kept to nodes every agent can still accept from
+    b = SyncProduct(product(comps), intersect(*tbas), agents, max_states)
     run = find_accepting(b)
     if run is None:
         return Infeasible("no joint run satisfies every task together")

@@ -167,16 +167,14 @@ class ProductWTS:
             out |= comp.label(joint[idx])
         return frozenset(out)
 
-    def successors(self, joint: tuple) -> tuple:
+    def posts(self, joint: tuple) -> list:
+        """Each agent's sorted post under the action ``joint`` induces for it."""
         joint = tuple(joint)
-        posts = []
-        for comp, pick in zip(self.components, self._picks):
-            post = comp.post(pick(joint))
-            if not post:
-                return ()
-            posts.append(sorted(post))
+        return [sorted(comp.post(pick(joint))) for comp, pick in zip(self.components, self._picks)]
+
+    def successors(self, joint: tuple) -> tuple:
         # lexicographic over the sorted posts, agent 1 outermost
-        return tuple(itertools.product(*posts))
+        return tuple(itertools.product(*self.posts(joint)))
 
     def has_transition(self, src: tuple, dst: tuple) -> bool:
         """Whether each agent's step to ``dst`` is enabled under the action

@@ -392,6 +392,29 @@ def with_invariants(rng, a: TBA) -> TBA:
                invariants)
 
 
+def padded(dt, tbas):
+    """``tbas`` with an invariant at every location that always holds but
+    names the largest constant of them all and the tick of ``dt`` and all
+    of them, so that every agent's product counts the joint product's
+    ticks up to its cap."""
+    consts = [x for a in tbas for x in a.constants]
+    unit = frac_gcd([dt, *consts])
+    out = []
+    for a in tbas:
+        c = a.clocks[0]
+        named = GAnd(Atom(c, "=", max(consts, default=0)), Atom(c, "=", unit))
+        pad = GNot(GAnd(Atom(c, "<", 0), named))  # no clock is below 0
+        out.append(TBA(a.locations, a.initial, a.clocks, a.edges, a.accepting, a.labels, a.ap,
+                       {q: gand(g, pad) for q, g in a.invariants.items()}))
+    return out
+
+
+def same_ticks(joint, agents) -> bool:
+    """Whether every agent's product counts its clocks in the unit of the
+    unpruned joint product ``joint`` and holds them at its cap."""
+    return all((a.unit, a.cap) == (joint.unit, joint.cap) for a in agents)
+
+
 # -- exhaustive emptiness oracle -------------------------------------------------
 
 
@@ -545,7 +568,7 @@ def eager_synthesize(g, comps, formulas, r_selec):
     Emptiness comes from the SCC oracle.  Returns a ``Plan`` or an
     ``Infeasible`` as ``synthesize`` words them.
     """
-    from timedplan.buchi import BuchiWTS, find_accepting, project_run
+    from timedplan.buchi import BuchiWTS, SyncProduct, find_accepting, project_run
     from timedplan.synthesis import Infeasible, Plan, zip_runs
     from timedplan.tba import intersect, mitl_to_tba
     from timedplan.wts import TimedRun, check_consistent, product
@@ -569,7 +592,7 @@ def eager_synthesize(g, comps, formulas, r_selec):
         joint = zip_runs(pick)
         if check_consistent(joint, g, comps):
             return Plan(joint, "independent", combos)
-    run = find_accepting(BuchiWTS(product(comps), intersect(*tbas), None, agents))
+    run = find_accepting(SyncProduct(product(comps), intersect(*tbas), agents))
     if run is None:
         return Infeasible("no joint run satisfies every task together")
     return Plan(project_run(run), "joint-product", combos)

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from timedplan.buchi import (
     BuchiWTS,
+    SyncProduct,
     enumerate_accepting,
     find_accepting,
     project_run,
@@ -14,7 +16,7 @@ from timedplan.errors import AlphabetMismatch, BudgetExceeded, MismatchedTimeSte
 from timedplan.mitl import parse, sat
 from timedplan.rational import INF, frac_gcd
 from timedplan.scenario import build, load_scenario
-from timedplan.search import bfs_order, nested_dfs, shortest_cycle, tree_path
+from timedplan.search import bfs_order, nested_dfs, on_cycle, shortest_cycle, tree_path
 from timedplan.tba import (
     TBA,
     TOP,
@@ -36,6 +38,7 @@ from helpers import (
     accepting_cycle_exists,
     crawl,
     locations,
+    padded,
     probe_every_accepting,
     rand_fraction,
     rand_fragment,
@@ -43,6 +46,7 @@ from helpers import (
     rand_word,
     rand_wts,
     readable_clocks,
+    same_ticks,
     universal_tba,
     with_invariants,
 )
@@ -219,6 +223,23 @@ def test_anchors_decide_emptiness_on_random_products():
         anchors, _ = b.anchors()
         assert bool(anchors) == accepting_cycle_exists(b.initial, b.succ, b.accepting)
         assert all(b.accepting(n) for n in anchors)
+
+
+def test_anchors_are_the_accepting_nodes_of_a_whole_graph_scc_pass():
+    """``anchors`` runs its cycle pass from the accepting nodes only: an
+    accepting node's component lies in its own forward closure, so the
+    anchors are those of a pass over the whole explored graph, in
+    breadth-first order."""
+    found = 0
+    for w, a in _rand_products(53, 60):
+        b = BuchiWTS(w, a)
+        anchors, parent = b.anchors()
+        order, _ = bfs_order(b.initial, b.succ)
+        cyclic = on_cycle(order, b.succ)
+        assert anchors == [n for n in order if n in cyclic and b.accepting(n)]
+        assert list(parent) == order
+        found += bool(anchors)
+    assert found >= 5
 
 
 # -- tick clocks against rational clocks ------------------------------------------
@@ -612,7 +633,7 @@ def test_weights_off_the_quantum_are_rejected():
         b.succ(b.initial[0])
 
 
-# -- the joint product kept to live nodes -------------------------------------------
+# -- the joint product synchronized from live agent nodes ------------------------
 
 
 def _rand_team(rng, n_agents):
@@ -669,13 +690,13 @@ def _rand_task(rng, props, per_letter):
 
 def _joint_builds(systems, own, tbas):
     """Functions of a budget that build the joint product of ``systems``
-    afresh, without and with ``agents``, the products of ``own``, each
+    afresh: unpruned, and synchronized from ``own``'s products, each
     explored completely first."""
     agents = [BuchiWTS(c, a) for c, a in zip(own, tbas)]
     for b in agents:
         b.anchors()
     p, folded = product(systems), intersect(*tbas)
-    return (lambda m=None: BuchiWTS(p, folded, m)), (lambda m=None: BuchiWTS(p, folded, m, agents))
+    return (lambda m=None: BuchiWTS(p, folded, m)), (lambda m=None: SyncProduct(p, folded, agents, m))
 
 
 def _joint_pair(systems, own, tbas):
@@ -689,8 +710,11 @@ def _rand_teams(seed, n):
 
 
 def _teams(seed, n):
+    """The unpruned and the synchronized joint product of ``n`` random
+    teams, each as drawn and padded to one tick and cap."""
     for systems, tbas in _rand_teams(seed, n):
         yield _joint_pair(systems, systems, tbas)
+        yield _joint_pair(systems, systems, padded(systems[0].dt, tbas))
 
 
 def test_live_is_the_backward_closure_of_the_anchors():
@@ -704,25 +728,54 @@ def test_live_is_the_backward_closure_of_the_anchors():
             assert (n in live) == any(r in b.anchors()[0] for r in reach)
 
 
+def _lasso_of(run):
+    return run and (run.states, run.durations, run.stem_len)
+
+
 def test_kept_joint_search_finds_the_same_lasso():
-    """Dead nodes reach only dead nodes, so nested DFS meets the kept ones in
-    the same order and names the same node, and the lasso through it runs
-    through kept nodes only: the same verdict and the same lasso node for
-    node."""
+    """Dead nodes reach only dead nodes, so nested DFS meets the live ones
+    in the same order with or without the dead ones, and the lasso through
+    the node it names runs through live nodes only.  Where every agent
+    counts the joint ticks up to the joint cap, the synchronized product's
+    nodes are the unpruned product's: the same verdict and the same lasso
+    node for node.  Elsewhere each agent's clock is held at its own cap,
+    the synchronized product is a quotient, and the verdict is the same."""
     found = pruned = 0
     for plain, kept in _teams(73, 36):
         want = nested_dfs(plain.initial, plain.succ, plain.accepting)
         got = nested_dfs(kept.initial, kept.succ, kept.accepting)
         assert (got is None) == (want is None)
-        if want is not None:
-            assert kept.node(got) == plain.node(want)
-            found += 1
         run, ref = find_accepting(kept), find_accepting(plain)
-        assert (run and (run.states, run.durations, run.stem_len)) == (
-            ref and (ref.states, ref.durations, ref.stem_len)
-        )
+        assert (run is None) == (ref is None)
+        if same_ticks(plain, kept.agents):
+            if want is not None:
+                assert kept.node(got) == plain.node(want)
+                found += 1
+            assert _lasso_of(run) == _lasso_of(ref)
         pruned += kept.n_explored < plain.n_explored
     assert found >= 5 and pruned >= 15
+
+
+def test_sync_product_matches_the_unpruned_one_on_random_teams():
+    """On random 2- and 3-agent teams, as drawn and padded to one tick and
+    cap, the synchronized product and the unpruned joint product give the
+    same verdict, and the same projected lasso wherever every agent's unit
+    and cap are the joint product's."""
+    seen = Counter()
+    for systems, tbas in itertools.chain(_rand_teams(1, 90), _rand_teams(2, 90)):
+        for pad in (False, True):
+            team = padded(systems[0].dt, tbas) if pad else tbas
+            plain, kept = _joint_pair(systems, systems, team)
+            run, ref = find_accepting(kept), find_accepting(plain)
+            assert (run is None) == (ref is None)
+            same = same_ticks(plain, kept.agents)
+            assert same or not pad
+            if same and ref is not None:
+                assert _lasso_of(project_run(run)) == _lasso_of(project_run(ref))
+            seen[len(systems), ref is not None, same] += 1
+    # (agents, feasible, same ticks) -> teams
+    assert all(seen[n, found, True] >= 5 for n in (2, 3) for found in (False, True))
+    assert seen[2, True, False] >= 10
 
 
 def _lasso_cases(seed, n):
@@ -785,20 +838,25 @@ def test_find_accepting_builds_its_lasso_from_what_nested_dfs_explored():
 
 
 def test_kept_joint_product_holds_every_accepting_cycle():
-    """Exhausted, the kept product has the same anchors and loses only
-    nodes that lie on no accepting lasso."""
+    """Exhausted, the synchronized product has the same anchors and loses
+    only nodes that lie on no accepting lasso: node for node where every
+    agent counts the joint ticks up to the joint cap, else as (joint state,
+    location) pairs, since each agent then holds its clock at its own cap."""
     for plain, kept in _teams(79, 24):
-        anchors = {plain.node(n) for n in plain.anchors()[0]}
-        assert {kept.node(n) for n in kept.anchors()[0]} == anchors
-        assert {plain.node(n) for n in plain.live()} <= {kept.node(n) for n in kept._memo}
+        order, _ = bfs_order(kept.initial, kept.succ)
+        cyclic = on_cycle(order, kept.succ)
+        cut = (lambda n: n) if same_ticks(plain, kept.agents) else (lambda n: n[:2])
+        anchors = {cut(plain.node(n)) for n in plain.anchors()[0]}
+        assert {cut(kept.node(n)) for n in order if n in cyclic and kept.accepting(n)} == anchors
+        assert {cut(plain.node(n)) for n in plain.live()} <= {cut(kept.node(n)) for n in kept._memo}
         assert kept.n_explored <= plain.n_explored
 
 
 def test_a_missing_projection_is_an_error_not_a_dead_node():
     """Agent 1's own product below lacks the move from cell 1 to cell 2
-    that the joint product makes, so it is not the over-approximation that
-    pruning rests on: the joint search raises instead of reading the
-    missing node as dead."""
+    that the joint system makes, so it is not the over-approximation that
+    the synchronized product rests on: the joint search raises instead of
+    dropping the move."""
     cells = (1, 2, 3)
 
     def agent(k, cut=()):

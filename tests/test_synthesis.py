@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from timedplan import synthesis
-from timedplan.buchi import BuchiWTS, find_accepting
+from timedplan.buchi import BuchiWTS, SyncProduct, find_accepting, project_run
 from timedplan.errors import AlphabetMismatch, BudgetExceeded, LengthMismatch
 from timedplan.graphs import build_graph
 from timedplan.mitl import parse, sat
@@ -41,6 +41,8 @@ from helpers import (
     eager_synthesize,
     expand_layers,
     oracle_plan_exists,
+    padded,
+    same_ticks,
     windows_met,
 )
 
@@ -213,6 +215,39 @@ def test_lazy_route_matches_the_eager_one_on_random_teams(r_selec):
         assert ("independent", False) in kinds
     if r_selec == 100:
         assert ("independent", True) in kinds
+
+
+def test_joint_route_matches_the_unpruned_product_on_random_teams():
+    """At ``r_selec=0`` a team that no agent alone rules out takes the
+    joint route, whose plan is the synchronized product's lasso.  That
+    product gives the unpruned joint product's verdict, and its lasso
+    wherever every agent counts the joint ticks up to the joint cap: on the
+    teams as drawn, and with their automata padded to one tick and cap.  A
+    window from 0 makes a labelled start initial at two locations, so the
+    initial joint nodes must sort as the unpruned product's do."""
+    seen = Counter()
+    rng = np.random.default_rng(1)
+    for k in range(60):
+        g, systems, formulas = _rand_team(rng, 2 if k % 3 else 3)
+        plan = synthesize(g, systems, formulas, r_selec=0)
+        if not plan and plan.agent is not None:
+            continue
+        tbas = [mitl_to_tba(f, alphabet=c.alphabet) for f, c in zip(formulas, systems)]
+        for team in (tbas, padded(systems[0].dt, tbas)):
+            agents = [BuchiWTS(c, a) for c, a in zip(systems, team)]
+            p, folded = product(systems), intersect(*team)
+            plain = BuchiWTS(p, folded)
+            run, ref = find_accepting(SyncProduct(p, folded, agents)), find_accepting(plain)
+            assert (run is None) == (ref is None)
+            if team is tbas:
+                assert (plan.joint if plan else None) == (run and project_run(run))
+            same = same_ticks(plain, agents)
+            if same and ref:
+                assert run.states == ref.states and run.stem_len == ref.stem_len
+            seen[len(systems), ref is not None, same] += 1
+    # (agents, feasible, same ticks) -> teams
+    assert seen[2, True, True] >= 10 and seen[3, True, True] >= 5
+    assert seen[2, False, True] >= 5 and seen[2, True, False] >= 10
 
 
 def test_overlapping_alphabets_are_rejected_before_any_product(monkeypatch):
@@ -539,18 +574,21 @@ def joint_route(name):
 
 @pytest.mark.parametrize("name", ["joint-route-feasible", "joint-route-infeasible"])
 def test_kept_joint_search_matches_the_full_one_on_joint_route(name):
-    """The search over joint nodes that every agent can still accept from
-    finds the full search's lasso node for node, and its verdict, while
-    expanding fewer nodes."""
+    """The search over joint nodes that every agent can still accept from,
+    synchronized from the agents' own products, finds the full search's
+    lasso node for node, and its verdict, while expanding fewer nodes."""
     b = joint_route(name)
     tbas = [mitl_to_tba(f, alphabet=c.alphabet) for f, c in zip(b.formulas, b.wts_list)]
     agents = [BuchiWTS(c, a) for c, a in zip(b.wts_list, tbas)]
     for a in agents:
         a.anchors()
     p, folded = product(b.wts_list), intersect(*tbas)
-    full, kept = BuchiWTS(p, folded), BuchiWTS(p, folded, agents=agents)
+    full, kept = BuchiWTS(p, folded), SyncProduct(p, folded, agents)
     want, got = find_accepting(full), find_accepting(kept)
     assert (want is None) == (name == "joint-route-infeasible")
+    # every agent counts the joint ticks up to the joint cap here, so the
+    # synchronized nodes read back as the unpruned product's
+    assert same_ticks(full, agents)
     assert (got and (got.states, got.durations, got.stem_len)) == (
         want and (want.states, want.durations, want.stem_len)
     )
@@ -571,6 +609,25 @@ def test_budget_counts_live_joint_nodes_on_joint_route():
     assert isinstance(verdict, Infeasible) and verdict.agent is None
     with pytest.raises(BudgetExceeded, match="^acceptance product passed 305 states$"):
         synthesize(b.graph, b.wts_list, b.formulas, max_states=305)
+
+
+def test_joint_route_builds_no_ticks_copy_of_the_joint_automaton(monkeypatch):
+    """The synchronized product steps each agent's automaton in its own
+    product, so ``in_ticks`` rewrites each agent's automaton once and never
+    the intersection."""
+    from timedplan.tba import TBA
+
+    folded, ticked = [], []
+    real_in_ticks, real_intersect = TBA.in_ticks, synthesis.intersect
+    monkeypatch.setattr(TBA, "in_ticks", lambda a, unit: (ticked.append(a), real_in_ticks(a, unit))[1])
+    monkeypatch.setattr(
+        synthesis, "intersect", lambda *tbas: (folded.append(real_intersect(*tbas)), folded[-1])[1]
+    )
+    b = joint_route("joint-route-feasible")
+    assert synthesize(b.graph, b.wts_list, b.formulas).route == "joint-product"
+    assert len(folded) == 1 and len(ticked) == len(b.wts_list) == 2
+    assert [a.ap for a in ticked] == [c.alphabet for c in b.wts_list]
+    assert all(a is not folded[0] for a in ticked)
 
 
 @pytest.mark.parametrize("case, r_selec, expands", [
