@@ -40,7 +40,8 @@ ones, and every path to a kept node, breadth-first stems and cycles
 included, runs through kept nodes.  Each agent's clocks count its own
 ticks up to its own cap, so where those differ from the ones the whole
 intersection would use, the product is a quotient of the unpruned one,
-with the same verdict.
+with the same verdict.  ``SyncProduct`` is a ``BuchiWTS`` in all but how
+it expands a node.
 """
 
 from __future__ import annotations
@@ -58,24 +59,7 @@ from .wts import TimedRun
 _CID = (1 << 32) - 1  # the configuration bits of a node
 
 
-class _Counted:
-    """A product that keeps every node it discovers in ``_seen`` and stops
-    past ``max_states`` of them."""
-
-    @property
-    def n_explored(self) -> int:
-        return len(self._seen)
-
-    def _note(self, codes):
-        self._seen.update(codes)
-        if self.max_states is not None and len(self._seen) > self.max_states:
-            raise BudgetExceeded(
-                f"acceptance product passed {self.max_states} states",
-                count=len(self._seen),
-            )
-
-
-class BuchiWTS(_Counted):
+class BuchiWTS:
     """Explored on demand; keeps every discovered node for budget control.
 
     The system must expose ``dt``, a quantum every transition weight is a
@@ -98,7 +82,7 @@ class BuchiWTS(_Counted):
         self._sids: dict = {}
         self._letters: list = []  # sid -> label
         self._moves: dict = {}  # sid -> (moves, keys), see _moves_of
-        self._reaches: dict = {}  # sid -> the sids its moves reach
+        self._reaches: dict = {}  # sid -> the states its moves reach
         self._confs: list = []  # cid -> (location, clocks)
         self._cids: dict = {}
         self._accepting: set = set()  # cids at accepting locations
@@ -113,6 +97,18 @@ class BuchiWTS(_Counted):
             sid << 32 | cids[q] for sid in sids for q in tba.start(self._letters[sid])
         )
         self._note(self.initial)
+
+    @property
+    def n_explored(self) -> int:
+        return len(self._seen)
+
+    def _note(self, codes):
+        self._seen.update(codes)
+        if self.max_states is not None and len(self._seen) > self.max_states:
+            raise BudgetExceeded(
+                f"acceptance product passed {self.max_states} states",
+                count=len(self._seen),
+            )
 
     def accepting(self, code) -> bool:
         return code & _CID in self._accepting
@@ -207,10 +203,12 @@ class BuchiWTS(_Counted):
         return got
 
     def _reach(self, sid) -> set:
-        """The sids the moves of system state ``sid`` reach (memoized)."""
+        """The system states the moves of system state ``sid`` reach
+        (memoized)."""
         got = self._reaches.get(sid)
         if got is None:
-            got = self._reaches[sid] = {m >> 32 for m, _, _ in self._moves_of(sid)[0]}
+            states = self._states
+            got = self._reaches[sid] = {states[m >> 32] for m, _, _ in self._moves_of(sid)[0]}
         return got
 
     def _step(self, cid, ticks, letter):
@@ -227,15 +225,17 @@ class BuchiWTS(_Counted):
 
     def succ(self, code):
         got = self._memo.get(code)
-        if got is not None:
-            return got
+        if got is None:
+            got = self._expand(code)
+            self._note(got)
+            self._memo[code] = got
+        return got
+
+    def _expand(self, code):
         moves, keys = self._moves_of(code >> 32)
         cid = code & _CID
         steps = [self._step(cid, ticks, letter) for ticks, letter in keys]
-        got = tuple(dict.fromkeys([base | c for base, k, _ in moves for c in steps[k]]))
-        self._note(got)
-        self._memo[code] = got
-        return got
+        return tuple(dict.fromkeys([base | c for base, k, _ in moves for c in steps[k]]))
 
     def delta(self, src, dst) -> Fraction:
         """Sojourn of an explored product move: the smallest weight that
@@ -249,17 +249,20 @@ class BuchiWTS(_Counted):
         raise RuntimeError(f"no explored product move {src} -> {dst}")
 
 
-class SyncProduct(_Counted):
+class SyncProduct(BuchiWTS):
     """The product of the ``ProductWTS`` ``wts`` with ``tba``, the
     ``intersect`` of its agents' automata, synchronized from ``agents``:
     product ``k`` of agent ``k``'s system with operand ``k``, each explored
     completely.  A node is (joint state, one live node of each agent's
     product, the fold's phases), one int ``sid << 32 | cid`` where ``cid``
     numbers (agent cids, phases), so that initial nodes sort as their
-    tuples do.  Its successors are, for each joint move in
-    ``ProductWTS.successors`` order with staying put first, the product,
-    agent 1 outermost, of each agent's live successors that land on the
-    agent's cell; ``max_states`` and ``n_explored`` count these nodes.
+    tuples do.  Its successors are, for each joint move that
+    ``ProductWTS.successors`` gives with every agent's post cut to the
+    cells its live successors land on, staying put first, the product,
+    agent 1 outermost, of each agent's live successors on the agent's
+    cell; ``max_states`` and ``n_explored`` count these nodes.  It is
+    searched, budgeted and memoized as a ``BuchiWTS``; only how a node is
+    expanded differs.
     """
 
     def __init__(self, wts, tba: TBA, agents, max_states: int | None = None):
@@ -270,8 +273,8 @@ class SyncProduct(_Counted):
         self._lives = [a.live() for a in self.agents]
         self._states: list = []  # sid -> joint state
         self._asids: list = []  # sid -> the agents' sids
-        self._sids: dict = {}  # the agents' sids -> sid
-        self._posts: dict = {}  # sid -> the agents' posts, see _posts_of
+        self._sids: dict = {}  # joint state -> sid
+        self._checked: set = set()  # sids whose posts _check has seen
         self._confs: list = []  # cid -> (the agents' cids, phases)
         self._cids: dict = {}
         self._nexts: list = []  # cid -> phases after a move
@@ -279,13 +282,13 @@ class SyncProduct(_Counted):
         self._steps = [{} for _ in self.agents]  # per agent: node -> live steps
         self._memo: dict = {}
         self._seen: set = set()
+        self._anchors = None
         ones = (1,) * (len(self.agents) - 1)
         starts = {}
         for s in sorted(wts.initial):
-            asids = tuple(a._sids[x] for a, x in zip(self.agents, s))
-            starts[self._sid(asids)] = list(itertools.product(*(
-                [c & _CID for c in a.initial if c >> 32 == x and c in live]
-                for a, x, live in zip(self.agents, asids, self._lives)
+            starts[self._sid(s)] = list(itertools.product(*(
+                [c & _CID for c in a.initial if a._states[c >> 32] == x and c in live]
+                for a, x, live in zip(self.agents, s, self._lives)
             )))
         # each product numbers its initial configurations in sorted order,
         # so numbering these in sorted order sorts initial nodes as tuples
@@ -296,9 +299,6 @@ class SyncProduct(_Counted):
         )
         self._note(self.initial)
 
-    def accepting(self, code) -> bool:
-        return code & _CID in self._accepting
-
     def node(self, code) -> tuple:
         """(joint state, location of ``tba``, clocks): the agents' clocks in
         turn, each in its own product's ticks."""
@@ -307,11 +307,11 @@ class SyncProduct(_Counted):
         return (self._states[code >> 32], (tuple(q for q, _ in confs), ps),
                 tuple(itertools.chain.from_iterable(nu for _, nu in confs)))
 
-    def _sid(self, asids) -> int:
-        sid = self._sids.setdefault(asids, len(self._asids))
-        if sid == len(self._asids):
-            self._asids.append(asids)
-            self._states.append(tuple(a._states[x] for a, x in zip(self.agents, asids)))
+    def _sid(self, s) -> int:
+        sid = self._sids.setdefault(s, len(self._states))
+        if sid == len(self._states):
+            self._states.append(s)
+            self._asids.append(tuple(a._sids[x] for a, x in zip(self.agents, s)))
         return sid
 
     def _cid(self, conf) -> int:
@@ -320,56 +320,47 @@ class SyncProduct(_Counted):
             self._confs.append(conf)
             acids, ps = conf
             q = (tuple(a._confs[c][0] for a, c in zip(self.agents, acids)), ps)
-            # every out-edge of a location of the fold sets the same phases;
-            # no move leaves a location without one
+            # ``intersect`` sets the same phases on every out-edge of a
+            # location; no move leaves a location without one
             out = self.tba.out_edges(q)
             self._nexts.append(out[0].dst[1] if out else None)
             if q in self.tba.accepting:
                 self._accepting.add(cid)
         return cid
 
-    def _posts_of(self, sid):
-        """Each agent's post under the joint action of ``sid``, as sids of
-        its product.  Every joint move is a move of each agent's system, so
-        a post outside those moves is a bug, raised as such."""
-        got = self._posts.get(sid)
-        if got is None:
-            got = []
-            s = self._states[sid]
-            for k, (a, x, post) in enumerate(zip(self.agents, self._asids[sid], self.wts.posts(s)), 1):
-                post = [a._sids.get(c, -1) for c in post]
-                if not a._reach(x).issuperset(post):
-                    raise RuntimeError(f"a joint move from {s} projects outside agent product {k}")
-                got.append(post)
-            self._posts[sid] = got
-        return got
+    def _check(self, sid):
+        """Every joint move is a move of each agent's system, so a post of
+        joint state ``sid`` outside those moves is a bug, raised as such."""
+        s = self._states[sid]
+        for k, (a, x, post) in enumerate(zip(self.agents, self._asids[sid], self.wts.posts(s)), 1):
+            if not a._reach(x).issuperset(post):
+                raise RuntimeError(f"a joint move from {s} projects outside agent product {k}")
+        self._checked.add(sid)
 
     def _live_steps(self, k, code) -> dict:
         """Agent ``k``'s live successors of its node ``code``, grouped by
-        sid: sid -> cids, in its product's order."""
+        cell: cell -> cids, in its product's order."""
         got = self._steps[k].get(code)
         if got is None:
             got = self._steps[k][code] = {}
-            live = self._lives[k]
-            for n in self.agents[k]._memo[code]:
+            a, live = self.agents[k], self._lives[k]
+            for n in a._memo[code]:
                 if n in live:
-                    got.setdefault(n >> 32, []).append(n & _CID)
+                    got.setdefault(a._states[n >> 32], []).append(n & _CID)
         return got
 
-    def succ(self, code):
-        got = self._memo.get(code)
-        if got is not None:
-            return got
+    def _expand(self, code):
         sid, cid = code >> 32, code & _CID
-        here = self._asids[sid]
+        if sid not in self._checked:
+            self._check(sid)
+        s = self._states[sid]
         steps = [self._live_steps(k, x << 32 | c)
-                 for k, (x, c) in enumerate(zip(here, self._confs[cid][0]))]
+                 for k, (x, c) in enumerate(zip(self._asids[sid], self._confs[cid][0]))]
         # posts cut to where some live agent node goes, before any product
-        posts = [[x for x in post if x in step] for post, step in zip(self._posts_of(sid), steps)]
-        moves = list(itertools.product(*posts))
-        if here in moves:
-            moves.remove(here)  # staying put first, as in BuchiWTS
-            moves.insert(0, here)
+        moves = list(self.wts.successors(s, steps))
+        if s in moves:
+            moves.remove(s)  # staying put first, as in BuchiWTS
+            moves.insert(0, s)
         nxt = self._nexts[cid]
         sids, cids = self._sids, self._cids
         got = []
@@ -378,10 +369,7 @@ class SyncProduct(_Counted):
             for conf in itertools.product(*map(dict.__getitem__, steps, move)):
                 key = (conf, nxt)
                 got.append(base | (cids.get(key) or self._cid(key)))
-        got = tuple(got)
-        self._note(got)
-        self._memo[code] = got
-        return got
+        return tuple(got)
 
     def delta(self, src, dst) -> Fraction:
         """Sojourn of an explored product move: one quantum."""
@@ -390,7 +378,7 @@ class SyncProduct(_Counted):
         raise RuntimeError(f"no explored product move {src} -> {dst}")
 
 
-def _lasso(b: BuchiWTS | SyncProduct, parent, node, succ) -> TimedRun:
+def _lasso(b: BuchiWTS, parent, node, succ) -> TimedRun:
     """The lasso through ``node``: its stem along the breadth-first tree
     ``parent``, its cycle the shortest one through ``node`` under ``succ``.
     """
@@ -400,7 +388,7 @@ def _lasso(b: BuchiWTS | SyncProduct, parent, node, succ) -> TimedRun:
     return TimedRun(tuple(map(b.node, codes)), durations, len(stem))
 
 
-def find_accepting(b: BuchiWTS | SyncProduct) -> TimedRun | None:
+def find_accepting(b: BuchiWTS) -> TimedRun | None:
     """One accepting lasso (or None).  Nested depth-first search decides
     emptiness and names an accepting node on a cycle, stopping at the first
     back edge that closes one; the lasso is ``_lasso`` through that node

@@ -175,6 +175,7 @@ def synthesize(g, wts_list, formulas, r_selec: int = 100, max_states=None):
 
     # combinations in ``itertools.product`` order, by index, so that only
     # the lassos some combination zips are built and projected
+    p = product(comps)
     projected = [{} for _ in per_agent]  # per agent: lasso index -> system run
     combos = 0
     for pick in itertools.product(*(range(len(found)) for found in per_agent)):
@@ -187,13 +188,13 @@ def synthesize(g, wts_list, formulas, r_selec: int = 100, max_states=None):
                 done[k] = project_run(found[k])
             runs.append(done[k])
         joint = zip_runs(runs)
-        if check_consistent(joint, g, comps):
+        if check_consistent(joint, g, p):
             return Plan(joint, "independent", combos)
 
     # every joint accepting lasso projects to one of each agent's product,
     # which ``anchors`` explored completely, so the joint product is
     # synchronized from those, kept to nodes every agent can still accept from
-    b = SyncProduct(product(comps), intersect(*tbas), agents, max_states)
+    b = SyncProduct(p, intersect(*tbas), agents, max_states)
     run = find_accepting(b)
     if run is None:
         return Infeasible("no joint run satisfies every task together")

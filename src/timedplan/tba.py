@@ -463,9 +463,11 @@ def intersect(first: TBA, *rest: TBA) -> TBA:
     their union; ``ps`` holds one phase per fold step.  Step ``k`` waits in
     phase 1 for the fold of the operands before ``k`` to accept and in
     phase 2 for operand ``k``; a location accepts when every phase is 1 and
-    operand 0 accepts.  Operand ``k``'s clock ``c`` is the clock
-    ``(k, c)``.  Out-edges are the product of the operands' out-edges, in
-    operand order, that lead to a kept location.
+    operand 0 accepts.  The phases a move sets depend only on the location
+    it leaves, so every out-edge of a location leads to the same phases.
+    Operand ``k``'s clock ``c`` is the clock ``(k, c)``.  Out-edges are the
+    product of the operands' out-edges, in operand order, that lead to a
+    kept location.
     """
     ops = (first, *rest)
     labels = {(q,): first.labels[q] for q in first.locations}  # kept qs -> label

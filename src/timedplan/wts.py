@@ -168,13 +168,17 @@ class ProductWTS:
         return frozenset(out)
 
     def posts(self, joint: tuple) -> list:
-        """Each agent's sorted post under the action ``joint`` induces for it."""
-        joint = tuple(joint)
-        return [sorted(comp.post(pick(joint))) for comp, pick in zip(self.components, self._picks)]
+        """Each agent's post under the action ``joint`` induces for it."""
+        return [comp.post(pick(joint)) for comp, pick in zip(self.components, self._picks)]
 
-    def successors(self, joint: tuple) -> tuple:
-        # lexicographic over the sorted posts, agent 1 outermost
-        return tuple(itertools.product(*self.posts(joint)))
+    def successors(self, joint: tuple, within=None) -> tuple:
+        """Joint moves from ``joint``, lexicographic over the sorted posts,
+        agent 1 outermost.  With ``within``, agent ``k``'s post is first cut
+        to the cells in ``within[k]``."""
+        posts = self.posts(joint)
+        if within is not None:
+            posts = [[x for x in post if x in w] for post, w in zip(posts, within)]
+        return tuple(itertools.product(*map(sorted, posts)))
 
     def has_transition(self, src: tuple, dst: tuple) -> bool:
         """Whether each agent's step to ``dst`` is enabled under the action
@@ -183,10 +187,6 @@ class ProductWTS:
             dst[idx] in comp.post(self.pr(idx, src))
             for idx, comp in enumerate(self.components)
         )
-
-    def succ_weighted(self, joint):
-        for nxt in self.successors(joint):
-            yield nxt, self.dt
 
 
 def _picker(idx: int, neighbors):
@@ -202,14 +202,15 @@ def product(wts_list) -> ProductWTS:
 
 def check_consistent(joint: TimedRun, g, wts_list) -> bool:
     """Whether the joint lasso ``joint`` is a run of the product of
-    ``wts_list``: every move, the closing one too, a product transition.
+    ``wts_list``, the agents' systems or their ``ProductWTS``: every move,
+    the closing one too, a product transition.
 
     Raises ``LengthMismatch`` unless the systems are ``g``'s agents with
     ``g``'s neighbor lists, every state holds one cell per agent, and every
     sojourn is the product's quantum; ``ProductWTS`` checks the agent order
     and the shared quantum of the systems.
     """
-    p = ProductWTS(wts_list)
+    p = wts_list if isinstance(wts_list, ProductWTS) else ProductWTS(wts_list)
     if p.n_agents != g.n_agents:
         raise LengthMismatch(f"{p.n_agents} systems for {g.n_agents} agents")
     for idx, comp in enumerate(p.components):

@@ -409,6 +409,21 @@ def padded(dt, tbas):
     return out
 
 
+class JointWTS:
+    """A ``ProductWTS`` as ``BuchiWTS`` reads a system, each joint move
+    weighing one quantum: ``BuchiWTS(JointWTS(p), intersect(...))`` is the
+    unpruned joint product that the synchronized one is tested against."""
+
+    def __init__(self, p):
+        self.p = p
+        self.dt, self.initial, self.alphabet = p.dt, p.initial, p.alphabet
+        self.label = p.label
+
+    def succ_weighted(self, joint):
+        for nxt in self.p.successors(joint):
+            yield nxt, self.dt
+
+
 def same_ticks(joint, agents) -> bool:
     """Whether every agent's product counts its clocks in the unit of the
     unpruned joint product ``joint`` and holds them at its cap."""

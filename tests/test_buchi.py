@@ -31,6 +31,7 @@ from timedplan.tba import (
 from timedplan.wts import TimedWord, product, timed_word
 
 from helpers import (
+    JointWTS,
     RationalProduct,
     TableAgentWTS,
     WTS,
@@ -696,7 +697,8 @@ def _joint_builds(systems, own, tbas):
     for b in agents:
         b.anchors()
     p, folded = product(systems), intersect(*tbas)
-    return (lambda m=None: BuchiWTS(p, folded, m)), (lambda m=None: SyncProduct(p, folded, agents, m))
+    return (lambda m=None: BuchiWTS(JointWTS(p), folded, m)), (
+        lambda m=None: SyncProduct(p, folded, agents, m))
 
 
 def _joint_pair(systems, own, tbas):

@@ -30,6 +30,7 @@ from timedplan.synthesis import (
 )
 from timedplan.tba import intersect, mitl_to_tba
 from timedplan.wts import (
+    ProductWTS,
     TimedRun,
     check_consistent,
     product,
@@ -37,6 +38,7 @@ from timedplan.wts import (
 )
 
 from helpers import (
+    JointWTS,
     TableAgentWTS,
     eager_synthesize,
     expand_layers,
@@ -236,7 +238,7 @@ def test_joint_route_matches_the_unpruned_product_on_random_teams():
         for team in (tbas, padded(systems[0].dt, tbas)):
             agents = [BuchiWTS(c, a) for c, a in zip(systems, team)]
             p, folded = product(systems), intersect(*team)
-            plain = BuchiWTS(p, folded)
+            plain = BuchiWTS(JointWTS(p), folded)
             run, ref = find_accepting(SyncProduct(p, folded, agents)), find_accepting(plain)
             assert (run is None) == (ref is None)
             if team is tbas:
@@ -583,7 +585,7 @@ def test_kept_joint_search_matches_the_full_one_on_joint_route(name):
     for a in agents:
         a.anchors()
     p, folded = product(b.wts_list), intersect(*tbas)
-    full, kept = BuchiWTS(p, folded), SyncProduct(p, folded, agents)
+    full, kept = BuchiWTS(JointWTS(p), folded), SyncProduct(p, folded, agents)
     want, got = find_accepting(full), find_accepting(kept)
     assert (want is None) == (name == "joint-route-infeasible")
     # every agent counts the joint ticks up to the joint cap here, so the
@@ -628,6 +630,26 @@ def test_joint_route_builds_no_ticks_copy_of_the_joint_automaton(monkeypatch):
     assert len(folded) == 1 and len(ticked) == len(b.wts_list) == 2
     assert [a.ap for a in ticked] == [c.alphabet for c in b.wts_list]
     assert all(a is not folded[0] for a in ticked)
+
+
+def test_joint_route_expands_through_the_traced_bindings(monkeypatch):
+    """The benchmark times the joint search by wrapping ``BuchiWTS.succ``
+    and ``ProductWTS.successors`` on their classes, so the synchronized
+    product reaches both through those bindings: every joint node it
+    expands lists its joint moves with one ``successors`` call."""
+    calls = Counter()
+    for owner, attr in ((BuchiWTS, "succ"), (ProductWTS, "successors")):
+        real = owner.__dict__[attr]
+
+        def wrapped(self, *args, real=real, attr=attr):
+            calls[attr, type(self).__name__] += 1
+            return real(self, *args)
+
+        monkeypatch.setattr(owner, attr, wrapped)
+    b = joint_route("joint-route-feasible")
+    assert synthesize(b.graph, b.wts_list, b.formulas).route == "joint-product"
+    assert calls["successors", "ProductWTS"] == 420
+    assert calls["succ", "SyncProduct"] > 420 and calls["succ", "BuchiWTS"] > 0
 
 
 @pytest.mark.parametrize("case, r_selec, expands", [

@@ -182,6 +182,22 @@ def test_product_successors_are_lexicographic_and_pick_any_degree():
     assert p.successors((2, 2, 3)) == ()  # agents 2 and 3 have no move
 
 
+def test_product_successors_cut_each_post_before_the_product():
+    """With ``within``, each agent's post is cut to its cells first: the
+    joint moves are the full ones whose every cell lies in its agent's
+    container, in the same order."""
+    dt = Fraction(1, 4)
+    free = {(c, (c, n)): {3, 1, 2} for c in (1, 2, 3) for n in (1, 2, 3)}
+    a1 = TableAgentWTS(1, (2,), dt, free, initial=[2])
+    a2 = TableAgentWTS(2, (1,), dt, free, initial=[2])
+    p = product([a1, a2])
+    for within in ([{3, 1}, {2, 7}], [{1: "x"}, {1, 2, 3}], [set(), {1}]):
+        full = p.successors((2, 2))
+        got = p.successors((2, 2), within)
+        assert got == tuple(m for m in full if all(x in w for x, w in zip(m, within)))
+    assert p.successors((2, 2), [{3, 1}, {2}]) == ((1, 2), (3, 2))
+
+
 def test_product_requires_matching_quanta():
     a1, _ = two_table_agents()
     _, b2 = two_table_agents(dt=Fraction(1, 5))
@@ -239,6 +255,20 @@ def test_check_consistent_needs_the_graph_neighbors():
         check_consistent(lasso(((1, 1), (2, 1))), g, [a1, loner])
     with pytest.raises(MismatchedTimeStep):  # ProductWTS wants agent order
         check_consistent(lasso(((1, 1), (2, 1))), g, [a2, a1])
+
+
+def test_check_consistent_takes_the_systems_or_their_product():
+    """One product serves every check of a synthesis; its verdicts and its
+    graph checks are the systems' own."""
+    a1, a2 = two_table_agents()
+    g = build_graph(2, [(1, 2)])
+    p = product([a1, a2])
+    for joint in (lasso(((1, 1), (2, 1), (2, 2)), 1), lasso(((1, 1), (1, 2))),
+                  lasso(((2, 2), (2, 1), (1, 2)), 1), lasso(((2, 2), (2, 1), (1, 2)))):
+        assert check_consistent(joint, g, p) is check_consistent(joint, g, [a1, a2])
+    loner = TableAgentWTS(2, (), a2.dt, {}, initial=[1])
+    with pytest.raises(LengthMismatch, match="system 2 neighbor list"):
+        check_consistent(lasso(((1, 1), (2, 1))), g, product([a1, loner]))
 
 
 def test_certificate_needs_a_sampled_landing():
