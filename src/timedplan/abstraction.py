@@ -166,6 +166,46 @@ class _AxisRows(dict):
         row = self[key] = tuple(row)
         return row
 
+    def table(self, arity: int) -> tuple[np.ndarray, np.ndarray]:
+        """The rows of every key of ``arity``, in ``itertools.product``
+        order, as (shares, gaps): one line per key, padded to the widest
+        row with share 0 and gap ``inf``.  Read from the memo when it holds
+        every row, else built in bulk without filling it, bit for bit the
+        rows ``__missing__`` builds.
+        """
+        side = len(self.centers)
+        if all(key in self for key in itertools.product(range(side), repeat=arity)):
+            # cheaper than numpy on the small grids whose memo fills up
+            rows = [self[key] for key in itertools.product(range(side), repeat=arity)]
+            pad = ((0, math.inf),) * max(1, *map(len, rows))
+            a = np.array([row + pad[len(row):] for row in rows])  # (keys, width, 2)
+            return a[..., 0].astype(np.int64), a[..., 1].copy()
+        centers = np.array(self.centers)
+        keys = np.indices((side,) * arity).reshape(arity, -1)
+        own = centers[keys[0]]
+        drift = np.zeros_like(own)
+        for nb in keys[1:]:
+            drift += centers[nb] - own
+        x = (own + self.h * drift)[:, None]
+        cuts = np.array(self.cuts)
+        # the distance to each interval: exactly the operand ``__missing__``
+        # squares, and 0.0 for the interval holding x
+        dist = np.maximum(np.maximum(cuts[:-1] - x, x - cuts[1:]), 0.0)
+        # ``** 2`` calls libm's pow, which can round a square apart from a
+        # product, so numpy only picks the candidates, with a margin, and
+        # each candidate's gap is taken as ``__missing__`` takes it
+        key, j = np.nonzero(dist <= math.sqrt(self.lim) * (1 + 1e-9))
+        gaps = np.array([d ** 2 for d in dist[key, j].tolist()])
+        kept = gaps <= self.lim
+        key, j, gaps = key[kept], j[kept], gaps[kept]
+        at = np.arange(len(key)) - np.searchsorted(key, key)  # place in its row
+        shape = (side ** arity, int(at.max(initial=0)) + 1)
+        shares = np.zeros(shape, dtype=np.int64)
+        padded = np.full(shape, math.inf)
+        shares[key, at] = self.offset + j * self.stride
+        padded[key, at] = gaps
+        return shares, padded
+
 
 class AxisTable:
     """Successor geometry of one discretization, one axis at a time.
@@ -259,18 +299,15 @@ class AxisTable:
         every combination of the axes' entries, axis 0 slowest."""
         got = self._padded.get(arity)
         if got is None:
-            got = self._padded[arity] = []
-            memos = [
-                [list(rows[key]) for key in itertools.product(range(side), repeat=arity)]
-                for rows, side in zip(self.rows, self.sides)
+            tables = [rows.table(arity) for rows in self.rows]
+            widths = [shares.shape[1] for shares, _ in tables]
+            got = self._padded[arity] = [
+                tuple(
+                    np.tile(np.repeat(a, math.prod(widths[k + 1:]), axis=1), (1, math.prod(widths[:k])))
+                    for a in table
+                )
+                for k, table in enumerate(tables)
             ]
-            widths = [max(1, *map(len, memo)) for memo in memos]
-            for k, memo in enumerate(memos):
-                pad = [(0, math.inf)] * widths[k]
-                a = np.array([row + pad[len(row):] for row in memo])  # (keys, width, 2)
-                a = np.repeat(a, math.prod(widths[k + 1:]), axis=1)
-                a = np.tile(a, (1, math.prod(widths[:k]), 1))
-                got.append((a[..., 0].astype(np.int64), np.ascontiguousarray(a[..., 1])))
         return got
 
     def post_any(self, cell: int, degree: int) -> frozenset[int]:

@@ -26,6 +26,14 @@ applied to its copy in ticks (``TBA.in_ticks``), a step once per distinct
 (configuration, delay, letter); a node's successors are the system moves of
 its state crossed with those steps.
 
+Anchors, the accepting nodes that lie on a cycle, are met one at a time
+by a lazy breadth-first walk (``BuchiWTS.anchor``) that explores the
+product only until the anchor asked for is decided, as on-the-fly
+emptiness checks do (Courcoubetis, Vardi, Wolper & Yannakakis, FMSD 1992;
+Couvreur, FM 1999).  An accepting node is decided when it is discovered:
+by a self-loop at once, else by a cycle pass from it.  ``anchors`` and
+``live`` run the walk to the end.
+
 The product of a joint system with the ``intersect`` of its agents'
 automata is synchronized from the agents' own completely explored
 products (``SyncProduct``, after Tumova & Dimarogonas, Automatica 2016).
@@ -47,6 +55,8 @@ it expands a node.
 from __future__ import annotations
 
 import itertools
+import math
+import weakref
 from collections.abc import Sequence
 from fractions import Fraction
 
@@ -89,7 +99,7 @@ class BuchiWTS:
         self._steps: dict = {}
         self._memo: dict = {}
         self._seen: set = set()
-        self._anchors = None
+        self._start_walk()
         zeros = (0,) * len(tba.clocks)
         sids = [self._sid(s) for s in sorted(wts.initial)]
         cids = {q: self._cid((q, zeros)) for q in sorted(tba.initial)}
@@ -116,22 +126,41 @@ class BuchiWTS:
     def node(self, code) -> tuple:
         return (self._states[code >> 32], *self._confs[code & _CID])
 
+    def _start_walk(self):
+        self._parent: dict = {}  # the walk's breadth-first tree so far
+        self._hits: list = []  # the anchors it has met, in order
+        # the walk holds the product weakly, so that the two make no
+        # reference cycle and the product is freed as soon as it is dropped
+        self._walk = _anchor_walk(weakref.proxy(self))  # None once it is done
+
+    def _met(self, n) -> int:
+        """Walks until ``n`` anchors are met or the product is exhausted;
+        the number met."""
+        hits = self._hits
+        if len(hits) < n and self._walk is not None:
+            for hit in self._walk:
+                hits.append(hit)
+                if len(hits) >= n:
+                    break
+            else:
+                if self._walk is not None:  # an error ended the walk early
+                    raise RuntimeError("the product's walk was cut short by an earlier error")
+        return len(hits)
+
+    def anchor(self, i: int):
+        """Anchor ``i`` in breadth-first discovery order, or None when the
+        product has no more than ``i`` anchors.  Explores the product only
+        until the walk meets it, or completely when it is missing."""
+        return self._hits[i] if self._met(i + 1) > i else None
+
     def anchors(self):
-        """Accepting nodes that lie on a cycle, in breadth-first discovery
-        order, with the discovery tree's parent map.  Explores the whole
-        reachable product on the first call; the product is empty of
-        accepting lassos exactly when the list is empty.
+        """Every anchor in breadth-first discovery order, with the walk's
+        parent map: the walk run to the end, which explores the whole
+        reachable product.  The product is empty of accepting lassos
+        exactly when the list is empty.
         """
-        if self._anchors is None:
-            order, parent = bfs_order(self.initial, self.succ)
-            # the search expanded every node it reached, so the rest reads
-            # the memo instead of asking ``succ`` again; an accepting node's
-            # component lies in its own forward closure, so the cycle pass
-            # starts from the accepting nodes alone
-            cyclic = on_cycle(filter(self.accepting, order), self._memo.__getitem__)
-            hits = [n for n in order if n in cyclic and self.accepting(n)]
-            self._anchors = (hits, parent)
-        return self._anchors
+        self._met(math.inf)
+        return self._hits, self._parent
 
     def live(self) -> set:
         """Explored nodes from which an accepting cycle is reachable: the
@@ -282,7 +311,7 @@ class SyncProduct(BuchiWTS):
         self._steps = [{} for _ in self.agents]  # per agent: node -> live steps
         self._memo: dict = {}
         self._seen: set = set()
-        self._anchors = None
+        self._start_walk()
         ones = (1,) * (len(self.agents) - 1)
         starts = {}
         for s in sorted(wts.initial):
@@ -378,6 +407,30 @@ class SyncProduct(BuchiWTS):
         raise RuntimeError(f"no explored product move {src} -> {dst}")
 
 
+def _anchor_walk(b: BuchiWTS):
+    """Anchors, accepting nodes that lie on a cycle, as a lazy breadth-first
+    walk of ``b`` meets them.  Each accepting node is decided when it is
+    discovered: by a self-loop at once, else by a cycle pass from it whose
+    numbering carries over to the next pass; an accepting node's component
+    lies in its own forward closure, so the passes see all of it.
+    """
+    num: dict = {}
+    cyclic: set = set()
+    parent, memo, accepting = b._parent, b._memo, b._accepting
+
+    def succ(code):  # b.succ, with its memo read here: the proxy is slow
+        got = memo.get(code)
+        return b.succ(code) if got is None else got
+
+    for node, up in bfs_order(b.initial, succ):
+        parent[node] = up
+        if node & _CID in accepting and (
+            node in succ(node) or node in on_cycle((node,), succ, num, cyclic)
+        ):
+            yield node
+    b._walk = None
+
+
 def _lasso(b: BuchiWTS, parent, node, succ) -> TimedRun:
     """The lasso through ``node``: its stem along the breadth-first tree
     ``parent``, its cycle the shortest one through ``node`` under ``succ``.
@@ -399,40 +452,45 @@ def find_accepting(b: BuchiWTS) -> TimedRun | None:
     if node is None:
         return None
     expanded = lambda code: b._memo.get(code, ())
-    return _lasso(b, bfs_order(b.initial, expanded)[1], node, expanded)
+    return _lasso(b, dict(bfs_order(b.initial, expanded)), node, expanded)
 
 
 class _Lassos(Sequence):
-    """``_lasso`` through each of ``anchors`` in turn, built the first time
-    its int index is read and kept."""
+    """``_lasso`` through each of the first ``limit`` anchors of ``b`` in
+    turn, built the first time its index is read and kept.  Reading index
+    ``i`` walks the product only until anchor ``i`` is met, and the cycle
+    lies in what the walk expanded to decide it; ``len`` walks until
+    ``limit`` anchors are met or the product is exhausted."""
 
-    def __init__(self, b: BuchiWTS, anchors, parent):
+    def __init__(self, b: BuchiWTS, limit: int):
         self._b = b
-        self._anchors = anchors
-        self._parent = parent
+        self._limit = limit
         self._runs: dict[int, TimedRun] = {}
 
     def __len__(self):
-        return len(self._anchors)
+        return min(self._limit, self._b._met(self._limit))
 
     def __getitem__(self, i):
-        i = range(len(self._anchors))[i]  # IndexError past the end
+        if i < 0:
+            i += len(self)
         run = self._runs.get(i)
         if run is None:
             b = self._b
-            run = _lasso(b, self._parent, self._anchors[i], b._memo.__getitem__)
-            self._runs[i] = run
+            node = b.anchor(i) if 0 <= i < self._limit else None
+            if node is None:
+                raise IndexError(f"no lasso {i}")
+            run = self._runs[i] = _lasso(b, b._parent, node, b._memo.__getitem__)
         return run
 
 
 def enumerate_accepting(b: BuchiWTS, limit: int) -> Sequence[TimedRun]:
     """Up to ``limit`` accepting lassos, ``_lasso`` through each anchor of
-    ``b.anchors()`` in turn.  Deterministic for a fixed product.  Explores
-    the product now; each lasso is built when it is first read, so a
-    caller pays one ``shortest_cycle`` only per lasso it reads.
+    ``b`` in turn.  Deterministic for a fixed product.  Returns at once and
+    explores nothing: reading a lasso walks the product as far as its
+    anchor and pays one ``shortest_cycle``, so a caller pays only for the
+    lassos it reads.
     """
-    anchors, parent = b.anchors()
-    return _Lassos(b, anchors[:limit], parent)
+    return _Lassos(b, limit)
 
 
 def project_run(run: TimedRun) -> TimedRun:

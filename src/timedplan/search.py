@@ -12,9 +12,12 @@ callers build the lasso through it from a breadth-first stem
 (``bfs_order``, ``tree_path``) and the shortest cycle through it
 (``shortest_cycle``), which keeps both parts short.
 
-Lasso enumeration instead anchors at nodes that lie on a cycle, which one
-strongly-connected-component pass (``on_cycle``) finds for the whole
-explored graph at once.
+Lasso enumeration instead anchors at accepting nodes that lie on a cycle,
+met one at a time by a lazy breadth-first walk (``bfs_order`` is a
+generator).  A node with a self-loop is on a cycle at once; any other is
+decided by a strongly-connected-component pass (``on_cycle``) from it,
+whose numbering carries over from pass to pass, so all the passes of one
+walk together stay linear in the graph they reach.
 
 Callers must supply ``succ`` functions with a stable, deterministic
 iteration order (memoized tuples in practice); only the initial nodes are
@@ -90,38 +93,46 @@ def _red_dfs(seed, succ, red, on_stack) -> bool:
 
 
 def bfs_order(initials, succ):
-    """Deterministic breadth-first discovery: (order list, parent map)."""
-    order = []
-    parent = {}
+    """Deterministic breadth-first discovery, one node at a time: yields
+    ``(node, parent)`` as each node is first met, the initial nodes first,
+    sorted, with parent None.  Nodes are expanded in the order they are
+    yielded, each only once the caller asks past every node met before its
+    children, so a caller that stops early leaves the rest unexpanded.
+    ``dict(bfs_order(...))`` is the whole parent map, keyed in discovery
+    order.
+    """
     frontier = sorted(initials)
     seen = set(frontier)
     for node in frontier:
-        parent[node] = None
+        yield node, None
     while frontier:
         nxt = []
         for node in frontier:
-            order.append(node)
             for child in succ(node):
                 if child not in seen:
                     seen.add(child)
-                    parent[child] = node
                     nxt.append(child)
+                    yield child, node
         frontier = nxt
-    return order, parent
 
 
-def on_cycle(nodes, succ) -> set:
+def on_cycle(nodes, succ, num=None, cyclic=None) -> set:
     """The nodes reachable from ``nodes`` that lie on a cycle: members of a
     strongly connected component with more than one node, or with a
     self-loop.  One iterative Tarjan pass, linear in the graph it reaches.
+
+    ``num`` and ``cyclic`` carry one call's numbering and result into the
+    next: a node an earlier call numbered is not searched again, so calls
+    from successive roots over one graph stay linear together.
     """
     # discovery number of each node, raised past every number once the
     # node's component is closed, so edges into closed components never
-    # lower a low-link; one lookup per edge
-    num: dict = {}
+    # lower a low-link; one lookup per edge.  Every call closes all it
+    # numbers, so the numbers stay unique across calls.
+    num = {} if num is None else num
+    cyclic = set() if cyclic is None else cyclic
     closed = math.inf
     stack = []
-    cyclic: set = set()
     for root in nodes:
         if root in num:
             continue

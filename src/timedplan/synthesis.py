@@ -5,18 +5,20 @@ the agent's own abstraction (with its moves pooled over every neighbor
 configuration, an over-approximation), zip each combination of the found
 lassos into one joint lasso, and keep the first that is a run of the
 product.  Combinations are walked by lasso index, so only the lassos some
-combination zips are built and projected.  When no combination is a run,
-the exact route searches the joint product against the intersection
-automaton and projects its accepting lasso back to the agents.  Every
-joint accepting lasso projects to an accepting lasso of each agent's own
-product, which the cheap route has already explored, so the exact route
-synchronizes the joint product from those products, kept to joint nodes
-from which every agent can still reach an accepting cycle; that keeps its
-verdict, and its budget counts kept nodes only.  Agents must provide
-disjoint services, so that a joint move is one move of each agent's
-product.  Tasks outside the compilable fragment fall back to bounded
-generate-and-check, which can find plans but can never prove their
-absence.
+combination zips are built and projected, and each agent's product is
+explored only until the anchors of those lassos are met.  An agent's
+emptiness is read off its product, never off the lassos ``r_selec`` lets
+it enumerate.  When no combination is a run, the exact route searches the
+joint product against the intersection automaton and projects its
+accepting lasso back to the agents.  Every joint accepting lasso projects
+to an accepting lasso of each agent's own product, so the exact route
+explores those completely and synchronizes the joint product from them,
+kept to joint nodes from which every agent can still reach an accepting
+cycle; that keeps its verdict, and its budget counts kept nodes only.
+Agents must provide disjoint services, so that a joint move is one move
+of each agent's product.  Tasks outside the compilable fragment fall back
+to bounded generate-and-check, which can find plans but can never prove
+their absence.
 """
 
 from __future__ import annotations
@@ -163,10 +165,11 @@ def synthesize(g, wts_list, formulas, r_selec: int = 100, max_states=None):
         b = BuchiWTS(c, a, max_states)
         agents.append(b)
         found = enumerate_accepting(b, r_selec)
-        if not b.anchors()[0]:
+        if b.anchor(0) is None:
             # the pooled-moves view over-approximates the agent's behaviour
-            # in any joint run, so emptiness here is conclusive; ``found`` is
-            # cut at r_selec and cannot show emptiness
+            # in any joint run, so emptiness here is conclusive; it is read
+            # off the product, whose walk ran to the end without an anchor,
+            # since ``found`` is cut at r_selec and cannot show emptiness
             return Infeasible(
                 f"agent {i} has no run satisfying its task even in isolation",
                 agent=i,
@@ -174,13 +177,12 @@ def synthesize(g, wts_list, formulas, r_selec: int = 100, max_states=None):
         per_agent.append(found)
 
     # combinations in ``itertools.product`` order, by index, so that only
-    # the lassos some combination zips are built and projected
+    # the lassos some combination zips are built and projected, and each
+    # product is walked only as far as those lassos' anchors
     p = product(comps)
     projected = [{} for _ in per_agent]  # per agent: lasso index -> system run
     combos = 0
-    for pick in itertools.product(*(range(len(found)) for found in per_agent)):
-        if combos >= r_selec:
-            break
+    for pick in itertools.islice(_combinations(per_agent), r_selec):
         combos += 1
         runs = []
         for found, done, k in zip(per_agent, projected, pick):
@@ -192,13 +194,43 @@ def synthesize(g, wts_list, formulas, r_selec: int = 100, max_states=None):
             return Plan(joint, "independent", combos)
 
     # every joint accepting lasso projects to one of each agent's product,
-    # which ``anchors`` explored completely, so the joint product is
-    # synchronized from those, kept to nodes every agent can still accept from
+    # so the joint product is synchronized from those, each explored
+    # completely by ``live``, kept to nodes every agent can still accept from
     b = SyncProduct(p, intersect(*tbas), agents, max_states)
     run = find_accepting(b)
     if run is None:
         return Infeasible("no joint run satisfies every task together")
     return Plan(project_run(run), "joint-product", combos)
+
+
+def _combinations(seqs):
+    """The index tuples of ``itertools.product(*(range(len(s)) for s in
+    seqs))``, in its order, without ``len``.  Index ``k + 1`` of a sequence
+    is read only when the walk would move on from ``k`` there, which wraps
+    it to 0 when the read raises ``IndexError``; index 0 of each is read
+    before the first tuple.
+    """
+    seqs = list(seqs)
+    if not all(_has(s, 0) for s in seqs):
+        return
+    pick = [0] * len(seqs)
+    while True:
+        yield tuple(pick)
+        for i in reversed(range(len(seqs))):
+            if _has(seqs[i], pick[i] + 1):
+                pick[i] += 1
+                break
+            pick[i] = 0
+        else:
+            return
+
+
+def _has(seq, k) -> bool:
+    try:
+        seq[k]
+    except IndexError:
+        return False
+    return True
 
 
 def _generate_and_check(comps, formulas, r_selec, max_states):
@@ -226,7 +258,8 @@ def _generate_and_check(comps, formulas, r_selec, max_states):
 
     initial = sorted(p.initial)
     seen.update(initial)
-    order, parent = bfs_order(initial, succ)
+    parent = dict(bfs_order(initial, succ))
+    order = list(parent)
     cyclic = on_cycle(order, succ)
     examined = 0
     for node in order:

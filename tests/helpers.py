@@ -558,9 +558,9 @@ def probe_every_accepting(b, limit):
     """
     from timedplan.search import bfs_order, shortest_cycle, tree_path
 
-    order, parent = bfs_order(b.initial, b.succ)
+    parent = dict(bfs_order(b.initial, b.succ))
     out = []
-    for node in order:
+    for node in parent:
         if len(out) >= limit:
             break
         if not b.accepting(node):

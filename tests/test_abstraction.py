@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -9,6 +10,7 @@ import pytest
 from timedplan.abstraction import (
     AgentWTS,
     Discretization,
+    _AxisRows,
     _square_limit,
     build_wts,
     dmax_range,
@@ -479,3 +481,37 @@ def test_post_rows_check_arity():
     disc = shipped_disc()
     with pytest.raises(ValueError, match="arity 2"):
         agent_of_arity(disc, 2).post_rows(np.array([[1, 2, 3]]))
+
+
+def _rows_table(rows, arity):
+    """``_AxisRows.table`` as the memo's rows give it: one line per key in
+    ``itertools.product`` order, padded with share 0 and gap ``inf``."""
+    memo = [list(rows[key]) for key in itertools.product(range(len(rows.centers)), repeat=arity)]
+    pad = [(0, math.inf)] * max(1, *map(len, memo))
+    a = np.array([row + pad[len(row):] for row in memo])
+    return a[..., 0].astype(np.int64), np.ascontiguousarray(a[..., 1])
+
+
+def test_bulk_axis_tables_equal_the_memo_rows_bit_for_bit():
+    """The bulk table squares with ``** 2`` as ``__missing__`` does: libm's
+    ``pow`` can round a square apart from ``x * x``, so numpy's square is
+    no stand-in.  Built in bulk it fills no memo row; read back from a full
+    memo it is the same table."""
+    rng = np.random.default_rng(31)
+    for _ in range(300):
+        side = int(rng.integers(2, 21))
+        arity = int(rng.integers(1, 4)) if side <= 12 else int(rng.integers(1, 3))
+        cuts = tuple(np.cumsum(np.r_[rng.uniform(-1, 1), rng.uniform(1e-3, 0.05, side)]).tolist())
+        h, reach = (float(x) for x in rng.uniform(1e-3, 0.5, 2) * (1, 0.06))
+        lim = _square_limit(reach)
+        stride, offset = int(rng.integers(1, 30)), int(rng.integers(0, 2))
+        want = _rows_table(_AxisRows(cuts, h, lim, stride, offset), arity)
+        rows = _AxisRows(cuts, h, lim, stride, offset)
+        got = rows.table(arity)
+        assert len(rows) == 0
+        _rows_table(rows, arity)  # fills the memo
+        for table in (got, rows.table(arity)):
+            for g, w in zip(table, want):
+                assert (g.dtype, g.shape) == (w.dtype, w.shape)
+                assert g.tobytes() == w.tobytes()
+

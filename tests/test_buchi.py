@@ -235,12 +235,95 @@ def test_anchors_are_the_accepting_nodes_of_a_whole_graph_scc_pass():
     for w, a in _rand_products(53, 60):
         b = BuchiWTS(w, a)
         anchors, parent = b.anchors()
-        order, _ = bfs_order(b.initial, b.succ)
+        order = list(dict(bfs_order(b.initial, b.succ)))
         cyclic = on_cycle(order, b.succ)
         assert anchors == [n for n in order if n in cyclic and b.accepting(n)]
         assert list(parent) == order
         found += bool(anchors)
     assert found >= 5
+
+
+def _exhaustive_anchors(b):
+    """The pass that on-demand anchors replace: the whole product breadth
+    first, then one cycle pass from its accepting nodes over the memo."""
+    parent = dict(bfs_order(b.initial, b.succ))
+    cyclic = on_cycle(filter(b.accepting, parent), b._memo.__getitem__)
+    return [n for n in parent if n in cyclic and b.accepting(n)], parent
+
+
+def _window_products(seed, n):
+    """Random systems under random automata and under ``F``, ``G`` and
+    ``U`` windows, whose accepting nodes often lie on no self-loop."""
+    rng = np.random.default_rng(seed)
+    for k in range(n):
+        props = ("p", "q")
+        w = rand_wts(rng, props, n_states=int(rng.integers(2, 7)))
+        lo, width = (Fraction(int(x), 4) for x in rng.integers(0, 4, 2))
+        window = f"[{lo}, {lo + width + Fraction(1, 4)}]"
+        task = ("", f"F{window} p", f"G{window} p", f"!q U{window} p", f"p U{window} q")[k % 5]
+        a = mitl_to_tba(parse(task), alphabet=w.alphabet) if task else rand_tba(rng, props)
+        yield w, a
+
+
+@pytest.mark.parametrize("r_selec", [0, 1, 3, 100])
+def test_on_demand_anchors_equal_the_exhaustive_pass(r_selec):
+    """The walk meets the anchors of the exhaustive pass in the same order:
+    the same lasso at every index, the same emptiness verdict, and once
+    exhausted the same anchors, tree and live nodes.  Node codes number
+    what each product met first, so nodes are compared as tuples."""
+    no_loop = several = empty = 0
+    for w, a in _window_products(59, 80):
+        ref = BuchiWTS(w, a)
+        hits, parent = _exhaustive_anchors(ref)
+        b = BuchiWTS(w, a)
+        runs = enumerate_accepting(b, r_selec)
+        assert b.n_explored == len(b.initial)  # nothing walked yet
+        got = [(r.states, r.durations, r.stem_len) for r in runs]
+        assert got == probe_every_accepting(ref, r_selec)
+        assert (b.anchor(0) is None) == (not hits)
+        assert b.n_explored <= ref.n_explored
+        anchors, tree = b.anchors()
+        assert [b.node(n) for n in anchors] == [ref.node(n) for n in hits]
+        assert [(b.node(n), up and b.node(up)) for n, up in tree.items()] == [
+            (ref.node(n), up and ref.node(up)) for n, up in parent.items()
+        ]
+        assert {b.node(n) for n in b.live()} == {ref.node(n) for n in ref.live()}
+        no_loop += sum(n not in ref.succ(n) for n in hits)
+        several += len(got) > 1
+        empty += not hits
+    assert no_loop >= 10 and empty >= 10
+    assert several >= (10 if r_selec > 1 else 0)
+
+
+def test_reading_a_lasso_walks_only_to_its_anchor():
+    """Lasso ``i`` is known once the walk meets anchor ``i``: on the
+    reference system the walk stops well short of the whole product, and
+    ``len`` walks on to the limit."""
+    w = reference_wts()
+    a = mitl_to_tba(parse("F[2,5] green"), alphabet=w.alphabet)
+    full = BuchiWTS(w, a)
+    full.anchors()
+    b = BuchiWTS(w, a)
+    runs = enumerate_accepting(b, 100)
+    runs[0]
+    first = b.n_explored
+    assert first < full.n_explored
+    assert len(runs) == len(full.anchors()[0])
+    assert b.n_explored == full.n_explored
+    with pytest.raises(IndexError):
+        runs[len(runs)]
+
+
+def test_a_walk_cut_short_by_the_budget_never_reads_as_empty():
+    """A walk that ``BudgetExceeded`` ended reports the cut, not an
+    exhausted product."""
+    w = reference_wts()
+    a = mitl_to_tba(parse("F[2,5] green"), alphabet=w.alphabet)
+    b = BuchiWTS(w, a, max_states=len(BuchiWTS(w, a).initial))
+    with pytest.raises(BudgetExceeded):
+        b.anchor(0)
+    with pytest.raises(RuntimeError, match="cut short"):
+        b.anchor(0)
 
 
 # -- tick clocks against rational clocks ------------------------------------------
@@ -321,7 +404,7 @@ def assert_same_lasso_as_rational(w, a):
         return False
     assert _rational(b, got) == want
     expanded = lambda n: ref._memo.get(n, ())
-    stem = tree_path(bfs_order(ref.initial, expanded)[1], want)[:-1]
+    stem = tree_path(dict(bfs_order(ref.initial, expanded)), want)[:-1]
     nodes = [*stem, *shortest_cycle(want, expanded)]
     assert [
         (s, q, tuple(INF if v == b.cap else v * b.unit for v in ticks))
@@ -845,7 +928,7 @@ def test_kept_joint_product_holds_every_accepting_cycle():
     agent counts the joint ticks up to the joint cap, else as (joint state,
     location) pairs, since each agent then holds its clock at its own cap."""
     for plain, kept in _teams(79, 24):
-        order, _ = bfs_order(kept.initial, kept.succ)
+        order = list(dict(bfs_order(kept.initial, kept.succ)))
         cyclic = on_cycle(order, kept.succ)
         cut = (lambda n: n) if same_ticks(plain, kept.agents) else (lambda n: n[:2])
         anchors = {cut(plain.node(n)) for n in plain.anchors()[0]}

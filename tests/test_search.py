@@ -89,12 +89,13 @@ def test_matches_scc_oracle_on_random_graphs():
             assert_on_reachable_accepting_cycle(verdict, [0], succ, lambda x: x in marked)
             expanded = lambda x: succ(x) if x in called else ()
             assert shortest_cycle(verdict, expanded) is not None, (trial, adj, marked)
-            assert verdict in bfs_order([0], expanded)[1], (trial, adj, marked)
+            assert verdict in dict(bfs_order([0], expanded)), (trial, adj, marked)
 
 
 def test_bfs_order_and_tree_path():
     adj = {0: (1, 2), 1: (3,), 2: (3,), 3: ()}
-    order, parent = bfs_order([0], graph_succ(adj))
+    parent = dict(bfs_order([0], graph_succ(adj)))
+    order = list(parent)
     assert order[0] == 0 and set(order) == {0, 1, 2, 3}
     path = tree_path(parent, 3)
     assert path[0] == 0 and path[-1] == 3

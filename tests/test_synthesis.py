@@ -675,6 +675,104 @@ def test_joint_search_stops_at_the_first_accepting_back_edge(monkeypatch, case, 
     assert check_consistent(plan.joint, b.graph, b.wts_list)
 
 
+class _Probed:
+    """``n`` items that log each index read, with no ``len``."""
+
+    def __init__(self, n, k, log):
+        self.n, self.k, self.log = n, k, log
+
+    def __getitem__(self, i):
+        self.log.append((self.k, i))
+        if i >= self.n:
+            raise IndexError(i)
+        return i
+
+
+def test_lazy_combination_walk_is_itertools_product():
+    """``_combinations`` yields ``itertools.product`` of the index ranges,
+    reading index ``k + 1`` of a sequence only right after a combination
+    whose later digits are all at their last index, that is, where the walk
+    would wrap them; before the first combination it reads index 0 of each
+    until one is missing."""
+    rng = random.Random(11)
+    shapes = set()
+    for _ in range(300):
+        lengths = [rng.choice((0, 1, 1, 2, 3, 4)) for _ in range(rng.randint(1, 4))]
+        log = []
+        seqs = [_Probed(n, k, log) for k, n in enumerate(lengths)]
+        walk = synthesis._combinations(seqs)
+        got = []
+        for combo in walk:
+            if not got:
+                assert log == [(k, 0) for k in range(len(lengths))]
+            log.append(("yield", combo))
+            got.append(combo)
+        assert got == list(itertools.product(*(range(n) for n in lengths)))
+        if not got:
+            assert log == [(k, 0) for k in range(lengths.index(0) + 1)]
+        last = None
+        for k, i in log[len(lengths):]:
+            if k == "yield":
+                last = i
+                continue
+            assert i == last[k] + 1
+            assert all(last[m] == lengths[m] - 1 for m in range(k + 1, len(lengths)))
+        shapes.add((0 in lengths, 1 in lengths))
+    assert shapes == {(False, False), (False, True), (True, False), (True, True)}
+
+
+@pytest.mark.parametrize("case, r_selec, combos", [
+    ("path_three_fast", 100, 1),
+    ("two_agent_services", 100, 1),
+    ("joint-route-feasible", 100, 100),
+])
+def test_combos_checked_is_pinned(case, r_selec, combos):
+    b = joint_route(case) if case.startswith("joint-route") else shipped(case)
+    plan = synthesize(b.graph, b.wts_list, b.formulas, r_selec=r_selec)
+    assert plan.combos_checked == combos
+
+
+def _recorded_agents(monkeypatch):
+    made = []
+
+    class Recorded(BuchiWTS):
+        def __init__(self, *args, **kw):
+            super().__init__(*args, **kw)
+            made.append(self)
+
+    monkeypatch.setattr(synthesis, "BuchiWTS", Recorded)
+    return made
+
+
+@pytest.mark.parametrize("case, nodes, whole", [
+    ("path_three_fast", [6, 6, 6], [1005, 1005, 1010]),
+    ("two_agent_services", [18, 19], [209, 209]),
+])
+def test_per_agent_route_walks_each_product_only_to_its_first_anchor(monkeypatch, case, nodes, whole):
+    """The first combination is the plan, so each agent's product is
+    walked until its first anchor is decided, where the whole product was
+    explored before."""
+    made = _recorded_agents(monkeypatch)
+    b = shipped(case)
+    plan = synthesize(b.graph, b.wts_list, b.formulas)
+    assert plan.route == "independent"
+    assert [a.n_explored for a in made] == nodes
+    for a in made:
+        a.anchors()
+    assert [a.n_explored for a in made] == whole
+
+
+def test_budget_counts_only_what_the_walk_discovers():
+    """path_three_fast's products have 1,005 to 1,010 nodes each, and the
+    plan needs 6 of each: a budget of 6 now finds it, one of 5 runs out."""
+    b = shipped("path_three_fast")
+    plan = synthesize(b.graph, b.wts_list, b.formulas, max_states=6)
+    assert isinstance(plan, Plan) and plan.route == "independent"
+    with pytest.raises(BudgetExceeded, match="^acceptance product passed 5 states$") as e:
+        synthesize(b.graph, b.wts_list, b.formulas, max_states=5)
+    assert e.value.count == 6
+
+
 def edited(stem, values):
     """The text of ``scenarios/<stem>.cfg`` with each key's value replaced."""
     text = (Path(__file__).parent.parent / "scenarios" / f"{stem}.cfg").read_text()
@@ -754,6 +852,33 @@ def test_synthesize_agrees_with_the_automaton_free_oracle():
     assert seen[2, "alone"] >= 21 and seen[2, "together"] >= 15
     assert seen[3, "independent"] >= 4 and seen[3, "joint-product"] >= 2
     assert seen[3, "alone"] >= 6
+
+
+@pytest.mark.parametrize("name", ["grid-growth-6", "joint-route-feasible", "joint-route-infeasible"])
+def test_products_are_freed_when_synthesize_returns(monkeypatch, name):
+    """Each product's anchor walk holds the product weakly, so a product
+    whose walk stopped early is freed by reference counting too."""
+    import weakref
+
+    alive = []
+    for attr in ("BuchiWTS", "SyncProduct"):
+        real = getattr(synthesis, attr)
+
+        class Tracked(real):
+            def __init__(self, *args, **kw):
+                super().__init__(*args, **kw)
+                alive.append(weakref.ref(self))
+
+        monkeypatch.setattr(synthesis, attr, Tracked)
+    b = joint_route(name)
+    gc.collect()
+    gc.disable()
+    try:
+        synthesize(b.graph, b.wts_list, b.formulas)
+        assert len(alive) == (2 if name.startswith("grid") else 3)
+        assert all(ref() is None for ref in alive)
+    finally:
+        gc.enable()
 
 
 def test_joint_route_leaves_no_reference_cycles():
