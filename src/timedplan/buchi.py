@@ -54,10 +54,10 @@ it expands a node.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import weakref
-from collections.abc import Sequence
 from fractions import Fraction
 
 from .errors import AlphabetMismatch, BudgetExceeded, MismatchedTimeStep
@@ -455,42 +455,25 @@ def find_accepting(b: BuchiWTS) -> TimedRun | None:
     return _lasso(b, dict(bfs_order(b.initial, expanded)), node, expanded)
 
 
-class _Lassos(Sequence):
-    """``_lasso`` through each of the first ``limit`` anchors of ``b`` in
-    turn, built the first time its index is read and kept.  Reading index
-    ``i`` walks the product only until anchor ``i`` is met, and the cycle
-    lies in what the walk expanded to decide it; ``len`` walks until
-    ``limit`` anchors are met or the product is exhausted."""
-
-    def __init__(self, b: BuchiWTS, limit: int):
-        self._b = b
-        self._limit = limit
-        self._runs: dict[int, TimedRun] = {}
-
-    def __len__(self):
-        return min(self._limit, self._b._met(self._limit))
-
-    def __getitem__(self, i):
-        if i < 0:
-            i += len(self)
-        run = self._runs.get(i)
-        if run is None:
-            b = self._b
-            node = b.anchor(i) if 0 <= i < self._limit else None
-            if node is None:
-                raise IndexError(f"no lasso {i}")
-            run = self._runs[i] = _lasso(b, b._parent, node, b._memo.__getitem__)
-        return run
-
-
-def enumerate_accepting(b: BuchiWTS, limit: int) -> Sequence[TimedRun]:
-    """Up to ``limit`` accepting lassos, ``_lasso`` through each anchor of
-    ``b`` in turn.  Deterministic for a fixed product.  Returns at once and
-    explores nothing: reading a lasso walks the product as far as its
-    anchor and pays one ``shortest_cycle``, so a caller pays only for the
-    lassos it reads.
+def enumerate_accepting(b: BuchiWTS, limit: int):
+    """Up to ``limit`` accepting lassos of ``b``, as ``lasso(i)``: ``_lasso``
+    through anchor ``i``, built the first time it is read and kept, and
+    ``IndexError`` when ``i`` reaches ``limit`` or ``b`` has no anchor
+    ``i``.  Deterministic for a fixed product.  Returns at once and
+    explores nothing: reading lasso ``i`` walks the product only until
+    anchor ``i`` is met, whose cycle lies in what the walk expanded to
+    decide it, and pays one ``shortest_cycle``, so a caller pays only for
+    the lassos it reads.
     """
-    return _Lassos(b, limit)
+
+    @functools.cache
+    def lasso(i: int) -> TimedRun:
+        node = b.anchor(i) if 0 <= i < limit else None
+        if node is None:
+            raise IndexError(f"no lasso {i}")
+        return _lasso(b, b._parent, node, b._memo.__getitem__)
+
+    return lasso
 
 
 def project_run(run: TimedRun) -> TimedRun:

@@ -4,7 +4,7 @@ The cheap route works per agent — compile each task to an automaton, search
 the agent's own abstraction (with its moves pooled over every neighbor
 configuration, an over-approximation), zip each combination of the found
 lassos into one joint lasso, and keep the first that is a run of the
-product.  Combinations are walked by lasso index, so only the lassos some
+product.  Combinations are walked lazily, so only the lassos some
 combination zips are built and projected, and each agent's product is
 explored only until the anchors of those lassos are met.  An agent's
 emptiness is read off its product, never off the lassos ``r_selec`` lets
@@ -24,6 +24,7 @@ their absence.
 from __future__ import annotations
 
 import ctypes
+import functools
 import itertools
 import math
 import operator
@@ -164,31 +165,22 @@ def synthesize(g, wts_list, formulas, r_selec: int = 100, max_states=None):
     for i, (c, a) in enumerate(zip(comps, tbas), start=1):
         b = BuchiWTS(c, a, max_states)
         agents.append(b)
-        found = enumerate_accepting(b, r_selec)
+        lasso = enumerate_accepting(b, r_selec)
         if b.anchor(0) is None:
             # the pooled-moves view over-approximates the agent's behaviour
             # in any joint run, so emptiness here is conclusive; it is read
             # off the product, whose walk ran to the end without an anchor,
-            # since ``found`` is cut at r_selec and cannot show emptiness
+            # since ``lasso`` is cut at r_selec and cannot show emptiness
             return Infeasible(
                 f"agent {i} has no run satisfying its task even in isolation",
                 agent=i,
             )
-        per_agent.append(found)
+        per_agent.append(functools.cache(lambda k, lasso=lasso: project_run(lasso(k))))
 
-    # combinations in ``itertools.product`` order, by index, so that only
-    # the lassos some combination zips are built and projected, and each
-    # product is walked only as far as those lassos' anchors
     p = product(comps)
-    projected = [{} for _ in per_agent]  # per agent: lasso index -> system run
     combos = 0
-    for pick in itertools.islice(_combinations(per_agent), r_selec):
+    for runs in itertools.islice(_combinations(per_agent), r_selec):
         combos += 1
-        runs = []
-        for found, done, k in zip(per_agent, projected, pick):
-            if k not in done:
-                done[k] = project_run(found[k])
-            runs.append(done[k])
         joint = zip_runs(runs)
         if check_consistent(joint, g, p):
             return Plan(joint, "independent", combos)
@@ -203,34 +195,27 @@ def synthesize(g, wts_list, formulas, r_selec: int = 100, max_states=None):
     return Plan(project_run(run), "joint-product", combos)
 
 
-def _combinations(seqs):
-    """The index tuples of ``itertools.product(*(range(len(s)) for s in
-    seqs))``, in its order, without ``len``.  Index ``k + 1`` of a sequence
-    is read only when the walk would move on from ``k`` there, which wraps
-    it to 0 when the read raises ``IndexError``; index 0 of each is read
-    before the first tuple.
+def _combinations(runs):
+    """Tuples of one system run per agent, in ``itertools.product`` order:
+    ``runs[a](k)`` is agent ``a``'s run ``k``, and ``IndexError`` past its
+    last.  Run ``k`` of an agent is read only when the walk reaches it, so
+    each product is walked only as far as the anchors of the runs some
+    tuple holds; ``runs`` keeps what it reads, since the walk reads a later
+    agent's runs again for each of an earlier agent's.  Assumes that every
+    agent has run 0, as ``synthesize`` returns ``Infeasible`` first: an
+    agent without runs still gives no tuple, but only once every run of
+    the agents before it was read.
     """
-    seqs = list(seqs)
-    if not all(_has(s, 0) for s in seqs):
+    if not runs:
+        yield ()
         return
-    pick = [0] * len(seqs)
-    while True:
-        yield tuple(pick)
-        for i in reversed(range(len(seqs))):
-            if _has(seqs[i], pick[i] + 1):
-                pick[i] += 1
-                break
-            pick[i] = 0
-        else:
+    for k in itertools.count():
+        try:
+            run = runs[0](k)
+        except IndexError:
             return
-
-
-def _has(seq, k) -> bool:
-    try:
-        seq[k]
-    except IndexError:
-        return False
-    return True
+        for rest in _combinations(runs[1:]):
+            yield (run, *rest)
 
 
 def _generate_and_check(comps, formulas, r_selec, max_states):

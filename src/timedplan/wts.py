@@ -132,7 +132,7 @@ class ProductWTS:
     under the action formed by its own and its neighbors' current cells.
 
     Components must be ordered by agent number 1..N and share the step
-    quantum.  Joint labels are the (disjoint) union of component labels.
+    quantum.
     """
 
     def __init__(self, components):
@@ -152,20 +152,6 @@ class ProductWTS:
         self.n_agents = len(comps)
         self.initial = frozenset(itertools.product(*(sorted(c.initial) for c in comps)))
         self._picks = tuple(_picker(idx, comp.neighbors) for idx, comp in enumerate(comps))
-        alphabet = set()
-        for c in comps:
-            alphabet |= c.alphabet
-        self.alphabet = frozenset(alphabet)
-
-    def pr(self, idx: int, joint: tuple) -> tuple:
-        """Action of component ``idx`` induced by the joint configuration."""
-        return self._picks[idx](joint)
-
-    def label(self, joint: tuple) -> frozenset[str]:
-        out = set()
-        for idx, comp in enumerate(self.components):
-            out |= comp.label(joint[idx])
-        return frozenset(out)
 
     def posts(self, joint: tuple) -> list:
         """Each agent's post under the action ``joint`` induces for it."""
@@ -184,8 +170,8 @@ class ProductWTS:
         """Whether each agent's step to ``dst`` is enabled under the action
         ``src`` induces for it."""
         return len(dst) == self.n_agents and all(
-            dst[idx] in comp.post(self.pr(idx, src))
-            for idx, comp in enumerate(self.components)
+            x in comp.post(pick(src))
+            for x, comp, pick in zip(dst, self.components, self._picks)
         )
 
 

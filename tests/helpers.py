@@ -416,8 +416,12 @@ class JointWTS:
 
     def __init__(self, p):
         self.p = p
-        self.dt, self.initial, self.alphabet = p.dt, p.initial, p.alphabet
-        self.label = p.label
+        self.dt, self.initial = p.dt, p.initial
+        self.alphabet = frozenset().union(*(c.alphabet for c in p.components))
+
+    def label(self, joint) -> frozenset[str]:
+        """The (disjoint) union of the agents' labels."""
+        return frozenset().union(*(c.label(x) for c, x in zip(self.p.components, joint)))
 
     def succ_weighted(self, joint):
         for nxt in self.p.successors(joint):
@@ -574,6 +578,17 @@ def probe_every_accepting(b, limit):
         durations = tuple(b.delta(u, v) for u, v in zip(codes, nxt))
         out.append((tuple(map(b.node, codes)), durations, stem))
     return out
+
+
+def every_lasso(lasso) -> list:
+    """Every lasso that ``enumerate_accepting``'s ``lasso`` holds, in index
+    order: ``lasso(0)``, ``lasso(1)``, ... up to the first ``IndexError``."""
+    out = []
+    for i in itertools.count():
+        try:
+            out.append(lasso(i))
+        except IndexError:
+            return out
 
 
 def eager_synthesize(g, comps, formulas, r_selec):

@@ -210,6 +210,8 @@ DECOMPOSITIONS = {
     "ragged-tall": lambda: grid(Box((0.0, 0.0), (0.0605, 0.09)), 0.012),
     "ragged-offset": lambda: grid(Box((-0.031, 0.0125), (0.0305, 0.0707)), 0.012),
     "ragged-3d": lambda: grid(Box((0.0, -0.01, 0.0), (0.0365, 0.026, 0.03)), 0.012),
+    # one axis: ``AxisTable.within`` returns its only axis's cells as they are
+    "ragged-1d": lambda: grid(Box((-0.031,), (0.0905,)), 0.012),
 }
 
 

@@ -38,6 +38,7 @@ from helpers import (
     _rand_guard,
     accepting_cycle_exists,
     crawl,
+    every_lasso,
     locations,
     padded,
     probe_every_accepting,
@@ -135,7 +136,7 @@ def test_enumerate_returns_distinct_accepted_lassos():
     f = parse("F[2,5] green")
     a = mitl_to_tba(f, alphabet=w.alphabet)
     b = BuchiWTS(w, a)
-    runs = enumerate_accepting(b, 5)
+    runs = every_lasso(enumerate_accepting(b, 5))
     assert 1 <= len(runs) <= 5
     seen = set()
     for r in runs:
@@ -153,8 +154,8 @@ def test_enumeration_is_deterministic():
     mk = lambda: enumerate_accepting(
         BuchiWTS(w, mitl_to_tba(f, alphabet=w.alphabet)), 4
     )
-    a = [(r.states, r.durations, r.stem_len) for r in mk()]
-    b = [(r.states, r.durations, r.stem_len) for r in mk()]
+    a = [(r.states, r.durations, r.stem_len) for r in every_lasso(mk())]
+    b = [(r.states, r.durations, r.stem_len) for r in every_lasso(mk())]
     assert a == b
 
 
@@ -189,7 +190,7 @@ def test_enumeration_matches_whole_graph_probing(limit):
     for w, a in _rand_products(41, 60):
         got = [
             (r.states, r.durations, r.stem_len)
-            for r in enumerate_accepting(BuchiWTS(w, a), limit)
+            for r in every_lasso(enumerate_accepting(BuchiWTS(w, a), limit))
         ]
         assert got == probe_every_accepting(BuchiWTS(w, a), limit)
         several += len(got) > 1
@@ -210,9 +211,10 @@ def test_enumeration_probes_one_cycle_per_lasso(monkeypatch):
     monkeypatch.setattr(buchi, "shortest_cycle", counted)
     lassos = 0
     for w, a in _rand_products(43, 60):
-        runs = enumerate_accepting(BuchiWTS(w, a), 100)
+        lasso = enumerate_accepting(BuchiWTS(w, a), 100)
         assert len(calls) == lassos  # nothing is probed before a lasso is read
-        assert list(runs) == list(runs)  # every lasso read, twice
+        runs = every_lasso(lasso)
+        assert every_lasso(lasso) == runs  # every lasso read, twice
         lassos += len(runs)
         assert len(calls) == lassos  # one probe per lasso built
     assert lassos > 0
@@ -276,9 +278,9 @@ def test_on_demand_anchors_equal_the_exhaustive_pass(r_selec):
         ref = BuchiWTS(w, a)
         hits, parent = _exhaustive_anchors(ref)
         b = BuchiWTS(w, a)
-        runs = enumerate_accepting(b, r_selec)
+        lasso = enumerate_accepting(b, r_selec)
         assert b.n_explored == len(b.initial)  # nothing walked yet
-        got = [(r.states, r.durations, r.stem_len) for r in runs]
+        got = [(r.states, r.durations, r.stem_len) for r in every_lasso(lasso)]
         assert got == probe_every_accepting(ref, r_selec)
         assert (b.anchor(0) is None) == (not hits)
         assert b.n_explored <= ref.n_explored
@@ -298,20 +300,20 @@ def test_on_demand_anchors_equal_the_exhaustive_pass(r_selec):
 def test_reading_a_lasso_walks_only_to_its_anchor():
     """Lasso ``i`` is known once the walk meets anchor ``i``: on the
     reference system the walk stops well short of the whole product, and
-    ``len`` walks on to the limit."""
+    reading past the last lasso walks on to the end."""
     w = reference_wts()
     a = mitl_to_tba(parse("F[2,5] green"), alphabet=w.alphabet)
     full = BuchiWTS(w, a)
     full.anchors()
     b = BuchiWTS(w, a)
-    runs = enumerate_accepting(b, 100)
-    runs[0]
+    lasso = enumerate_accepting(b, 100)
+    lasso(0)
     first = b.n_explored
     assert first < full.n_explored
-    assert len(runs) == len(full.anchors()[0])
+    assert len(every_lasso(lasso)) == len(full.anchors()[0])
     assert b.n_explored == full.n_explored
     with pytest.raises(IndexError):
-        runs[len(runs)]
+        lasso(len(full.anchors()[0]))
 
 
 def test_a_walk_cut_short_by_the_budget_never_reads_as_empty():

@@ -1,9 +1,11 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import timedplan
@@ -95,6 +97,25 @@ def test_synthesize_budget_exits_3(tmp_path, capsys):
         == 3
     )
     assert "budget" in capsys.readouterr().out
+
+
+def test_synthesize_exits_3_when_generate_and_check_runs_out(tmp_path, capsys):
+    """A task outside the compilable fragment is never refuted: past
+    ``r_selec`` joint lassos the verdict is a spent budget."""
+    cfg = tmp_path / "nested.cfg"
+    cfg.write_text(
+        Path(SCENARIO)
+        .read_text()
+        .replace("phi.1 = F[1/20, 1/4] p1", "phi.1 = F[1/20, 1/4] (p1 & X[0, 1/20] !p1)"),
+        encoding="utf-8",
+    )
+    out = tmp_path / "r"
+    assert main(["synthesize", str(cfg), "--out", str(out), "--r-selec", "1"]) == 3
+    assert capsys.readouterr().out == (
+        "budget exhausted: no verdict after checking 1 joint lassos "
+        "(tasks outside the compilable fragment cannot be refuted)\n"
+    )
+    assert not out.exists()
 
 
 def test_zero_lasso_budget_override_rejected(tmp_path, capsys):
@@ -221,6 +242,32 @@ def test_simulate_counts_a_landing_on_a_shared_face_as_a_hit(tmp_path, capsys, m
     assert all(r[2] != r[3] for r in rows if r[1] == "1")
 
 
+def test_simulate_exits_2_when_landings_miss(tmp_path, capsys, monkeypatch):
+    """The plan replayed under a law steered at cell ``n_cells + 1 - c`` for
+    each planned cell ``c``: the landings that miss are counted, marked in
+    ``reachable_cells.csv`` and make the verdict negative."""
+    import timedplan.cli
+
+    run = tmp_path / "run"
+    assert main(["synthesize", SCENARIO, "--out", str(run)]) == 0
+    real = timedplan.cli.make_controller
+
+    def mirrored(disc, g):
+        law = real(disc, g)
+        return lambda dst: law(disc.dec.n_cells + 1 - np.asarray(dst, dtype=int))
+
+    monkeypatch.setattr(timedplan.cli, "make_controller", mirrored)
+    capsys.readouterr()
+    sim = tmp_path / "sim"
+    code = main(["simulate", SCENARIO, "--plan", str(run / "plan.json"), "--out", str(sim)])
+    printed = capsys.readouterr().out
+    assert code == 2, printed
+    missed = re.match(r"membership: (\d+) landings missed their planned cell\n", printed)
+    assert missed, printed
+    rows = (sim / "reachable_cells.csv").read_text().strip().splitlines()[1:]
+    assert int(missed.group(1)) == sum(r.endswith(",NO") for r in rows) > 0
+
+
 def test_simulate_rejects_foreign_plan(tmp_path, capsys):
     run = tmp_path / "run"
     assert main(["synthesize", SCENARIO, "--out", str(run)]) == 0
@@ -266,6 +313,68 @@ def test_stats_csv_is_the_full_expansion(tmp_path, capsys, name):
         assert main(["stats", scenario, "--steps", str(steps), "--out", str(out)]) == 0
         rows = "".join(f"{k},{len(layer)}\n" for k, layer in enumerate(layers[: steps + 1]))
         assert (out / "stats.csv").read_bytes() == f"step,reachable\n{rows}".encode()
+
+
+LINE = """\
+# Two coupled agents on a line of 6 cells, each owing one timed service visit.
+
+[scenario]
+version = 1
+name = two-agents-on-a-line
+
+[graph]
+agents = 2
+edges = 1-2
+
+[dynamics]
+v_max = 1.0
+start.1 = 0.030
+start.2 = 0.042
+
+[workspace]
+bounds = 0.0 ; 0.072
+cell_size = 0.012
+
+[abstraction]
+lambda = 0.14
+dt = 1/20
+
+[labels]
+1.p1 = 2
+2.p2 = 5
+
+[formulas]
+phi.1 = F[1/20, 1/4] p1
+phi.2 = F[1/20, 1/4] p2
+"""
+
+
+def test_one_dimensional_workspace_end_to_end(tmp_path, capsys):
+    """A workspace with one axis is validated, planned, certified and
+    profiled like a planar one."""
+    from timedplan.scenario import build, load_scenario
+    from timedplan.wts import product
+
+    from helpers import expand_layers
+
+    cfg = tmp_path / "line.cfg"
+    cfg.write_text(LINE, encoding="utf-8")
+    assert main(["validate", str(cfg)]) == 0
+    printed = capsys.readouterr().out
+    assert "cells: 6 (diameter 0.012)" in printed
+    assert "start cell 3" in printed and "start cell 4" in printed
+    run = tmp_path / "run"
+    assert main(["synthesize", str(cfg), "--out", str(run)]) == 0
+    assert "all landings hit" in capsys.readouterr().out
+    plan = json.loads((run / "plan.json").read_text())
+    assert plan["joint"] == [[3, 4], [2, 5]] and plan["stem_len"] == 1
+    cert = json.loads((run / "certificate.json").read_text())
+    assert cert["ok"] and cert["tasks_sat"] == [True, True] and cert["consistent"]
+    out = tmp_path / "st"
+    assert main(["stats", str(cfg), "--steps", "6", "--out", str(out)]) == 0
+    layers = expand_layers(product(build(load_scenario(cfg)).wts_list), 6)
+    rows = "".join(f"{k},{len(layer)}\n" for k, layer in enumerate(layers))
+    assert (out / "stats.csv").read_text() == f"step,reachable\n{rows}"
 
 
 def _child_env():

@@ -43,6 +43,11 @@ def step_off_the_product(raw):
     raw["joint"][1] = [36, 36]
 
 
+def start_elsewhere(raw):
+    # agent 1 starts in cell 14, the scenario's start point lies in cell 15
+    raw["joint"][0] = [14, 21]
+
+
 def float_cell(raw):
     raw["joint"][1][0] = 15.9
 
@@ -68,6 +73,7 @@ def float_combos(raw):
         (stem_past_the_end, "'stem_len'"),
         (negative_stem, "'stem_len'"),
         (step_off_the_product, "'joint'"),
+        (start_elsewhere, "plan starts at (14, 21), scenario starts occupy (15, 21)"),
         (float_cell, "'joint'"),
         (bool_cell, "'joint'"),
         (float_stem, "'stem_len'"),

@@ -95,6 +95,23 @@ def test_bad_scenarios_rejected(text, hint):
         build(s)  # some properties only fall over at build time
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        (mangle("agents = 2\n", ""), "[graph] needs an integer 'agents'"),
+        (mangle("v_max = 1.0", "v_max = 1.0\nspeed = 2"), "unknown key 'speed' in [dynamics]"),
+        (mangle("v_max = 1.0\n", ""), "[dynamics] needs v_max"),
+        (mangle("1.p1 = 14", "p1 = 14"), "bad label key 'p1' (want '<agent>.<service>')"),
+        (mangle("2.p2 = 22", "3.p2 = 22"), "label key '3.p2' names agent 3 of 2"),
+        (mangle("phi.2 =", "psi.2 ="), "bad formula key 'psi.2' (want 'phi.<agent>')"),
+    ],
+)
+def test_malformed_keys_are_named(text, message):
+    with pytest.raises(ScenarioError) as e:
+        parse_scenario(text)
+    assert str(e.value) == message
+
+
 @pytest.mark.parametrize("key", ["r_selec", "samples", "max_states"])
 @pytest.mark.parametrize("value", ["0", "-2", "many", "1.5"])
 def test_counts_must_be_positive_integers(key, value):

@@ -1,3 +1,4 @@
+import functools
 import gc
 import hashlib
 import itertools
@@ -266,6 +267,18 @@ def test_overlapping_alphabets_are_rejected_before_any_product(monkeypatch):
         synthesize(g, systems, [parse("F[0,2] p1"), parse("F[0,2] p1")])
 
 
+def test_a_task_over_a_service_its_agent_lacks_is_rejected(monkeypatch):
+    def unreachable(*args, **kw):
+        raise AssertionError("a product was built")
+
+    monkeypatch.setattr(synthesis, "BuchiWTS", unreachable)
+    g, systems = free_agents()
+    with pytest.raises(
+        AlphabetMismatch, match=r"^task 2 uses services \['p1'\] the agent never provides$"
+    ):
+        synthesize(g, systems, [parse("F[0,2] p1"), parse("F[0,2] p1")])
+
+
 def test_synthesize_budget():
     g, systems = free_agents(n_cells=3)
     formulas = [parse("F[0,2] p1"), parse("F[0,2] p2")]
@@ -310,6 +323,45 @@ def test_generate_and_check_route_on_nested_formula():
     for r, c, f in zip(plan.runs, systems, formulas):
         assert sat(timed_word(r, c.label), 0, f)
     assert check_consistent(plan.joint, g, systems)
+
+
+def test_generate_and_check_gives_no_verdict_past_r_selec():
+    """The first joint lasso, both agents holding cell 1, misses ``p1``;
+    with ``r_selec = 1`` that is all the route may check, and a task it
+    cannot compile is never refuted, so it runs out of budget.  With a task
+    no lasso satisfies it checks every one of the 9 cyclic joint states."""
+    g, systems = free_agents()
+    formulas = [parse("F[0,2] (p1 & X[0,1] p1)"), parse("F[0,2] p2")]
+    assert synthesize(g, systems, formulas).route == "generate-and-check"
+    with pytest.raises(BudgetExceeded, match=r"^no verdict after checking 1 joint lassos ") as e:
+        synthesize(g, systems, formulas, r_selec=1)
+    assert e.value.count == 1
+    never = [parse("F[0,2] (p1 & !p1 & X[0,1] p1)"), parse("F[0,2] p2")]
+    with pytest.raises(BudgetExceeded, match=r"^no verdict after checking 9 joint lassos ") as e:
+        synthesize(g, systems, never)
+    assert e.value.count == 9
+
+
+def test_generate_and_check_skips_joint_states_on_no_cycle():
+    """Both agents leave cell 1 for good, so the initial joint state lies on
+    no cycle: it is skipped, not probed, and the first lasso checked is the
+    one through (2, 2), with (1, 1) as its stem."""
+    g = build_graph(2, [(1, 2)])
+    moves = {1: {2}, 2: {2, 3}, 3: {2, 3}}
+    systems = [
+        TableAgentWTS(
+            agent, (3 - agent,), Fraction(1, 4),
+            {(own, (own, nb)): moves[own] for own in moves for nb in moves},
+            labels={2: {f"p{agent}"}}, initial=[1],
+        )
+        for agent in (1, 2)
+    ]
+    formulas = [parse("F[0,2] (p1 & X[0,1] p1)"), parse("F[0,2] p2")]
+    plan = synthesize(g, systems, formulas)
+    assert plan.route == "generate-and-check" and plan.combos_checked == 1
+    assert plan.joint.states == ((1, 1), (2, 2)) and plan.joint.stem_len == 1
+    for r, c, f in zip(plan.runs, systems, formulas):
+        assert sat(timed_word(r, c.label), 0, f)
 
 
 def test_plan_steps_cover_cycle():
@@ -675,41 +727,44 @@ def test_joint_search_stops_at_the_first_accepting_back_edge(monkeypatch, case, 
     assert check_consistent(plan.joint, b.graph, b.wts_list)
 
 
-class _Probed:
-    """``n`` items that log each index read, with no ``len``."""
+def _probed(n, k, log):
+    """Agent ``k``'s runs as ``synthesize`` hands them to ``_combinations``:
+    ``n`` of them, run ``i`` being ``i``, each logged when it is built and
+    kept; a read past the last is logged every time and raises."""
 
-    def __init__(self, n, k, log):
-        self.n, self.k, self.log = n, k, log
-
-    def __getitem__(self, i):
-        self.log.append((self.k, i))
-        if i >= self.n:
+    @functools.cache
+    def run(i):
+        log.append((k, i))
+        if i >= n:
             raise IndexError(i)
         return i
 
+    return run
+
 
 def test_lazy_combination_walk_is_itertools_product():
-    """``_combinations`` yields ``itertools.product`` of the index ranges,
-    reading index ``k + 1`` of a sequence only right after a combination
-    whose later digits are all at their last index, that is, where the walk
-    would wrap them; before the first combination it reads index 0 of each
-    until one is missing."""
+    """``_combinations`` yields ``itertools.product`` of the runs, building
+    run ``k + 1`` of an agent only right after a combination whose later
+    agents are all at their last run, that is, where the walk would wrap
+    them; before the first combination it builds run 0 of each.  It may
+    assume that every agent has run 0, so for a shape with an agent
+    without runs this checks only that nothing is yielded."""
     rng = random.Random(11)
     shapes = set()
     for _ in range(300):
         lengths = [rng.choice((0, 1, 1, 2, 3, 4)) for _ in range(rng.randint(1, 4))]
         log = []
-        seqs = [_Probed(n, k, log) for k, n in enumerate(lengths)]
-        walk = synthesis._combinations(seqs)
+        runs = [_probed(n, k, log) for k, n in enumerate(lengths)]
         got = []
-        for combo in walk:
+        for combo in synthesis._combinations(runs):
             if not got:
                 assert log == [(k, 0) for k in range(len(lengths))]
             log.append(("yield", combo))
             got.append(combo)
         assert got == list(itertools.product(*(range(n) for n in lengths)))
+        shapes.add((0 in lengths, 1 in lengths))
         if not got:
-            assert log == [(k, 0) for k in range(lengths.index(0) + 1)]
+            continue
         last = None
         for k, i in log[len(lengths):]:
             if k == "yield":
@@ -717,7 +772,6 @@ def test_lazy_combination_walk_is_itertools_product():
                 continue
             assert i == last[k] + 1
             assert all(last[m] == lengths[m] - 1 for m in range(k + 1, len(lengths)))
-        shapes.add((0 in lengths, 1 in lengths))
     assert shapes == {(False, False), (False, True), (True, False), (True, True)}
 
 

@@ -1,3 +1,4 @@
+import types
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from timedplan.wts import (
     timed_word,
 )
 
-from helpers import WTS, TableAgentWTS
+from helpers import WTS, JointWTS, TableAgentWTS
 
 
 def reference_wts():
@@ -150,17 +151,31 @@ def test_table_agent_post():
     assert dict(a2.succ_weighted(1)) == {1: Fraction(1, 4), 2: Fraction(1, 4)}
 
 
+def induced_actions(p, joint) -> list:
+    """The action ``joint`` induces for each agent of ``p``, read through
+    ``posts`` of the same product with each agent's post echoing the action
+    it is given."""
+    echoes = [
+        types.SimpleNamespace(
+            agent=c.agent, neighbors=c.neighbors, dt=c.dt, initial=c.initial, post=tuple
+        )
+        for c in p.components
+    ]
+    return product(echoes).posts(joint)
+
+
 def test_product_moves_respect_neighbor_enabling():
     a1, a2 = two_table_agents()
     p = product([a1, a2])
     assert p.initial == {(1, 1)}
-    assert p.pr(2 - 1, (1, 2)) == (2, 1)
+    assert induced_actions(p, (1, 2))[2 - 1] == (2, 1)
     succ = set(p.successors((1, 1)))
     # agent 2 cannot step to 2 while agent 1 sits in cell 1
     assert succ == {(1, 1), (2, 1)}
     assert p.has_transition((1, 1), (2, 1))
     assert not p.has_transition((1, 1), (1, 2))
-    assert p.label((2, 2)) == {"p1", "p2"}
+    assert JointWTS(p).label((2, 2)) == {"p1", "p2"}
+    assert JointWTS(p).alphabet == {"p1", "p2"}
 
 
 def test_product_successors_are_lexicographic_and_pick_any_degree():
@@ -173,8 +188,8 @@ def test_product_successors_are_lexicographic_and_pick_any_degree():
     a3 = TableAgentWTS(3, (), dt, {(1, (1,)): {1, 3}}, initial=[1, 3])
     p = product([a1, a2, a3])
     assert p.initial == {(2, 2, 1), (2, 2, 3)}
-    assert p.pr(2, (2, 2, 1)) == (1,)
-    assert p.pr(1, (2, 2, 1)) == (2, 2, 1)
+    assert induced_actions(p, (2, 2, 1))[2] == (1,)
+    assert induced_actions(p, (2, 2, 1))[1] == (2, 2, 1)
     got = p.successors((2, 2, 1))
     assert got == tuple(
         (x, y, z) for x in (1, 2, 3) for y in (1, 2, 3) for z in (1, 3)
