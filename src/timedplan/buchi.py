@@ -442,11 +442,12 @@ def _lasso(b: BuchiWTS, parent, node, succ) -> TimedRun:
 
 
 def find_accepting(b: BuchiWTS) -> TimedRun | None:
-    """One accepting lasso (or None).  Nested depth-first search decides
-    emptiness and names an accepting node on a cycle, stopping at the first
-    back edge that closes one; the lasso is ``_lasso`` through that node
-    over the nodes the search expanded, so building it expands no node and
-    leaves ``n_explored`` as it was.
+    """One accepting lasso (or None).  ``nested_dfs``, one Tarjan pass,
+    decides emptiness and names an accepting node on a cycle, stopping at
+    the first edge onto its depth-first path with an accepting end or else
+    at the first accepting node in postorder on a cycle; the lasso is
+    ``_lasso`` through that node over the nodes the search expanded, so
+    building it expands no node and leaves ``n_explored`` as it was.
     """
     node = nested_dfs(b.initial, b.succ, b.accepting)
     if node is None:
@@ -455,20 +456,19 @@ def find_accepting(b: BuchiWTS) -> TimedRun | None:
     return _lasso(b, dict(bfs_order(b.initial, expanded)), node, expanded)
 
 
-def enumerate_accepting(b: BuchiWTS, limit: int):
-    """Up to ``limit`` accepting lassos of ``b``, as ``lasso(i)``: ``_lasso``
-    through anchor ``i``, built the first time it is read and kept, and
-    ``IndexError`` when ``i`` reaches ``limit`` or ``b`` has no anchor
-    ``i``.  Deterministic for a fixed product.  Returns at once and
-    explores nothing: reading lasso ``i`` walks the product only until
-    anchor ``i`` is met, whose cycle lies in what the walk expanded to
-    decide it, and pays one ``shortest_cycle``, so a caller pays only for
-    the lassos it reads.
+def enumerate_accepting(b: BuchiWTS):
+    """The accepting lassos of ``b``, as ``lasso(i)``: ``_lasso`` through
+    anchor ``i``, built the first time it is read and kept, and
+    ``IndexError`` when ``b`` has no anchor ``i``.  Deterministic for a
+    fixed product.  Returns at once and explores nothing: reading lasso
+    ``i`` walks the product only until anchor ``i`` is met, whose cycle
+    lies in what the walk expanded to decide it, and pays one
+    ``shortest_cycle``, so a caller pays only for the lassos it reads.
     """
 
     @functools.cache
     def lasso(i: int) -> TimedRun:
-        node = b.anchor(i) if 0 <= i < limit else None
+        node = b.anchor(i) if i >= 0 else None
         if node is None:
             raise IndexError(f"no lasso {i}")
         return _lasso(b, b._parent, node, b._memo.__getitem__)

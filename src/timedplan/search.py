@@ -1,23 +1,32 @@
 """Lasso emptiness search over lazily expanded graphs.
 
-Two-pass nested depth-first search decides emptiness.  The outer pass
-explores in deterministic order and stops at the first edge back onto its
-own stack that has an accepting end: that edge closes a reachable accepting
-cycle (the early check of Schwoon & Esparza, "A note on on-the-fly
-verification algorithms", TACAS 2005).  Failing that, at the postorder
-visit of an accepting node an inner pass looks for a path back onto the
-outer stack.  The inner coloring persists across seeds, keeping the whole
-search linear in the explored graph.  It returns only the accepting node;
-callers build the lasso through it from a breadth-first stem
-(``bfs_order``, ``tree_path``) and the shortest cycle through it
-(``shortest_cycle``), which keeps both parts short.
+One iterative Tarjan pass serves every depth-first need.  As ``on_cycle``
+it marks the reachable nodes that lie on a cycle.  As ``nested_dfs`` it is
+given the accepting nodes and stops at the first of two points: an edge
+onto a node still on the depth-first path that has an accepting end, the
+source tested first (the early check of Schwoon & Esparza, "A note on
+on-the-fly verification algorithms", TACAS 2005), or the postorder visit
+of an accepting node that lies on a cycle, which the pass reads off its
+low-link there (Geldenhuys & Valmari, "More efficient on-the-fly LTL
+verification with Tarjan's algorithm", TCS 2005).  That is the node the
+two-pass nested search of Courcoubetis, Vardi, Wolper & Yannakakis
+(FMSD 1992) names, after expanding the same nodes in the same order: its
+inner search from an accepting seed gets back onto the outer stack
+exactly when the seed lies on a cycle, since a failed earlier inner
+search never colours a node of a later seed's cycle.  The name
+``nested_dfs`` stays because the benchmark's timing spans
+(``perfbench/spans.py``) bind it by name; a rename waits for a change of
+the benchmark.  The search returns only the accepting node; callers
+build the lasso through it from a breadth-first stem (``bfs_order``,
+``tree_path``) and the shortest cycle through it (``shortest_cycle``),
+which keeps both parts short.
 
 Lasso enumeration instead anchors at accepting nodes that lie on a cycle,
 met one at a time by a lazy breadth-first walk (``bfs_order`` is a
 generator).  A node with a self-loop is on a cycle at once; any other is
-decided by a strongly-connected-component pass (``on_cycle``) from it,
-whose numbering carries over from pass to pass, so all the passes of one
-walk together stay linear in the graph they reach.
+decided by an ``on_cycle`` pass from it, whose numbering carries over from
+pass to pass, so all the passes of one walk together stay linear in the
+graph they reach.
 
 Callers must supply ``succ`` functions with a stable, deterministic
 iteration order (memoized tuples in practice); only the initial nodes are
@@ -29,79 +38,16 @@ from __future__ import annotations
 import math
 
 
-def nested_dfs(initials, succ, accepting):
-    """An accepting node on a reachable cycle, or None when no accepting
-    lasso is reachable: an accepting end of the first edge back onto the
-    outer stack that has one (the edge's source first), else the accepting
-    node whose inner search got back onto the outer stack.  The search
-    expanded every node of some path to it from an initial node and of some
-    cycle through it.
-    """
-    blue: set = set()
-    red: set = set()
-    for root in sorted(initials):
-        if root in blue:
-            continue
-        found = _blue_dfs(root, succ, accepting, blue, red)
-        if found is not None:
-            return found
-    return None
-
-
-def _blue_dfs(root, succ, accepting, blue, red):
-    blue.add(root)
-    on_stack = {root}
-    stack = [(root, iter(succ(root)))]
-    while stack:
-        node, it = stack[-1]
-        for child in it:
-            if child not in blue:
-                blue.add(child)
-                on_stack.add(child)
-                stack.append((child, iter(succ(child))))
-                break
-            if child in on_stack:
-                # a back edge: node -> child -> ... -> node is a cycle
-                if accepting(node):
-                    return node
-                if accepting(child):
-                    return child
-        else:
-            if accepting(node) and _red_dfs(node, succ, red, on_stack):
-                return node
-            stack.pop()
-            on_stack.remove(node)
-    return None
-
-
-def _red_dfs(seed, succ, red, on_stack) -> bool:
-    """Inner search from an accepting seed: whether it touches the outer
-    stack (the seed itself included).
-    """
-    stack = [iter(succ(seed))]
-    while stack:
-        for child in stack[-1]:
-            if child in on_stack:
-                return True
-            if child not in red:
-                red.add(child)
-                stack.append(iter(succ(child)))
-                break
-        else:
-            stack.pop()
-    return False
-
-
 def bfs_order(initials, succ):
     """Deterministic breadth-first discovery, one node at a time: yields
     ``(node, parent)`` as each node is first met, the initial nodes first,
-    sorted, with parent None.  Nodes are expanded in the order they are
-    yielded, each only once the caller asks past every node met before its
-    children, so a caller that stops early leaves the rest unexpanded.
-    ``dict(bfs_order(...))`` is the whole parent map, keyed in discovery
-    order.
+    sorted and each once, with parent None.  Nodes are expanded in the
+    order they are yielded, each only once the caller asks past every node
+    met before its children, so a caller that stops early leaves the rest
+    unexpanded.  ``dict(bfs_order(...))`` is the whole parent map, keyed
+    in discovery order.
     """
-    frontier = sorted(initials)
+    frontier = sorted(set(initials))
     seen = set(frontier)
     for node in frontier:
         yield node, None
@@ -116,6 +62,17 @@ def bfs_order(initials, succ):
         frontier = nxt
 
 
+def nested_dfs(initials, succ, accepting):
+    """An accepting node on a reachable cycle, or None when no accepting
+    lasso is reachable: the pass from the sorted initial nodes stops at the
+    first edge onto its depth-first path with an accepting end (the edge's
+    source first), or else at the first accepting node in postorder that
+    lies on a cycle.  The search expanded every node of some path to it
+    from an initial node and of some cycle through it.
+    """
+    return _tarjan(sorted(initials), succ, {}, set(), accepting)
+
+
 def on_cycle(nodes, succ, num=None, cyclic=None) -> set:
     """The nodes reachable from ``nodes`` that lie on a cycle: members of a
     strongly connected component with more than one node, or with a
@@ -125,19 +82,30 @@ def on_cycle(nodes, succ, num=None, cyclic=None) -> set:
     next: a node an earlier call numbered is not searched again, so calls
     from successive roots over one graph stay linear together.
     """
+    cyclic = set() if cyclic is None else cyclic
+    _tarjan(nodes, succ, {} if num is None else num, cyclic)
+    return cyclic
+
+
+def _tarjan(roots, succ, num, cyclic, accepting=None):
+    """The Tarjan pass from each unnumbered root in turn: adds the members
+    of each component it closes that lies on a cycle to ``cyclic``.  With
+    ``accepting``, returns ``nested_dfs``'s node at its first stop, leaving
+    the pass unfinished; otherwise, or when it never stops, returns None.
+    """
     # discovery number of each node, raised past every number once the
     # node's component is closed, so edges into closed components never
-    # lower a low-link; one lookup per edge.  Every call closes all it
-    # numbers, so the numbers stay unique across calls.
-    num = {} if num is None else num
-    cyclic = set() if cyclic is None else cyclic
+    # lower a low-link; one lookup per edge.  Every finished call closes
+    # all it numbers, so the numbers stay unique across calls.
     closed = math.inf
     stack = []
-    for root in nodes:
+    path = set()  # the nodes of the depth-first path, one frame each
+    for root in roots:
         if root in num:
             continue
         num[root] = len(num)
         stack.append(root)
+        path.add(root)
         work = [[root, iter(succ(root)), num[root]]]
         while work:
             frame = work[-1]
@@ -146,27 +114,37 @@ def on_cycle(nodes, succ, num=None, cyclic=None) -> set:
                 if seen is None:
                     num[child] = seen = len(num)
                     stack.append(child)
+                    path.add(child)
                     work.append([child, iter(succ(child)), seen])
                     break
                 if seen < frame[2]:
                     frame[2] = seen
+                if accepting is not None and child in path:
+                    # child -> ... -> node -> child is a cycle
+                    for end in (frame[0], child):
+                        if accepting(end):
+                            return end
             else:
                 work.pop()
                 node, _, low = frame
+                path.remove(node)
                 if work and low < work[-1][2]:
                     work[-1][2] = low
-                if low < num[node]:
-                    continue
-                comp = []
-                while True:
-                    member = stack.pop()
-                    num[member] = closed
-                    comp.append(member)
-                    if member == node:
-                        break
-                if len(comp) > 1 or node in succ(node):
+                if low == num[node]:  # node roots a component: close it
+                    comp = []
+                    while True:
+                        member = stack.pop()
+                        num[member] = closed
+                        comp.append(member)
+                        if member == node:
+                            break
+                    if len(comp) == 1 and node not in succ(node):
+                        continue
                     cyclic.update(comp)
-    return cyclic
+                # node lies on a cycle
+                if accepting is not None and accepting(node):
+                    return node
+    return None
 
 
 def tree_path(parent, node):

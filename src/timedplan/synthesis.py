@@ -165,12 +165,12 @@ def synthesize(g, wts_list, formulas, r_selec: int = 100, max_states=None):
     for i, (c, a) in enumerate(zip(comps, tbas), start=1):
         b = BuchiWTS(c, a, max_states)
         agents.append(b)
-        lasso = enumerate_accepting(b, r_selec)
+        lasso = enumerate_accepting(b)
         if b.anchor(0) is None:
             # the pooled-moves view over-approximates the agent's behaviour
             # in any joint run, so emptiness here is conclusive; it is read
-            # off the product, whose walk ran to the end without an anchor,
-            # since ``lasso`` is cut at r_selec and cannot show emptiness
+            # off the walk, which ran to the end without an anchor, not off
+            # ``lasso(0)``, which would build a lasso r_selec = 0 never reads
             return Infeasible(
                 f"agent {i} has no run satisfying its task even in isolation",
                 agent=i,

@@ -300,7 +300,8 @@ def accepts(a: TBA, word: TimedWord, witness: bool = False):
     Nodes of the decision graph are (canonical position, location, clocks),
     the clocks in int ticks of the largest rational that divides every
     duration and constant, held one tick above the largest constant; an
-    accepting reachable cycle is searched with nested DFS.
+    accepting reachable cycle is searched with ``nested_dfs``, one Tarjan
+    pass that stops at the first accepting node it finds on a cycle.
     """
     for l in word.labels:
         if not l <= a.ap:

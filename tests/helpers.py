@@ -512,6 +512,78 @@ def accepting_cycle_exists(initials, succ, accepting) -> bool:
     return result[0]
 
 
+def first_calls(search, initials, succ, accepting):
+    """What ``search`` returns, and the nodes it asks ``succ`` for, each
+    once, in the order it first asks."""
+    asked: dict = {}
+    got = search(initials, lambda x: asked.setdefault(x, None) or succ(x), accepting)
+    return got, list(asked)
+
+
+def two_pass_nested_dfs(initials, succ, accepting):
+    """The two-pass nested depth-first search that ``search.nested_dfs``
+    replaced, kept as its reference.  An accepting node on a reachable
+    cycle, or None when no accepting lasso is reachable: an accepting end
+    of the first edge back onto the outer stack that has one (the edge's
+    source first), else the accepting node whose inner search got back onto
+    the outer stack.  The search expanded every node of some path to it
+    from an initial node and of some cycle through it.
+    """
+    blue: set = set()
+    red: set = set()
+    for root in sorted(initials):
+        if root in blue:
+            continue
+        found = _blue_dfs(root, succ, accepting, blue, red)
+        if found is not None:
+            return found
+    return None
+
+
+def _blue_dfs(root, succ, accepting, blue, red):
+    blue.add(root)
+    on_stack = {root}
+    stack = [(root, iter(succ(root)))]
+    while stack:
+        node, it = stack[-1]
+        for child in it:
+            if child not in blue:
+                blue.add(child)
+                on_stack.add(child)
+                stack.append((child, iter(succ(child))))
+                break
+            if child in on_stack:
+                # a back edge: node -> child -> ... -> node is a cycle
+                if accepting(node):
+                    return node
+                if accepting(child):
+                    return child
+        else:
+            if accepting(node) and _red_dfs(node, succ, red, on_stack):
+                return node
+            stack.pop()
+            on_stack.remove(node)
+    return None
+
+
+def _red_dfs(seed, succ, red, on_stack) -> bool:
+    """Inner search from an accepting seed: whether it touches the outer
+    stack (the seed itself included).
+    """
+    stack = [iter(succ(seed))]
+    while stack:
+        for child in stack[-1]:
+            if child in on_stack:
+                return True
+            if child not in red:
+                red.add(child)
+                stack.append(iter(succ(child)))
+                break
+        else:
+            stack.pop()
+    return False
+
+
 def rand_connected_graph(rng, n) -> CommGraph:
     edges = []
     for i in range(2, n + 1):
@@ -580,15 +652,17 @@ def probe_every_accepting(b, limit):
     return out
 
 
-def every_lasso(lasso) -> list:
+def every_lasso(lasso, limit=None) -> list:
     """Every lasso that ``enumerate_accepting``'s ``lasso`` holds, in index
-    order: ``lasso(0)``, ``lasso(1)``, ... up to the first ``IndexError``."""
+    order: ``lasso(0)``, ``lasso(1)``, ... up to the first ``IndexError``,
+    or the first ``limit`` of them."""
     out = []
-    for i in itertools.count():
+    for i in itertools.count() if limit is None else range(limit):
         try:
             out.append(lasso(i))
         except IndexError:
-            return out
+            break
+    return out
 
 
 def eager_synthesize(g, comps, formulas, r_selec):

@@ -39,6 +39,7 @@ from helpers import (
     accepting_cycle_exists,
     crawl,
     every_lasso,
+    first_calls,
     locations,
     padded,
     probe_every_accepting,
@@ -49,6 +50,7 @@ from helpers import (
     rand_wts,
     readable_clocks,
     same_ticks,
+    two_pass_nested_dfs,
     universal_tba,
     with_invariants,
 )
@@ -136,7 +138,7 @@ def test_enumerate_returns_distinct_accepted_lassos():
     f = parse("F[2,5] green")
     a = mitl_to_tba(f, alphabet=w.alphabet)
     b = BuchiWTS(w, a)
-    runs = every_lasso(enumerate_accepting(b, 5))
+    runs = every_lasso(enumerate_accepting(b), 5)
     assert 1 <= len(runs) <= 5
     seen = set()
     for r in runs:
@@ -151,9 +153,7 @@ def test_enumerate_returns_distinct_accepted_lassos():
 def test_enumeration_is_deterministic():
     w = reference_wts()
     f = parse("F[2,5] green")
-    mk = lambda: enumerate_accepting(
-        BuchiWTS(w, mitl_to_tba(f, alphabet=w.alphabet)), 4
-    )
+    mk = lambda: enumerate_accepting(BuchiWTS(w, mitl_to_tba(f, alphabet=w.alphabet)))
     a = [(r.states, r.durations, r.stem_len) for r in every_lasso(mk())]
     b = [(r.states, r.durations, r.stem_len) for r in every_lasso(mk())]
     assert a == b
@@ -190,7 +190,7 @@ def test_enumeration_matches_whole_graph_probing(limit):
     for w, a in _rand_products(41, 60):
         got = [
             (r.states, r.durations, r.stem_len)
-            for r in every_lasso(enumerate_accepting(BuchiWTS(w, a), limit))
+            for r in every_lasso(enumerate_accepting(BuchiWTS(w, a)), limit)
         ]
         assert got == probe_every_accepting(BuchiWTS(w, a), limit)
         several += len(got) > 1
@@ -211,7 +211,7 @@ def test_enumeration_probes_one_cycle_per_lasso(monkeypatch):
     monkeypatch.setattr(buchi, "shortest_cycle", counted)
     lassos = 0
     for w, a in _rand_products(43, 60):
-        lasso = enumerate_accepting(BuchiWTS(w, a), 100)
+        lasso = enumerate_accepting(BuchiWTS(w, a))
         assert len(calls) == lassos  # nothing is probed before a lasso is read
         runs = every_lasso(lasso)
         assert every_lasso(lasso) == runs  # every lasso read, twice
@@ -278,9 +278,9 @@ def test_on_demand_anchors_equal_the_exhaustive_pass(r_selec):
         ref = BuchiWTS(w, a)
         hits, parent = _exhaustive_anchors(ref)
         b = BuchiWTS(w, a)
-        lasso = enumerate_accepting(b, r_selec)
+        lasso = enumerate_accepting(b)
         assert b.n_explored == len(b.initial)  # nothing walked yet
-        got = [(r.states, r.durations, r.stem_len) for r in every_lasso(lasso)]
+        got = [(r.states, r.durations, r.stem_len) for r in every_lasso(lasso, r_selec)]
         assert got == probe_every_accepting(ref, r_selec)
         assert (b.anchor(0) is None) == (not hits)
         assert b.n_explored <= ref.n_explored
@@ -297,6 +297,18 @@ def test_on_demand_anchors_equal_the_exhaustive_pass(r_selec):
     assert several >= (10 if r_selec > 1 else 0)
 
 
+def test_a_repeated_initial_location_gives_its_lasso_once():
+    """One self-looping location listed twice as initial: the product
+    repeats the initial node, and the walk meets its one anchor once."""
+    w = WTS(["s"], ["s"], {"s": [("s", 1)]}, {"s": {"p"}})
+    a = TBA(["q"], ["q", "q"], (), [Edge("q", TOP, (), "q")], ["q"], {"q": {"p"}}, {"p"})
+    b = BuchiWTS(w, a)
+    assert len(b.initial) == 2
+    runs = every_lasso(enumerate_accepting(b))
+    assert [(r.states, r.stem_len) for r in runs] == [((("s", "q", ()),), 0)]
+    assert b.anchors()[0] == [b.initial[0]]
+
+
 def test_reading_a_lasso_walks_only_to_its_anchor():
     """Lasso ``i`` is known once the walk meets anchor ``i``: on the
     reference system the walk stops well short of the whole product, and
@@ -306,7 +318,7 @@ def test_reading_a_lasso_walks_only_to_its_anchor():
     full = BuchiWTS(w, a)
     full.anchors()
     b = BuchiWTS(w, a)
-    lasso = enumerate_accepting(b, 100)
+    lasso = enumerate_accepting(b)
     lasso(0)
     first = b.n_explored
     assert first < full.n_explored
@@ -817,6 +829,28 @@ def test_live_is_the_backward_closure_of_the_anchors():
 
 def _lasso_of(run):
     return run and (run.states, run.durations, run.stem_len)
+
+
+def test_one_pass_search_names_the_two_pass_node_on_products():
+    """On random acceptance products, and on the unpruned and synchronized
+    joint products of random teams as drawn and padded to one tick and cap,
+    the one-pass search names the two-pass search's node after asking for
+    the successors of the same nodes in the same order.  Each search runs
+    on a product of its own, so nodes are compared as tuples."""
+    builds = [lambda w=w, a=a: BuchiWTS(w, a) for w, a in _rand_products(61, 60)]
+    for systems, tbas in _rand_teams(61, 20):
+        for team in (tbas, padded(systems[0].dt, tbas)):
+            builds.extend(_joint_builds(systems, systems, team))
+    found = 0
+    for build in builds:
+        seen = []
+        for search in (nested_dfs, two_pass_nested_dfs):
+            b = build()
+            node, asked = first_calls(search, b.initial, b.succ, b.accepting)
+            seen.append((None if node is None else b.node(node), [b.node(x) for x in asked]))
+        assert seen[0] == seen[1]
+        found += seen[0][0] is not None
+    assert found >= 30
 
 
 def test_kept_joint_search_finds_the_same_lasso():

@@ -8,7 +8,7 @@ from timedplan.search import (
     tree_path,
 )
 
-from helpers import accepting_cycle_exists, crawl
+from helpers import accepting_cycle_exists, crawl, first_calls, two_pass_nested_dfs
 
 
 def graph_succ(adj):
@@ -92,6 +92,38 @@ def test_matches_scc_oracle_on_random_graphs():
             assert verdict in dict(bfs_order([0], expanded)), (trial, adj, marked)
 
 
+def test_names_the_two_pass_node_after_the_same_expansions():
+    """On random graphs, sparse to dense, with self-loops, repeated roots and
+    any share of accepting nodes, the one-pass search returns the two-pass
+    search's node and asks for successors of the same nodes in the same
+    order.  Half the graphs keep one edge into and one out of each
+    accepting node, so that a cycle through it often closes at an edge
+    with no accepting end, and the search stops at its postorder visit."""
+    rng = np.random.default_rng(83)
+    found = 0
+    for trial in range(6000):
+        n = int(rng.integers(1, 13))
+        degree = rng.choice((1, 1.5, 2.5, 5))
+        adj = {v: tuple(np.flatnonzero(rng.random(n) < degree / n).tolist()) for v in range(n)}
+        share = rng.choice((-1, 0.0, 0.1, 0.3, 0.7, 1.0))
+        if share < 0:
+            marked = {int(rng.integers(n))}
+        else:
+            marked = {v for v in range(n) if rng.random() < share}
+        if rng.random() < 0.5:
+            for a in marked:
+                adj[a] = adj[a][:1]
+                for v in [v for v in range(n) if a in adj[v]][1:]:
+                    adj[v] = tuple(u for u in adj[v] if u != a)
+        roots = rng.integers(0, n, size=int(rng.integers(1, 4))).tolist()
+        succ = graph_succ(adj)
+        want = first_calls(two_pass_nested_dfs, roots, succ, marked.__contains__)
+        assert first_calls(nested_dfs, roots, succ, marked.__contains__) == want, (
+            trial, adj, marked, roots)
+        found += want[0] is not None
+    assert 2000 <= found <= 4000
+
+
 def test_bfs_order_and_tree_path():
     adj = {0: (1, 2), 1: (3,), 2: (3,), 3: ()}
     parent = dict(bfs_order([0], graph_succ(adj)))
@@ -101,6 +133,12 @@ def test_bfs_order_and_tree_path():
     assert path[0] == 0 and path[-1] == 3
     for a, b in zip(path, path[1:]):
         assert b in adj[a]
+
+
+def test_bfs_order_yields_a_repeated_initial_node_once():
+    adj = {1: (1, 2), 2: (), 3: (1,)}
+    assert list(bfs_order([3, 1, 1, 3], graph_succ(adj))) == [
+        (1, None), (3, None), (2, 1)]
 
 
 def test_shortest_cycle():
@@ -138,7 +176,12 @@ def test_on_cycle_matches_cycle_probes_on_random_graphs():
 
 
 def test_on_cycle_is_not_recursive():
+    """A 6,000-node chain into a 10-node cycle: no pass recurses, whether it
+    runs to the end, stops at the back edge from ``n - 1`` or stops at the
+    postorder visit of ``n - 5``."""
     n = 6000
     adj = {v: (v + 1,) for v in range(n - 1)}
     adj[n - 1] = (n - 10,)
     assert on_cycle([0], graph_succ(adj)) == set(range(n - 10, n))
+    for stop in (n - 1, n - 5):
+        assert nested_dfs([0], graph_succ(adj), lambda v: v == stop) == stop

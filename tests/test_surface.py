@@ -137,3 +137,20 @@ def test_one_rule_builds_every_product_lasso():
             if isinstance(node, ast.Name) and node.id in ("tree_path", "shortest_cycle"):
                 naming.add(getattr(top, "name", None))
     assert naming == {"_lasso"}
+
+
+def test_one_depth_first_pass_in_the_search():
+    # emptiness and the cycle marks share one Tarjan pass: only one function
+    # of search.py runs a depth-first stack of successor iterators
+    tree = ast.parse((PACKAGE / "search.py").read_text(encoding="utf-8"))
+    naming = set()
+    for top in tree.body:
+        for node in ast.walk(top):
+            if (
+                isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "iter" and node.args
+                and isinstance(node.args[0], ast.Call)
+                and getattr(node.args[0].func, "id", None) == "succ"
+            ):
+                naming.add(getattr(top, "name", None))
+    assert naming == {"_tarjan"}

@@ -746,9 +746,12 @@ def test_lazy_combination_walk_is_itertools_product():
     """``_combinations`` yields ``itertools.product`` of the runs, building
     run ``k + 1`` of an agent only right after a combination whose later
     agents are all at their last run, that is, where the walk would wrap
-    them; before the first combination it builds run 0 of each.  It may
-    assume that every agent has run 0, so for a shape with an agent
-    without runs this checks only that nothing is yielded."""
+    them; before the first combination it builds run 0 of each.  So run
+    ``k`` is read only once ``k`` combinations are out, and cut at ``r``
+    combinations, as ``synthesize`` cuts it at ``r_selec``, the walk reads
+    no run ``r`` or later.  It may assume that every agent has run 0, so
+    for a shape with an agent without runs this checks only that nothing
+    is yielded."""
     rng = random.Random(11)
     shapes = set()
     for _ in range(300):
@@ -772,6 +775,11 @@ def test_lazy_combination_walk_is_itertools_product():
                 continue
             assert i == last[k] + 1
             assert all(last[m] == lengths[m] - 1 for m in range(k + 1, len(lengths)))
+        for r in range(len(got) + 2):
+            log = []
+            runs = [_probed(n, k, log) for k, n in enumerate(lengths)]
+            assert list(itertools.islice(synthesis._combinations(runs), r)) == got[:r]
+            assert all(i < r for _, i in log)
     assert shapes == {(False, False), (False, True), (True, False), (True, True)}
 
 
