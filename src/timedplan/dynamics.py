@@ -8,6 +8,8 @@ exact rational and trajectory stamps never drift.
 Positions are ``(N, n)`` arrays, one row per agent.  ``coupling`` and
 ``integrate_closed`` also take a batch ``(..., N, n)`` of independent
 agent sets and treat each one exactly as they would alone, bit for bit.
+``coupling`` gives every agent's drift in one call, each agent's sum in
+its own neighbor order.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import C1Violated, DimensionMismatch, IndexOutOfRange, InputBoundViolated
+from .errors import C1Violated, DimensionMismatch, InputBoundViolated
 from .graphs import BoundParams, CommGraph
 from .rational import as_fraction
 
@@ -52,15 +54,14 @@ def _positions(g: CommGraph, x, batched: bool = True) -> np.ndarray:
     return pts
 
 
-def coupling(g: CommGraph, x, i: int) -> np.ndarray:
-    """Drift term of agent i: -sum over neighbors of (x_i - x_j), one per
-    agent set of the batch, summed in neighbor order."""
+def coupling(g: CommGraph, x) -> np.ndarray:
+    """Every agent's drift term, -sum over its neighbors of (x_i - x_j), as
+    an array shaped like ``x``.  Each sum starts at zero and adds x_j - x_i
+    in neighbor order, one neighbor slot of every agent at a time."""
     pts = _positions(g, x)
-    if not 1 <= i <= g.n_agents:
-        raise IndexOutOfRange(f"agent {i} not in 1..{g.n_agents}")
-    out = np.zeros(pts.shape[:-2] + pts.shape[-1:])
-    for j in g.neighbors(i):
-        out += pts[..., j - 1, :] - pts[..., i - 1, :]
+    out = np.zeros(pts.shape)
+    for own, nbr in g.neighbor_slots:
+        out[..., own, :] += pts.take(nbr, axis=-2) - pts[..., own, :]
     return out
 
 
@@ -102,14 +103,16 @@ class Trajectory:
 
 
 def _check_inputs(v: np.ndarray, v_max: float, t: float):
+    """Raise ``InputBoundViolated`` naming an agent whose input norm exceeds
+    ``v_max`` or is NaN, the first NaN when there is one."""
     norms = np.linalg.norm(v, axis=-1)
-    if not norms.size:  # an empty batch has no input to bound
+    # an empty batch has no input to bound; max is NaN when any norm is
+    if not norms.size or norms.max() <= v_max + _BOUND_SLACK:
         return
     worst = np.unravel_index(np.argmax(norms), norms.shape)
-    if norms[worst] > v_max + _BOUND_SLACK:
-        raise InputBoundViolated(
-            f"agent {worst[-1] + 1} input norm {norms[worst]:.6g} exceeds {v_max} at t={t:.6g}"
-        )
+    norm = norms[worst]
+    what = f"exceeds {v_max}" if norm > v_max + _BOUND_SLACK else "is not a number"
+    raise InputBoundViolated(f"agent {worst[-1] + 1} input norm {norm:.6g} {what} at t={t:.6g}")
 
 
 def _rk4_step(lap: np.ndarray, x: np.ndarray, v: np.ndarray, h: float) -> np.ndarray:
@@ -145,18 +148,16 @@ def integrate_closed(g, x0, control, dt_sim, horizon, v_max) -> Trajectory:
     lap = g.laplacian()
     h = float(dt_sim)
 
-    times = [Fraction(0)]
+    times = tuple(k * dt_sim for k in range(steps + 1))
     states = np.empty((steps + 1,) + pts.shape)
     states[0] = pts
     x = pts
-    for k in range(steps):
-        t = k * dt_sim
-        v = np.asarray(control(float(t), x), dtype=float)
+    for k, t in enumerate(map(float, times[:-1])):
+        v = np.asarray(control(t, x), dtype=float)
         if v.shape != pts.shape:
             raise DimensionMismatch(f"control returned shape {v.shape}, expected {pts.shape}")
-        _check_inputs(v, v_max, float(t))
+        _check_inputs(v, v_max, t)
         x = _rk4_step(lap, x, v, h)
         states[k + 1] = x
-        times.append(t + dt_sim)
     states.setflags(write=False)
-    return Trajectory(tuple(times), states)
+    return Trajectory(times, states)

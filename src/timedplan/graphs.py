@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,6 +43,21 @@ class CommGraph:
 
     def degree(self, i: int) -> int:
         return len(self.neighbors(i))
+
+    @cached_property
+    def neighbor_slots(self) -> tuple[tuple[slice | np.ndarray, np.ndarray], ...]:
+        """Every agent's neighbors, slot by slot: pair ``s`` holds the
+        0-based agents with more than ``s`` neighbors, a slice when they are
+        consecutive, and an array of each one's ``s``-th neighbor (0-based)
+        in ``neighbors`` order."""
+        rows = [[j - 1 for j in self.neighbors(i)] for i in range(1, self.n_agents + 1)]
+        slots = []
+        for s in range(max(map(len, rows), default=0)):
+            own = [i for i, row in enumerate(rows) if len(row) > s]
+            nbr = np.array([rows[i][s] for i in own])
+            consecutive = own[-1] - own[0] == len(own) - 1
+            slots.append((slice(own[0], own[-1] + 1) if consecutive else np.array(own), nbr))
+        return tuple(slots)
 
     def incidence(self) -> np.ndarray:
         """N x |E| incidence matrix, +1 at the smaller endpoint of each edge."""

@@ -292,11 +292,12 @@ def make_controller(disc, g):
 
     ``controller(dst)`` returns ``law(t, x)``: steer straight at the target
     cell centers at the speed that lands on time, cancel the coupling drift,
-    and saturate at the speed cap.  ``dst`` is an array of target cells,
-    one per agent along its last axis: one joint state for positions ``x``
-    of shape ``(N, n)``, or any leading shape that broadcasts against a
-    batch ``x`` of shape ``(..., N, n)``.  Works under sample-and-hold, so
-    the remaining time in the denominator never reaches zero.
+    and saturate at the speed cap, every agent at once through one
+    ``coupling`` call.  ``dst`` is an array of target cells, one per agent
+    along its last axis: one joint state for positions ``x`` of shape
+    ``(N, n)``, or any leading shape that broadcasts against a batch ``x``
+    of shape ``(..., N, n)``.  Works under sample-and-hold, so the
+    remaining time in the denominator never reaches zero.
     """
     dt = disc.dt
     v_max = disc.v_max
@@ -309,11 +310,7 @@ def make_controller(disc, g):
             remain = float(dt - t)
             if remain <= 0.0:
                 remain = float(dt) * 1e-6
-            v = np.empty_like(x)
-            for i in range(x.shape[-2]):
-                drive = (targets[..., i, :] - x[..., i, :]) / remain
-                v[..., i, :] = saturate(drive - coupling(g, x, i + 1), v_max)
-            return v
+            return saturate((targets - x) / remain - coupling(g, x), v_max)
 
         return law
 

@@ -176,7 +176,8 @@ def _active(reads, edges) -> dict:
 
 class TBA:
     """Locations carry the letter read there; acceptance is Buchi.
-    Locations and clocks may be any hashable names.
+    Locations and clocks may be any hashable names; ``initial`` keeps a
+    location listed twice once, where it is first listed.
 
     ``active`` maps each location to the clocks it can still read: those
     its invariant or an out-edge's guard reads, and those active at an
@@ -188,7 +189,7 @@ class TBA:
                  ap, invariants=None, active=None):
         self.locations = tuple(locations)
         loc_set = set(self.locations)
-        self.initial = tuple(q for q in initial)
+        self.initial = tuple(dict.fromkeys(initial))
         self.clocks = tuple(clocks)
         self.edges = tuple(edges)
         self.accepting = frozenset(accepting)

@@ -598,6 +598,32 @@ def rand_connected_graph(rng, n) -> CommGraph:
     return build_graph(n, edges)
 
 
+def rand_capped_graph(rng, n, max_degree) -> CommGraph:
+    """A random graph of ``n`` agents, any of them isolated, with no agent
+    above ``max_degree`` neighbors; unlike ``build_graph`` it may have one
+    agent or be disconnected."""
+    edges, degree = [], [0] * (n + 1)
+    for a, b in itertools.combinations(range(1, n + 1), 2):
+        if rng.random() < 0.6 and max(degree[a], degree[b]) < max_degree:
+            edges.append((a, b))
+            degree[a] += 1
+            degree[b] += 1
+    return CommGraph(n, tuple(edges))
+
+
+def reference_coupling(g, x) -> np.ndarray:
+    """Every agent's drift for ``x`` of shape ``(..., N, n)``, agent by
+    agent: zero plus ``x_j - x_i`` for each neighbor ``j`` in neighbor order."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros(x.shape)
+    for i in range(1, g.n_agents + 1):
+        drift = np.zeros(x.shape[:-2] + x.shape[-1:])
+        for j in g.neighbors(i):
+            drift += x[..., j - 1, :] - x[..., i - 1, :]
+        out[..., i - 1, :] = drift
+    return out
+
+
 def rand_wts_lasso(rng, wts: WTS, max_len=8):
     """Random lasso run of a WTS starting at an initial state, or None."""
     from timedplan.wts import TimedRun

@@ -297,16 +297,38 @@ def test_on_demand_anchors_equal_the_exhaustive_pass(r_selec):
     assert several >= (10 if r_selec > 1 else 0)
 
 
+def _twice_initial(prop):
+    """One self-looping location, labelled ``prop``, listed twice as initial."""
+    return TBA(["q"], ["q", "q"], (), [Edge("q", TOP, (), "q")], ["q"], {"q": {prop}}, {prop})
+
+
 def test_a_repeated_initial_location_gives_its_lasso_once():
-    """One self-looping location listed twice as initial: the product
-    repeats the initial node, and the walk meets its one anchor once."""
+    """One self-looping location listed twice as initial: the automaton
+    and the product keep it once, and the walk meets its one anchor once."""
     w = WTS(["s"], ["s"], {"s": [("s", 1)]}, {"s": {"p"}})
-    a = TBA(["q"], ["q", "q"], (), [Edge("q", TOP, (), "q")], ["q"], {"q": {"p"}}, {"p"})
+    a = _twice_initial("p")
+    assert a.initial == ("q",)
     b = BuchiWTS(w, a)
-    assert len(b.initial) == 2
+    assert len(b.initial) == 1
     runs = every_lasso(enumerate_accepting(b))
     assert [(r.states, r.stem_len) for r in runs] == [((("s", "q", ()),), 0)]
     assert b.anchors()[0] == [b.initial[0]]
+
+
+def test_a_repeated_initial_location_starts_the_synchronized_product_once():
+    """Two agents whose automata each list their one location twice as
+    initial: their products and the synchronized joint product start at one
+    node each, and the joint search finds a lasso that stays put."""
+    systems = [
+        TableAgentWTS(k, [3 - k], 1, {(1, (1, 1)): {1}}, {1: {f"p{k}"}}, [1]) for k in (1, 2)
+    ]
+    tbas = [_twice_initial(f"p{k}") for k in (1, 2)]
+    agents = [BuchiWTS(c, a) for c, a in zip(systems, tbas)]
+    assert [len(b.initial) for b in agents] == [1, 1]
+    joint = SyncProduct(product(systems), intersect(*tbas), agents)
+    assert len(joint.initial) == 1
+    run = find_accepting(joint)
+    assert run is not None and {state for state, *_ in run.states} == {(1, 1)}
 
 
 def test_reading_a_lasso_walks_only_to_its_anchor():

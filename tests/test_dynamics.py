@@ -14,6 +14,8 @@ from timedplan.dynamics import (
 from timedplan.errors import C1Violated, DimensionMismatch, InputBoundViolated
 from timedplan.graphs import build_graph, theorem1_constants
 
+from helpers import rand_capped_graph, reference_coupling
+
 
 def path3():
     return build_graph(3, [(1, 2), (2, 3)])
@@ -36,12 +38,35 @@ def test_coupling_is_neighbor_sum():
     x = np.array([[0.0, 0.0], [1.0, 2.0], [3.0, -1.0]])
     # agent 2 is pulled toward both neighbors: sum of (x_j - x_2)
     expect = (x[0] - x[1]) + (x[2] - x[1])
-    assert np.allclose(coupling(g, x, 2), expect)
-    assert np.allclose(coupling(g, x, 1), x[1] - x[0])
+    assert np.allclose(coupling(g, x)[..., 1, :], expect)
+    assert np.allclose(coupling(g, x)[..., 0, :], x[1] - x[0])
     # consistency with the integrator's vector field -Lx
     flat = -(g.laplacian() @ x)
     for i in (1, 2, 3):
-        assert np.allclose(coupling(g, x, i), flat[i - 1])
+        assert np.allclose(coupling(g, x)[..., i - 1, :], flat[i - 1])
+
+
+def test_coupling_sums_each_agents_neighbors_in_order():
+    """On random graphs of 1-5 agents with degrees 0-3, every agent's drift
+    is its own neighbor sum in neighbor order, bit for bit, for one agent
+    set and for each set of a batch."""
+    rng = np.random.default_rng(34)
+    degrees, kinds = set(), set()
+    for _ in range(600):
+        g = rand_capped_graph(rng, int(rng.integers(1, 6)), int(rng.integers(0, 4)))
+        degrees.update(g.degree(i) for i in range(1, g.n_agents + 1))
+        kinds.update(type(own) for own, _ in g.neighbor_slots)
+        lead = tuple(int(k) for k in rng.integers(0, 4, size=int(rng.integers(0, 3))))
+        x = rng.normal(size=lead + (g.n_agents, int(rng.integers(1, 4))))
+        x *= 10.0 ** float(rng.integers(-3, 3))
+        got = coupling(g, x)
+        assert got.shape == x.shape
+        assert np.array_equal(got, reference_coupling(g, x))
+        for k in np.ndindex(lead):
+            assert np.array_equal(got[k], coupling(g, x[k]))
+    assert degrees == {0, 1, 2, 3}
+    # consecutive agents of a slot are read as a slice, the others by index
+    assert kinds == {slice, np.ndarray}
 
 
 def test_relative_norm_hand_value():
@@ -139,9 +164,9 @@ def test_batched_coupling_equals_single_calls():
     g = path3()
     xs = np.random.default_rng(3).normal(size=(7, 3, 2))
     for i in (1, 2, 3):
-        got = coupling(g, xs, i)
+        got = coupling(g, xs)[..., i - 1, :]
         assert got.shape == (7, 2)
-        assert np.array_equal(got, np.stack([coupling(g, x, i) for x in xs]))
+        assert np.array_equal(got, np.stack([coupling(g, x)[..., i - 1, :] for x in xs]))
 
 
 def test_batched_integration_equals_single_runs():
@@ -163,7 +188,7 @@ def test_batched_integration_equals_single_runs():
 def test_wrong_agent_axis_rejected(shape):
     g = path3()
     with pytest.raises(DimensionMismatch):
-        coupling(g, np.zeros(shape), 1)
+        coupling(g, np.zeros(shape))
     with pytest.raises(DimensionMismatch):
         integrate_closed(g, np.zeros(shape), zero_law, Fraction(1, 10), 1, 1.0)
 
@@ -178,6 +203,25 @@ def test_batched_input_bound_names_the_agent():
 
     with pytest.raises(InputBoundViolated, match="agent 2 "):
         integrate_closed(g, np.zeros((4, 3, 2)), bad, Fraction(1, 10), 1, v_max=1.0)
+
+
+@pytest.mark.parametrize("lead", [(), (3,)])
+def test_a_nan_input_is_refused_naming_the_agent(lead):
+    """A NaN norm fails the bound test, unbatched and batched, where a NaN
+    beside an input over the bound is named first."""
+    g = build_graph(2, [(1, 2)])
+    x0 = np.zeros(lead + (2, 2))
+    with pytest.raises(InputBoundViolated, match="agent 1 input norm nan is not a number"):
+        integrate_closed(g, x0, lambda t, x: np.full_like(x, np.nan), Fraction(1, 20), 1, 1.0)
+
+    def half_nan(t, x):
+        v = np.zeros_like(x)
+        v[..., 0, 0] = 5.0  # agent 1 of every set, over the bound
+        v.reshape(-1, 2, 2)[-1, 1, 1] = np.nan  # agent 2 of the last set
+        return v
+
+    with pytest.raises(InputBoundViolated, match="agent 2 input norm nan"):
+        integrate_closed(g, x0, half_nan, Fraction(1, 20), 1, 1.0)
 
 
 def test_empty_batch_integrates_to_an_empty_trajectory():

@@ -45,6 +45,7 @@ from helpers import (
     expand_layers,
     oracle_plan_exists,
     padded,
+    reference_controller,
     same_ticks,
     windows_met,
 )
@@ -409,6 +410,34 @@ def test_controller_targets_broadcast_over_a_sample_axis():
     for t in (0.0, 0.02):
         want = ctrl(np.repeat(cells[:, None], 5, axis=1))(t, x)
         assert np.array_equal(ctrl(cells[:, None])(t, x), want)
+
+
+@pytest.mark.parametrize(
+    "path", ["scenarios/two_agent_services.cfg", "scenarios/path_three_fast.cfg"]
+)
+def test_controller_equals_the_agent_by_agent_law(path):
+    """For a batch of agent sets, near their targets and far from them, the
+    one-pass law gives each set the reference law's inputs bit for bit,
+    under the speed cap and saturated at it, until and past the quantum."""
+    from timedplan.scenario import build, load_scenario
+
+    b = build(load_scenario(path))
+    dec, v_max = b.disc.dec, b.disc.v_max
+    n_agents = b.graph.n_agents
+    rng = np.random.default_rng(9)
+    cells = rng.integers(1, dec.n_cells + 1, size=(40, n_agents))
+    lo, hi = dec.corners(cells)
+    near = 0.5 * (lo + hi) + rng.normal(size=lo.shape) * 1e-5
+    far = rng.uniform(dec.corners([1])[0][0], dec.corners([dec.n_cells])[1][0], size=lo.shape)
+    law, ref = make_controller(b.disc, b.graph), reference_controller(b.disc, b.graph)
+    capped = set()
+    for x in (near, far):
+        for t in (0.0, 0.013, float(b.disc.dt)):
+            got = law(cells)(t, x)
+            for k in range(len(cells)):
+                assert np.array_equal(got[k], ref(cells[k])(t, x[k]))
+            capped.update(np.isclose(np.linalg.norm(got, axis=-1), v_max).ravel().tolist())
+    assert capped == {False, True}
 
 
 def test_reachable_layers_monotone():
