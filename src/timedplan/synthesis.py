@@ -2,29 +2,31 @@
 
 The cheap route works per agent — compile each task to an automaton, search
 the agent's own abstraction (with its moves pooled over every neighbor
-configuration, an over-approximation), zip each combination of the found
-lassos into one joint lasso, and keep the first that is a run of the
-product.  Combinations are walked lazily, so only the lassos some
-combination zips are built and projected, and each agent's product is
-explored only until the anchors of those lassos are met.  An agent's
-emptiness is read off its product, never off the lassos ``r_selec`` lets
-it enumerate.  When no combination is a run, the exact route searches the
-joint product against the intersection automaton and projects its
-accepting lasso back to the agents.  Every joint accepting lasso projects
-to an accepting lasso of each agent's own product, so the exact route
-explores those completely and synchronizes the joint product from them,
-kept to joint nodes from which every agent can still reach an accepting
-cycle; that keeps its verdict, and its budget counts kept nodes only.
-Agents must provide disjoint services, so that a joint move is one move
-of each agent's product.  Tasks outside the compilable fragment fall back
-to bounded generate-and-check, which can find plans but can never prove
-their absence.
+configuration, an over-approximation), and keep the first combination of
+the found lassos whose joint lasso is a run of the product.  Each
+combination's joint positions are walked in order and it is dropped at its
+first move that is not a product transition, each distinct move asked of
+the product once per call; only a combination with no such move is
+projected and zipped into one joint lasso and checked in full.
+Combinations are walked lazily, so only the lassos some combination reads
+are built, and each agent's product is explored only until the anchors of
+those lassos are met.  An agent's emptiness is read off its product, never
+off the lassos ``r_selec`` lets it enumerate.  When no combination is a
+run, the exact route searches the joint product against the intersection
+automaton and projects its accepting lasso back to the agents.  Every joint
+accepting lasso projects to an accepting lasso of each agent's own product,
+so the exact route explores those completely and synchronizes the joint
+product from them, kept to joint nodes from which every agent can still
+reach an accepting cycle; that keeps its verdict, and its budget counts
+kept nodes only.  Agents must provide disjoint services, so that a joint
+move is one move of each agent's product.  Tasks outside the compilable
+fragment fall back to bounded generate-and-check, which can find plans but
+can never prove their absence.
 """
 
 from __future__ import annotations
 
 import ctypes
-import functools
 import itertools
 import math
 import operator
@@ -134,8 +136,12 @@ def zip_runs(runs) -> TimedRun:
 def synthesize(g, wts_list, formulas, r_selec: int = 100, max_states=None):
     """Find a joint plan whose projections satisfy every agent's task.
 
-    Returns a Plan, or Infeasible when provably no joint run works.  Raises
-    BudgetExceeded when a state or candidate budget ran out first.
+    The per-agent route reads one accepting lasso per agent at a time, up
+    to ``r_selec`` combinations, and returns the first combination that is
+    a run of the product (``_joint_run``); the joint route runs only when
+    none is.  Returns a Plan, or Infeasible when provably no joint run
+    works.  Raises BudgetExceeded when a state or candidate budget ran out
+    first.
     """
     comps = list(wts_list)
     formulas = list(formulas)
@@ -161,11 +167,11 @@ def synthesize(g, wts_list, formulas, r_selec: int = 100, max_states=None):
     except UnsupportedFragment:
         return _generate_and_check(comps, formulas, r_selec, max_states)
 
-    agents, per_agent = [], []
+    agents, lassos = [], []
     for i, (c, a) in enumerate(zip(comps, tbas), start=1):
         b = BuchiWTS(c, a, max_states)
         agents.append(b)
-        lasso = enumerate_accepting(b)
+        lassos.append(enumerate_accepting(b))
         if b.anchor(0) is None:
             # the pooled-moves view over-approximates the agent's behaviour
             # in any joint run, so emptiness here is conclusive; it is read
@@ -175,14 +181,19 @@ def synthesize(g, wts_list, formulas, r_selec: int = 100, max_states=None):
                 f"agent {i} has no run satisfying its task even in isolation",
                 agent=i,
             )
-        per_agent.append(functools.cache(lambda k, lasso=lasso: project_run(lasso(k))))
 
     p = product(comps)
+    # systems off the graph's neighbor lists make check_consistent raise,
+    # so their combinations skip the walk and go to it as they are
+    agree = all(
+        tuple(c.neighbors) == tuple(g.neighbors(i)) for i, c in enumerate(comps, start=1)
+    )
+    verdicts = {} if agree else None
     combos = 0
-    for runs in itertools.islice(_combinations(per_agent), r_selec):
+    for runs in itertools.islice(_combinations(lassos), r_selec):
         combos += 1
-        joint = zip_runs(runs)
-        if check_consistent(joint, g, p):
+        joint = _joint_run(runs, g, p, verdicts)
+        if joint is not None:
             return Plan(joint, "independent", combos)
 
     # every joint accepting lasso projects to one of each agent's product,
@@ -195,8 +206,53 @@ def synthesize(g, wts_list, formulas, r_selec: int = 100, max_states=None):
     return Plan(project_run(run), "joint-product", combos)
 
 
+def _joint_run(lassos, g, p: ProductWTS, verdicts):
+    """The joint lasso of the agents' accepting lassos ``lassos`` when it is
+    a run of the product ``p``, else None, as ``zip_runs`` of their
+    projections and ``check_consistent`` against ``g`` and ``p`` decide it,
+    and raising what they raise.
+
+    When the sojourns are all ``p``'s quantum and ``verdicts`` is a dict,
+    neither can raise, so the joint moves are walked first by
+    ``_clashes``, which keeps each move's verdict in ``verdicts``, and a
+    combination with a clashing move is dropped unzipped.  ``verdicts`` is
+    None where the systems' neighbor lists are not ``g``'s.
+    """
+    if (
+        verdicts is not None
+        and all(r.durations.count(p.dt) == len(r.durations) for r in lassos)
+        and _clashes(lassos, p, verdicts)
+    ):
+        return None
+    joint = zip_runs([project_run(r) for r in lassos])
+    return joint if check_consistent(joint, g, p) else None
+
+
+def _clashes(lassos, p: ProductWTS, verdicts: dict) -> bool:
+    """Whether some move of the joint lasso that ``zip_runs`` makes of the
+    system runs of ``lassos`` (a node's system state is ``node[0]``) is not
+    a transition of ``p``, the closing move too.  Positions are walked in
+    order, to the longest stem plus the lcm of the cycle lengths, and the
+    walk stops at the first clash; a move's verdict is read from
+    ``verdicts`` when it is there and kept there when it is not.
+    """
+    stem = max(r.stem_len for r in lassos)
+    end = stem + math.lcm(*(r.cycle_len for r in lassos))
+    src = tuple([r.states[0][0] for r in lassos])
+    # unrolled position ``end`` is position ``stem`` of every run: the closing move
+    for j in range(1, end + 1):
+        dst = tuple([r.states[r.canon(j)][0] for r in lassos])
+        ok = verdicts.get((src, dst))
+        if ok is None:
+            ok = verdicts[src, dst] = p.has_transition(src, dst)
+        if not ok:
+            return True
+        src = dst
+    return False
+
+
 def _combinations(runs):
-    """Tuples of one system run per agent, in ``itertools.product`` order:
+    """Tuples of one run per agent, in ``itertools.product`` order:
     ``runs[a](k)`` is agent ``a``'s run ``k``, and ``IndexError`` past its
     last.  Run ``k`` of an agent is read only when the walk reaches it, so
     each product is walked only as far as the anchors of the runs some

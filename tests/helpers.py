@@ -31,7 +31,7 @@ from timedplan.mitl import (
 from timedplan.rational import INF, as_fraction, frac_gcd
 from timedplan.tba import TBA, Atom, Edge, GAnd, GNot, TOP, _rewrite, eval_guard, gand
 from timedplan.workspace import EPS_GEO
-from timedplan.wts import SimulationReport, StepReport, TimedWord
+from timedplan.wts import SimulationReport, StepReport, TimedWord, product
 
 
 def rand_fraction(rng, max_den=4, max_num=8):
@@ -609,6 +609,22 @@ def rand_capped_graph(rng, n, max_degree) -> CommGraph:
             degree[a] += 1
             degree[b] += 1
     return CommGraph(n, tuple(edges))
+
+
+def rand_table_product(rng, g, n_cells=3, density=0.85, dt=Fraction(1, 4)):
+    """The ``ProductWTS`` of one ``TableAgentWTS`` per agent of ``g`` over
+    cells ``1..n_cells``, with ``g``'s neighbor lists: each action enables
+    each cell with probability ``density``."""
+    cells = range(1, n_cells + 1)
+    systems = []
+    for agent in range(1, g.n_agents + 1):
+        nbs = g.neighbors(agent)
+        table = {
+            (action[0], action): {c for c in cells if rng.random() < density}
+            for action in itertools.product(cells, repeat=1 + len(nbs))
+        }
+        systems.append(TableAgentWTS(agent, nbs, dt, table, initial=[1]))
+    return product(systems)
 
 
 def reference_coupling(g, x) -> np.ndarray:

@@ -18,7 +18,7 @@ import pytest
 from timedplan import synthesis
 from timedplan.buchi import BuchiWTS, SyncProduct, find_accepting, project_run
 from timedplan.errors import AlphabetMismatch, BudgetExceeded, LengthMismatch
-from timedplan.graphs import build_graph
+from timedplan.graphs import CommGraph, build_graph
 from timedplan.mitl import parse, sat
 from timedplan.synthesis import (
     Infeasible,
@@ -45,6 +45,8 @@ from helpers import (
     expand_layers,
     oracle_plan_exists,
     padded,
+    rand_capped_graph,
+    rand_table_product,
     reference_controller,
     same_ticks,
     windows_met,
@@ -122,6 +124,83 @@ def test_zip_runs_unrolls_each_combination_to_one_joint_lasso():
             runs[i] = TimedRun(r.states, durations, r.stem_len)
             with pytest.raises(LengthMismatch, match="sojourns differently"):
                 zip_runs(runs)
+
+
+def _as_product_lasso(run):
+    """``run`` as the agents' products give their accepting lassos: each
+    node a system state followed by automaton bookkeeping."""
+    return TimedRun(tuple((s, "q", 0) for s in run.states), run.durations, run.stem_len)
+
+
+def _outcome(step, *args):
+    """What ``step(*args)`` returns, or its ``LengthMismatch`` message."""
+    try:
+        return step(*args)
+    except LengthMismatch as e:
+        return f"LengthMismatch: {e}"
+
+
+def _zip_and_check(lassos, g, p):
+    joint = zip_runs([project_run(r) for r in lassos])
+    return joint if check_consistent(joint, g, p) else None
+
+
+def _first_clash(joint, runs, p) -> str:
+    """Which move of ``joint``, the zip of ``runs``, is the first that ``p``
+    lacks: ``past the first lap`` when unrolling every run only to the
+    longest stem plus the longest cycle would not reach it."""
+    states, stem = joint.states, joint.stem_len
+    moves = list(zip(states, states[1:] + states[stem:stem + 1]))
+    bad = [j for j, move in enumerate(moves) if not p.has_transition(*move)]
+    if not bad:
+        return "none"
+    if bad[0] == len(moves) - 1:
+        return "closing"
+    if bad[0] >= stem + max(r.cycle_len for r in runs) - 1:
+        return "past the first lap"
+    return "first" if bad[0] == 0 else "later"
+
+
+def test_clash_walk_agrees_with_zipping_and_checking():
+    """On random lassos (stems 0-4, cycles 1-4) of 1-3 agents over random
+    table products, ``_clashes`` finds a clash exactly when the zipped joint
+    lasso is no run of the product, and ``_joint_run`` returns what zipping
+    and checking return, the same ``LengthMismatch`` when a sojourn is
+    off.  The first clash falls on the first move, on a later one, on the
+    closing move, and past the first lap of the longest cycle, where only
+    the lcm unroll reaches."""
+    rng = random.Random(35)
+    seen = Counter()
+    for k in range(600):
+        g = rand_capped_graph(rng, 1 + k % 3, 2)
+        p = rand_table_product(rng, g)
+        verdicts = {}
+        for _ in range(8):
+            runs = []
+            for _ in range(g.n_agents):
+                stem, cycle = rng.randint(0, 4), rng.randint(1, 4)
+                cells = [rng.randint(1, 3) for _ in range(stem + cycle)]
+                runs.append(TimedRun(cells, (p.dt,) * len(cells), stem))
+            lassos = [_as_product_lasso(r) for r in runs]
+            want = _zip_and_check(lassos, g, p)
+            assert synthesis._clashes(lassos, p, verdicts) is (want is None)
+            assert synthesis._joint_run(lassos, g, p, verdicts) == want
+            seen[_first_clash(zip_runs(runs), runs, p)] += 1
+            # one sojourn off, or every sojourn off the quantum
+            i = rng.randrange(len(runs))
+            durations = list(runs[i].durations)
+            durations[rng.randrange(len(durations))] = 2 * p.dt
+            slow = [*runs[:i], TimedRun(runs[i].states, durations, runs[i].stem_len), *runs[i + 1:]]
+            for off in (slow, [TimedRun(r.states, (2 * p.dt,) * len(r), r.stem_len) for r in runs]):
+                lassos = [_as_product_lasso(r) for r in off]
+                want = _outcome(_zip_and_check, lassos, g, p)
+                assert want.startswith("LengthMismatch: ")
+                assert _outcome(synthesis._joint_run, lassos, g, p, verdicts) == want
+                seen[want] += 1
+    assert min(seen[kind] for kind in ("none", "first", "later", "closing")) >= 100
+    assert seen["past the first lap"] >= 40
+    assert seen["LengthMismatch: run 2 sojourns differently from run 1"] >= 100
+    assert seen["LengthMismatch: joint sojourns are not the product's step quantum"] >= 100
 
 
 def test_synthesize_independent_route():
@@ -821,6 +900,68 @@ def test_combos_checked_is_pinned(case, r_selec, combos):
     b = joint_route(case) if case.startswith("joint-route") else shipped(case)
     plan = synthesize(b.graph, b.wts_list, b.formulas, r_selec=r_selec)
     assert plan.combos_checked == combos
+
+
+@pytest.mark.parametrize("case, combos, zips", [
+    ("joint-route-feasible", 100, 0),
+    ("joint-route-infeasible", 100, 0),
+    ("path_three_fast", 1, 1),
+    ("two_agent_services", 1, 1),
+])
+def test_only_a_combination_without_a_clash_is_zipped(monkeypatch, case, combos, zips):
+    """Every joint-route combination has a joint move the product lacks, so
+    none of the 100 is zipped or checked; on the per-agent scenarios the first combination is the plan, zipped and
+    checked once.  Outside ``check_consistent``, no joint move is asked of
+    the product twice."""
+    from timedplan import wts
+
+    calls, asked, checking = Counter(), Counter(), []
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            checking.append(name == "check_consistent")
+            try:
+                return fn(*args)
+            finally:
+                checking.pop()
+        return call
+
+    for name in ("zip_runs", "check_consistent", "_joint_run"):
+        monkeypatch.setattr(synthesis, name, counted(name, getattr(synthesis, name)))
+    real = wts.ProductWTS.has_transition
+
+    def has_transition(self, src, dst):
+        if not any(checking):
+            asked[src, dst] += 1
+        return real(self, src, dst)
+
+    monkeypatch.setattr(wts.ProductWTS, "has_transition", has_transition)
+    b = joint_route(case) if case.startswith("joint-route") else shipped(case)
+    got = synthesize(b.graph, b.wts_list, b.formulas)
+    assert calls["_joint_run"] == combos
+    assert calls["zip_runs"] == calls["check_consistent"] == zips
+    assert bool(got) == (case != "joint-route-infeasible")
+    if got:
+        assert got.combos_checked == combos
+        assert got.route == ("independent" if zips else "joint-product")
+    assert max(asked.values()) == 1
+
+
+def test_systems_off_the_graph_are_refused_as_before():
+    """Systems whose neighbor lists are not the graph's are refused by
+    ``check_consistent`` at the first combination, as
+    ``helpers.eager_synthesize``, which zips every combination, refuses
+    them; with no combination walked, the joint route runs as there."""
+    _, systems = free_agents()
+    formulas = [parse("F[0,2] p1"), parse("F[0,2] p2")]
+    g = CommGraph(2, ())
+    message = "^system 1 neighbor list disagrees with the graph$"
+    with pytest.raises(LengthMismatch, match=message):
+        eager_synthesize(g, systems, formulas, 100)
+    with pytest.raises(LengthMismatch, match=message):
+        synthesize(g, systems, formulas)
+    assert synthesize(g, systems, formulas, r_selec=0) == eager_synthesize(g, systems, formulas, 0)
 
 
 def _recorded_agents(monkeypatch):
