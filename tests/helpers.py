@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from timedplan.dynamics import integrate_closed
+from timedplan.dynamics import Trajectory, _check_inputs, _positions, integrate_closed
 from timedplan.errors import UnknownState
 from timedplan.graphs import CommGraph, build_graph
 from timedplan.mitl import (
@@ -638,6 +638,41 @@ def reference_coupling(g, x) -> np.ndarray:
             drift += x[..., j - 1, :] - x[..., i - 1, :]
         out[..., i - 1, :] = drift
     return out
+
+
+def rk4_step(lap: np.ndarray, x: np.ndarray, v: np.ndarray, h: float) -> np.ndarray:
+    """One classical RK4 step of xdot = -lap x + v with ``v`` held, stage by
+    stage: the four right-hand sides, then their weighted sum."""
+
+    def f(y):
+        return -(lap @ y) + v
+
+    k1 = f(x)
+    k2 = f(x + 0.5 * h * k1)
+    k3 = f(x + 0.5 * h * k2)
+    k4 = f(x + h * k3)
+    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def rk4_integrate_closed(g, x0, control, dt_sim, horizon, v_max) -> Trajectory:
+    """``integrate_closed`` with each step taken by ``rk4_step``'s stages in
+    place of the affine step map; the same inputs, checks and trajectory."""
+    x = _positions(g, x0).copy()
+    dt_sim = as_fraction(dt_sim)
+    steps = as_fraction(horizon) / dt_sim
+    assert steps.denominator == 1 and steps > 0, (horizon, dt_sim)
+    lap = g.laplacian()
+    times = tuple(k * dt_sim for k in range(int(steps) + 1))
+    states = [x]
+    for t in map(float, times[:-1]):
+        v = np.asarray(control(t, x), dtype=float)
+        assert v.shape == x.shape, (v.shape, x.shape)
+        _check_inputs(v, v_max, t)
+        x = rk4_step(lap, x, v, float(dt_sim))
+        states.append(x)
+    states = np.stack(states)
+    states.setflags(write=False)
+    return Trajectory(times, states)
 
 
 def rand_wts_lasso(rng, wts: WTS, max_len=8):

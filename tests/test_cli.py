@@ -315,6 +315,64 @@ def test_stats_csv_is_the_full_expansion(tmp_path, capsys, name):
         assert (out / "stats.csv").read_bytes() == f"step,reachable\n{rows}".encode()
 
 
+ARTIFACTS = (
+    "syn/certificate.json",
+    "syn/plan.json",
+    "syn/plan.txt",
+    "sim/trajectory.csv",
+    "sim/lyapunov.csv",
+    "sim/reachable_cells.csv",
+    "sim7/trajectory.csv",
+    "sim7/lyapunov.csv",
+    "sim7/reachable_cells.csv",
+)
+
+
+def write_artifacts(scenario, out, capsys) -> str:
+    """``synthesize``, ``simulate`` and ``simulate --substeps 7`` into
+    ``out``; returns what they printed, with ``out`` blanked."""
+    assert main(["synthesize", scenario, "--out", str(out / "syn")]) == 0
+    plan = str(out / "syn" / "plan.json")
+    assert main(["simulate", scenario, "--plan", plan, "--out", str(out / "sim")]) == 0
+    sim7 = ["--substeps", "7", "--out", str(out / "sim7")]
+    assert main(["simulate", scenario, "--plan", plan, *sim7]) == 0
+    return capsys.readouterr().out.replace(str(out), "OUT")
+
+
+@pytest.mark.parametrize("name", ["path_three_fast", "two_agent_services"])
+def test_artifacts_are_those_of_rk4_stage_by_stage(tmp_path, capsys, monkeypatch, name):
+    """The affine step map writes every artifact byte that RK4 taken stage
+    by stage (``helpers.rk4_integrate_closed``) writes, in the certificate
+    and in both replays; the manifests differ only in ``elapsed_s``."""
+    import timedplan.cli
+    from timedplan import dynamics
+
+    from helpers import rk4_integrate_closed
+
+    scenario = f"scenarios/{name}.cfg"
+    printed = write_artifacts(scenario, tmp_path / "affine", capsys)
+    calls = []
+
+    def staged(*args):
+        calls.append(1)
+        return rk4_integrate_closed(*args)
+
+    monkeypatch.setattr(dynamics, "integrate_closed", staged)
+    monkeypatch.setattr(timedplan.cli, "integrate_closed", staged)
+    assert write_artifacts(scenario, tmp_path / "staged", capsys) == printed
+    assert calls  # the certificate and both replays went through the stages
+    for rel in ARTIFACTS:
+        affine = (tmp_path / "affine" / rel).read_bytes()
+        assert affine == (tmp_path / "staged" / rel).read_bytes(), rel
+    manifests = [
+        json.loads((tmp_path / side / "syn" / "manifest.json").read_text())
+        for side in ("affine", "staged")
+    ]
+    for m in manifests:
+        del m["elapsed_s"]
+    assert manifests[0] == manifests[1]
+
+
 LINE = """\
 # Two coupled agents on a line of 6 cells, each owing one timed service visit.
 

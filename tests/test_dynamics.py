@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from timedplan import dynamics
 from timedplan.dynamics import (
     condition_constants,
     coupling,
@@ -12,9 +13,9 @@ from timedplan.dynamics import (
     relative_norm,
 )
 from timedplan.errors import C1Violated, DimensionMismatch, InputBoundViolated
-from timedplan.graphs import build_graph, theorem1_constants
+from timedplan.graphs import CommGraph, build_graph, theorem1_constants
 
-from helpers import rand_capped_graph, reference_coupling
+from helpers import rand_capped_graph, rand_connected_graph, reference_coupling, rk4_step
 
 
 def path3():
@@ -182,6 +183,91 @@ def test_batched_integration_equals_single_runs():
         one = integrate_closed(g, x, law, Fraction(1, 20), 1, v_max=1.0)
         assert one.times == batch.times
         assert np.array_equal(batch.states[:, k], one.states)
+
+
+def rand_graph(rng, n):
+    """A connected random graph of ``n`` agents; one agent alone when n is 1."""
+    return rand_connected_graph(rng, n) if n > 1 else CommGraph(1, ())
+
+
+def rand_lead(rng):
+    """A batch shape: none, ``(k,)`` or ``(j, k)``."""
+    return tuple(int(k) for k in rng.integers(1, 5, size=int(rng.integers(0, 3))))
+
+
+def test_the_affine_step_is_rk4_to_rounding():
+    """One step of ``integrate_closed`` under a held input against RK4's
+    four stages (``helpers.rk4_step``) on random graphs of 1-6 agents,
+    batches, dimensions 1-3 and steps from 1/4000 to 1/10: the two differ
+    by a few roundings of the positions' scale, and batch shapes (), (k,)
+    and (j, k) all occur."""
+    rng = np.random.default_rng(36)
+    leads = set()
+    for _ in range(800):
+        n = int(rng.integers(1, 7))
+        g = rand_graph(rng, n)
+        lead = rand_lead(rng)
+        leads.add(len(lead))
+        h = Fraction(1, int(rng.integers(10, 4001)))
+        x = rng.normal(size=lead + (n, int(rng.integers(1, 4))))
+        x *= 10.0 ** float(rng.integers(-3, 4))
+        v = rng.normal(size=x.shape) * 10.0 ** float(rng.integers(-3, 4))
+        got = integrate_closed(g, x, lambda t, y: v, h, h, v_max=np.inf).final()
+        want = rk4_step(g.laplacian(), x, v, float(h))
+        scale = np.abs(x).max() + float(h) * np.abs(v).max()
+        assert np.abs(got - want).max() <= 8 * np.finfo(float).eps * scale
+    assert leads == {0, 1, 2}
+
+
+def test_a_2d_batch_on_a_random_graph_integrates_as_each_set_alone():
+    """A ``(j, k)`` batch of agent sets on random graphs under a
+    state-dependent law gives each set's own run, bit for bit."""
+    rng = np.random.default_rng(37)
+
+    def law(t, x):
+        return 0.5 * np.tanh(x - t) / np.sqrt(3.0)
+
+    for _ in range(20):
+        n = int(rng.integers(1, 7))
+        g = rand_graph(rng, n)
+        xs = rng.normal(size=(int(rng.integers(1, 4)), int(rng.integers(1, 5)), n, 3))
+        batch = integrate_closed(g, xs, law, Fraction(1, 40), Fraction(1, 4), v_max=1.0)
+        assert batch.states.shape == (11,) + xs.shape
+        for jk in np.ndindex(xs.shape[:2]):
+            one = integrate_closed(g, xs[jk], law, Fraction(1, 40), Fraction(1, 4), 1.0)
+            assert np.array_equal(batch.states[(slice(None),) + jk], one.states)
+
+
+def test_input_norms_equal_linalg_norm_bit_for_bit():
+    """The bound's norms are ``np.linalg.norm``'s over the last axis, bit
+    for bit, NaN and inf rows included, on random batches with zero rows."""
+    rng = np.random.default_rng(76)
+    for _ in range(300):
+        v = rng.normal(size=rand_lead(rng) + (int(rng.integers(1, 7)), int(rng.integers(1, 4))))
+        v *= 10.0 ** rng.integers(-150, 150, size=v.shape[:-1] + (1,))
+        flat = v.reshape(-1, v.shape[-1])
+        for bad in (0.0, np.nan, np.inf, -np.inf):
+            flat[rng.random(len(flat)) < 0.2] = bad
+        flat[rng.random(flat.shape) < 0.05] = np.nan
+        assert np.array_equal(dynamics._norms(v), np.linalg.norm(v, axis=-1), equal_nan=True)
+
+
+def test_integration_reads_the_laplacian_once_per_call(monkeypatch):
+    """The step map is built once per call, however many steps it takes."""
+    g = path3()
+    reads = []
+    laplacian = CommGraph.laplacian
+
+    def counted(self):
+        reads.append(1)
+        return laplacian(self)
+
+    monkeypatch.setattr(CommGraph, "laplacian", counted)
+    for steps in (1, 7, 60):
+        reads.clear()
+        traj = integrate_closed(g, np.ones((2, 3, 2)), zero_law, Fraction(1, steps), 1, 1.0)
+        assert len(traj.times) == steps + 1
+        assert len(reads) == 1, steps
 
 
 @pytest.mark.parametrize("shape", [(4, 2, 2), (3, 4, 2), (2,), (4, 3)])
